@@ -124,8 +124,11 @@ class DiracCoefficients:
         )
 
 
-def _half_coupling(psi_minus, psi_plus, coeffs, t_mid, x, s):
-    """Apply exp(s*C(t_mid, x)) pointwise; C is i*a*I plus an anti-Hermitian part."""
+def _coupling_matrix(coeffs, t_mid, x, s):
+    """Entries (e11, e12, e21, e22) of exp(s*C(t_mid, x)) at every point.
+
+    C is i*a*I plus an anti-Hermitian part, so the exponential is unitary.
+    """
     alpha = np.broadcast_to(np.asarray(coeffs.a0(t_mid, x), dtype=float), x.shape)
     xi = -np.broadcast_to(np.asarray(coeffs.a1(t_mid, x), dtype=float), x.shape)
     theta = np.broadcast_to(np.asarray(coeffs.theta_bar(t_mid, x), dtype=float), x.shape)
@@ -140,6 +143,11 @@ def _half_coupling(psi_minus, psi_plus, coeffs, t_mid, x, s):
     e12 = phase * b * sinc
     e21 = -phase * np.conj(b) * sinc
     e22 = phase * (cos - 1j * xi * sinc)
+    return e11, e12, e21, e22
+
+
+def _apply_coupling(matrix, psi_minus, psi_plus):
+    e11, e12, e21, e22 = matrix
     return e11 * psi_minus + e12 * psi_plus, e21 * psi_minus + e22 * psi_plus
 
 
@@ -166,11 +174,12 @@ def solve_dirac(coeffs: DiracCoefficients, initial: SpinorField, t_final: float,
     t = initial.time
     half = 0.5 * dt
     for _ in range(n_steps):
-        t_mid = t + half
-        psi_minus, psi_plus = _half_coupling(psi_minus, psi_plus, coeffs, t_mid, x, half)
+        # both half couplings freeze the coefficients at the midpoint
+        coupling = _coupling_matrix(coeffs, t + half, x, half)
+        psi_minus, psi_plus = _apply_coupling(coupling, psi_minus, psi_plus)
         psi_minus = np.roll(psi_minus, -1)  # left mover gathers from X + dt
         psi_plus = np.roll(psi_plus, 1)  # right mover gathers from X - dt
-        psi_minus, psi_plus = _half_coupling(psi_minus, psi_plus, coeffs, t_mid, x, half)
+        psi_minus, psi_plus = _apply_coupling(coupling, psi_minus, psi_plus)
         t += dt
         if callback is not None:
             callback(t, psi_minus, psi_plus)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import SingularSystemError
 
@@ -156,8 +156,12 @@ def tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
     """Solve a tridiagonal system A x = rhs.
 
     sub and sup have length n-1; rhs may be (n,) or (n, k) for many
-    right-hand sides sharing one matrix. Raises SingularSystemError when
-    the factorisation breaks down.
+    right-hand sides sharing one matrix, and is never overwritten.
+    LAPACK ``?gttrf`` factors A with partial pivoting and ``?gttrs`` sweeps
+    a copy of rhs; a Fortran-ordered rhs (the transpose of a C-ordered
+    (k, n) stack) is copied without a transpose. Each column is solved
+    independently, so the result does not depend on how the columns are
+    blocked. Raises SingularSystemError on a zero pivot.
     """
     diag = np.asarray(diag)
     sub = np.asarray(sub)
@@ -169,13 +173,18 @@ def tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
     if rhs.shape[0] != n:
         raise ValueError("right-hand side length does not match the matrix")
     dtype = np.result_type(diag, sub, sup, rhs, float)
-    ab = np.zeros((3, n), dtype=dtype)
-    ab[0, 1:] = sup
-    ab[1, :] = diag
-    ab[2, :-1] = sub
-    try:
-        return scipy.linalg.solve_banded(
-            (1, 1), ab, rhs, overwrite_ab=True, check_finite=False
-        )
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
+    if n < 3:
+        # scipy's ?gttrf wrapper rejects n < 3, so these go through a dense solve
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        try:
+            return np.linalg.solve(dense.astype(dtype), rhs.astype(dtype))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(str(exc)) from exc
+    gttrf, gttrs = scipy.linalg.lapack.get_lapack_funcs(("gttrf", "gttrs"), dtype=dtype)
+    *factors, info = gttrf(sub, diag, sup)
+    if info > 0:
+        raise SingularSystemError(f"zero pivot in row {info}: the matrix is singular")
+    x, info = gttrs(*factors, rhs)
+    if info < 0:
+        raise ValueError(f"LAPACK gttrs rejected argument {-info}")
+    return x

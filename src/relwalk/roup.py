@@ -8,7 +8,8 @@ with Gamma_Q(P) = sqrt(1 + (P/Q)^2), in the fluid frame units where the
 friction time and the thermal momentum spread are one. The single parameter
 Q is the ratio of the rest-mass energy scale to the temperature; Q -> inf
 recovers the Galilean Ornstein-Uhlenbeck process, while finite Q confines
-all signal speeds below one.
+all signal speeds below Q (v -> Q as P -> inf), so the density stays
+inside the light cone |X| < Q T.
 
 Spatial Fourier transform turns the X derivative into a multiplication, so
 each wavenumber K evolves independently:
@@ -21,7 +22,11 @@ one flux, potential increments taken exactly), which makes the sampled
 Juttner equilibrium the exact kernel of the discrete operator and keeps
 the trapezoid mass of every mode constant to rounding. Time stepping is
 Strang: exact half phases around a Crank-Nicolson collision step, one real
-tridiagonal shared by all modes.
+tridiagonal shared by all modes. Adjacent half phases of consecutive steps
+are folded into one full phase, and the Crank-Nicolson step is taken as
+2 (I - aL)^-1 - I, so a step is one phase multiply, one LAPACK tridiagonal
+solve and one subtraction over the modes, stored mode-major as
+(n_modes, n_p) like :class:`KineticState`.
 
 Initial data throughout is a spatial delta times the Juttner equilibrium,
 so the reconstructed density is the transition-density profile whose front
@@ -73,7 +78,7 @@ def gamma_factor(p, Q: float):
 
 
 def velocity(p, Q: float):
-    """Signal speed v = P / Gamma_Q(P), strictly inside (-1, 1)."""
+    """Signal speed v = P / Gamma_Q(P), strictly inside (-Q, Q)."""
     p = np.asarray(p, dtype=float)
     return p / gamma_factor(p, Q)
 
@@ -133,11 +138,10 @@ class RoupParams:
                  length: float | None = None, tail: float = 32.0) -> "RoupParams":
         """Cutoff from a target tail exponent, ring from the causal cone.
 
-        length defaults to three times the light-cone radius Q... the
-        maximal signal distance is t_final (speeds below one), and the
-        bulk of the density stays within |X| < Q*t_final per the front
-        analysis, so 3*Q*t_final leaves an empty buffer around the cone
-        for Q >= 1 ring periodicity not to self-interact.
+        length defaults to three times the light-cone radius: speeds stay
+        below Q, so the density stays within |X| < Q*t_final, and a ring
+        of 3*max(Q, 1)*t_final leaves at least Q*t_final of empty ring
+        between the cone and its periodic image.
         """
         if t_final <= 0.0:
             raise ValueError("t_final must be positive")
@@ -225,45 +229,51 @@ def default_dt(t_final: float, n_steps: int = 2000) -> float:
     return t_final / n_steps
 
 
-def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, out_offset):
-    """March F (n_p, k) over n_steps, writing snapshots into out (len(snap), n_p, k).
+def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, lo):
+    """March mode rows F (k, n_p) n_steps, snapshot i into out[i][lo:lo + k].
 
-    Strang: exact half phase, Crank-Nicolson collision shared by every
-    column, exact half phase. Columns never mix, so any contiguous block
-    of modes computes bit-identical results regardless of partitioning.
+    Strang steps H C H, with H the exact half phase exp(i dt v K / 2) and C
+    the Crank-Nicolson collision step, chain as H C P C P ... C H with the
+    full phase P = exp(i dt v K) between solves; half phases are applied
+    only at the start and into each snapshot. C is (I - aL)^-1 (I + aL)
+    = 2 (I - aL)^-1 - I with a = dt/2: the solve takes the bands of
+    (I - aL)/2, which returns 2 (I - aL)^-1 G exactly (a power-of-two
+    scaling), and the step ends with one subtraction. F.T of a C-ordered
+    row block is Fortran-ordered, as LAPACK stores it. Rows never mix, so
+    any contiguous block of modes computes bit-identical results
+    regardless of partitioning.
     """
     # the inverse transform kernel is exp(-iKX), so d/dX acts as -iK on the
     # modes and the streaming phase rotates the opposite way
     v = velocity(p_grid.points, Q)
-    phase = np.exp(0.5j * dt * np.outer(v, Ks))
+    half = np.exp(0.5j * dt * np.outer(Ks, v))
+    full = np.exp(1j * dt * np.outer(Ks, v))
     lower, diag, upper = _collision_bands(p_grid, Q)
     a = 0.5 * dt
-    mp = (a * lower, 1.0 + a * diag, a * upper)  # multiply side
-    mm = (-a * lower, 1.0 - a * diag, -a * upper)  # solve side
+    bands = (-0.5 * a * lower, 0.5 - 0.5 * a * diag, -0.5 * a * upper)
     snap_lookup = {s: i for i, s in enumerate(snap_steps)}
+    hi = lo + F.shape[0]
     if 0 in snap_lookup:
-        out[snap_lookup[0]][:, out_offset:out_offset + F.shape[1]] = F
+        out[snap_lookup[0]][lo:hi] = F
+    G = half * F
     for step in range(1, n_steps + 1):
-        F = phase * F
-        rhs = mp[1][:, None] * F
-        rhs[1:] += mp[0][:, None] * F[:-1]
-        rhs[:-1] += mp[2][:, None] * F[1:]
-        F = tridiag_solve(mm[0], mm[1], mm[2], rhs)
-        F *= phase
+        y = tridiag_solve(*bands, G.T).T
+        G = np.subtract(y, G, out=y)
         if step in snap_lookup:
-            out[snap_lookup[step]][:, out_offset:out_offset + F.shape[1]] = F
-    return F
+            np.multiply(G, half, out=out[snap_lookup[step]][lo:hi])
+        if step < n_steps:
+            G *= full
 
 
 def _doubling_error(F, Ks, p_grid, Q, dt):
     """Relative first-step error from step doubling, maximized over modes."""
-    shape = (1, F.shape[0], F.shape[1])
+    shape = (1,) + F.shape
     coarse = np.empty(shape, dtype=complex)
     fine = np.empty(shape, dtype=complex)
-    _evolve_block(F.copy(), Ks, p_grid, Q, dt, 1, [1], coarse, 0)
-    _evolve_block(F.copy(), Ks, p_grid, Q, dt / 2.0, 2, [2], fine, 0)
-    num = np.linalg.norm(coarse[0] - fine[0], axis=0)
-    den = np.linalg.norm(F, axis=0)
+    _evolve_block(F, Ks, p_grid, Q, dt, 1, [1], coarse, 0)
+    _evolve_block(F, Ks, p_grid, Q, dt / 2.0, 2, [2], fine, 0)
+    num = np.linalg.norm(coarse[0] - fine[0], axis=1)
+    den = np.linalg.norm(F, axis=1)
     den = np.where(den > 0.0, den, 1.0)
     return float(np.max(num / den))
 
@@ -296,7 +306,7 @@ def evolve_mode(f0: np.ndarray, K: float, p_grid: Grid1D, Q: float,
                 t_final: float, dt: float, guard_tol: float = 0.05) -> np.ndarray:
     """Single-wavenumber evolution; raises StepSizeError when dt is too coarse."""
     n_steps = _count_steps(t_final, dt)
-    F = np.asarray(f0, dtype=complex).reshape(-1, 1).copy()
+    F = np.asarray(f0, dtype=complex).reshape(1, -1)
     Ks = np.array([K], dtype=float)
     err = _doubling_error(F, Ks, p_grid, Q, dt)
     if err > guard_tol:
@@ -304,9 +314,9 @@ def evolve_mode(f0: np.ndarray, K: float, p_grid: Grid1D, Q: float,
             f"first-step doubling error {err:.3e} exceeds {guard_tol};"
             " reduce dt"
         )
-    out = np.empty((1, p_grid.count, 1), dtype=complex)
+    out = np.empty((1, 1, p_grid.count), dtype=complex)
     _evolve_block(F, Ks, p_grid, Q, dt, n_steps, [n_steps], out, 0)
-    return out[0][:, 0]
+    return out[0, 0]
 
 
 def _count_steps(t_final: float, dt: float) -> int:
@@ -325,7 +335,7 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
     """Evolve every stored wavenumber, returning one state per output time.
 
     output_times must be integer multiples of dt (default: t_final only).
-    threads > 1 splits the mode columns into contiguous blocks; results
+    threads > 1 splits the mode rows into contiguous blocks; results
     are identical for any thread count.
     """
     if dt is None:
@@ -347,7 +357,7 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
     if state0.params != params:
         raise ValueError("initial state was built for different parameters")
     t0 = state0.time
-    F = np.ascontiguousarray(state0.modes.T, dtype=complex)  # (n_p, n_modes)
+    F = np.asarray(state0.modes, dtype=complex)  # (n_modes, n_p), never written
     Ks = params.mode_wavenumbers
     p_grid = params.p_grid
 
@@ -357,7 +367,8 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
             f"first-step doubling error {err:.3e} exceeds {guard_tol}; reduce dt"
         )
 
-    out = np.empty((len(snap_steps), params.n_p, params.n_modes), dtype=complex)
+    # one array per snapshot, so a kept state does not pin the others
+    out = [np.empty((params.n_modes, params.n_p), dtype=complex) for _ in snap_steps]
     if threads <= 1:
         _evolve_block(F, Ks, p_grid, params.Q, dt, n_steps, snap_steps, out, 0)
     else:
@@ -370,14 +381,11 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
                 lo = int(block[0])
                 hi = int(block[-1]) + 1
                 futures.append(pool.submit(
-                    _evolve_block, F[:, lo:hi].copy(), Ks[lo:hi], p_grid,
+                    _evolve_block, F[lo:hi], Ks[lo:hi], p_grid,
                     params.Q, dt, n_steps, snap_steps, out, lo))
             for fut in futures:
                 fut.result()
-    return [
-        KineticState(params, t0 + s * dt, np.ascontiguousarray(out[i].T))
-        for i, s in enumerate(snap_steps)
-    ]
+    return [KineticState(params, t0 + s * dt, modes) for s, modes in zip(snap_steps, out)]
 
 
 def symmetry_residual(state: KineticState) -> float:

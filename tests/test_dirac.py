@@ -174,6 +174,28 @@ def test_solver_validates_grid_and_steps():
         dirac.solve_dirac(_free_coeffs(), f, 0.15, 0.1)  # fractional step count
 
 
+def test_coupling_built_once_per_step():
+    # both half couplings of a step share the midpoint coefficients, so
+    # the pointwise exponential is built once and applied twice
+    calls = []
+
+    def theta_bar(T, X):
+        calls.append(T)
+        return 0.3 * np.cos(X)
+
+    coeffs = dirac.DiracCoefficients(
+        a0=lambda T, X: 0.1 * np.sin(T),
+        a1=lambda T, X: -0.2,
+        theta_bar=theta_bar,
+        mu=0.0,
+    )
+    f = dirac.gaussian_packet(Grid1D.periodic(8.0, 80))
+    out = dirac.solve_dirac(coeffs, f, t_final=1.2, dt=0.1)
+    assert len(calls) == 12
+    assert calls == pytest.approx(0.05 + 0.1 * np.arange(12))
+    assert dirac.l2_norm(out) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_zero_jet_walk_matches_transport_exactly():
     jet = qwalk.JetSpec.zero()
     rows = dirac.convergence_study(

@@ -247,6 +247,36 @@ def test_tridiag_complex_and_multi_rhs():
     assert np.max(np.abs(x - x0)) < 1e-11
 
 
+def test_tridiag_keeps_rhs_and_ignores_its_layout():
+    # real bands, complex rhs: a C-ordered (n, k) rhs and the transpose of
+    # a C-ordered (k, n) stack must give the same bits and stay untouched
+    rng = np.random.default_rng(4)
+    n, k = 50, 6
+    sub = rng.normal(size=n - 1)
+    sup = rng.normal(size=n - 1)
+    diag = 4.0 + rng.normal(size=n)
+    stack = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+    c_rhs = np.ascontiguousarray(stack.T)
+    saved = stack.copy()
+    x_f = tridiag_solve(sub, diag, sup, stack.T)
+    x_c = tridiag_solve(sub, diag, sup, c_rhs)
+    assert np.array_equal(stack, saved)
+    assert np.array_equal(c_rhs, saved.T)
+    assert np.array_equal(x_f, x_c)
+    dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+    assert np.max(np.abs(dense @ x_f - c_rhs)) < 1e-12
+
+
+def test_tridiag_tiny_systems():
+    x = tridiag_solve(np.array([1.0]), np.array([2.0, 3.0]), np.array([0.5]),
+                      np.array([2.5, 4.0]))
+    assert np.allclose(x, [1.0, 1.0], atol=1e-15)
+    x = tridiag_solve(np.zeros(0), np.array([4.0]), np.zeros(0), np.array([2.0]))
+    assert np.array_equal(x, [0.5])
+    with pytest.raises(SingularSystemError):
+        tridiag_solve(np.zeros(1), np.zeros(2), np.zeros(1), np.ones(2))
+
+
 def test_tridiag_singular_raises():
     with pytest.raises(SingularSystemError):
         tridiag_solve(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))

@@ -29,10 +29,13 @@ def test_juttner_grid_mass_is_one():
 
 
 def test_velocity_bounded_by_light_speed():
+    # v -> Q as P -> inf, so light speed is Q in these units, not one
     p = np.linspace(-500.0, 500.0, 1001)
-    v = roup.velocity(p, 0.7)
-    assert np.all(np.abs(v) < 1.0)
-    assert np.all(np.diff(v) > 0.0)
+    for Q in (0.7, 2.0):
+        v = roup.velocity(p, Q)
+        assert np.all(np.abs(v) < Q)
+        assert np.max(np.abs(v)) > 0.99 * Q
+        assert np.all(np.diff(v) > 0.0)
 
 
 def test_params_reject_thin_tails():
@@ -175,6 +178,38 @@ def test_evolve_all_threads_match_serial_bitwise():
     a = roup.evolve_all(params, 0.2, dt=1e-3)[0]
     b = roup.evolve_all(params, 0.2, dt=1e-3, threads=3)[0]
     assert np.array_equal(a.modes, b.modes)
+
+
+def _textbook_strang(params, dt, n_steps, snap_steps):
+    """Per-step H C H with a dense Crank-Nicolson solve, as a reference."""
+    p_grid = params.p_grid
+    v = roup.velocity(p_grid.points, params.Q)
+    half = np.exp(0.5j * dt * np.outer(params.mode_wavenumbers, v))
+    a = 0.5 * dt
+    # apply_collision maps each row e_j to L e_j, the j-th column of L
+    coll = roup.apply_collision(np.eye(params.n_p), p_grid, params.Q).T
+    lhs = np.eye(params.n_p) - a * coll
+    F = roup.initial_state(params).modes.copy()
+    snaps = []
+    for step in range(1, n_steps + 1):
+        F = half * F
+        rhs = F + a * roup.apply_collision(F, p_grid, params.Q)
+        F = half * np.linalg.solve(lhs, rhs.T).T
+        if step in snap_steps:
+            snaps.append(F.copy())
+    return snaps
+
+
+def test_evolve_all_matches_textbook_strang():
+    params = _small_params(n_x=32, n_p=64, t_final=0.1)
+    dt = 2e-3
+    reference = _textbook_strang(params, dt, 50, (25, 50))
+    for threads in (1, 3):
+        states = roup.evolve_all(params, 0.1, dt=dt, output_times=[0.05, 0.1],
+                                 threads=threads)
+        for state, ref in zip(states, reference, strict=True):
+            err = np.max(np.abs(state.modes - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-12
 
 
 def test_evolve_all_output_time_grid():
