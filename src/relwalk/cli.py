@@ -1,11 +1,12 @@
 """Experiment runner: every study as a subcommand with reproducible outputs.
 
 Configuration comes from an INI file (one section per subcommand, flat
-typed keys) with command-line flags taking precedence. Jet angle fields
-are restricted to a safe expression subset: polynomials and sin/cos in T
-and X. Every run directory gets a manifest naming the resolved parameters
-and the sha256 of the configuration, and identical configurations
-reproduce output files byte for byte.
+typed keys) with command-line flags taking precedence; each subcommand
+accepts only the flags it reads. Jet angle fields are restricted to a safe
+expression subset: polynomials and sin/cos in T and X. Every run directory
+gets a manifest naming the resolved parameters and the sha256 of the
+resolved inputs, and identical configurations reproduce output files byte
+for byte.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure,
 4 verification failure. Errors are emitted as one-line JSON on stderr.
@@ -180,21 +181,20 @@ def _jet_from(section):
     return jet, record
 
 
-def _config_hash(path, params):
-    if path is not None:
-        digest = hashlib.sha256(open(path, "rb").read())
-    else:
-        digest = hashlib.sha256(
-            json.dumps(params, sort_keys=True, default=str).encode())
-    return digest.hexdigest()
+def _config_hash(command, inputs):
+    """sha256 of the resolved inputs, wherever each value came from."""
+    text = json.dumps({"command": command, "inputs": inputs},
+                      sort_keys=True, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _write_manifest(out_dir, command, params, outputs, config_path):
+def _write_manifest(out_dir, command, inputs, outputs, results=None):
+    """Manifest whose parameters are the inputs plus any results; only the inputs are hashed."""
     payload = {
         "command": command,
         "version": __version__,
-        "config_sha256": _config_hash(config_path, params),
-        "parameters": params,
+        "config_sha256": _config_hash(command, inputs),
+        "parameters": {**inputs, **(results or {})},
         "outputs": sorted(outputs),
     }
     write_json(f"{out_dir}/manifest.json", payload)
@@ -243,7 +243,7 @@ def _cmd_walk(args):
     state = qwalk.run_walk(jet, eps, params["t_final"], initial)
     ensure_dir(args.out)
     qwalk.write_walk_csv(state, f"{args.out}/walk_density.csv")
-    _write_manifest(args.out, "walk", params, ["walk_density.csv"], args.config)
+    _write_manifest(args.out, "walk", params, ["walk_density.csv"])
     return 0
 
 
@@ -255,7 +255,7 @@ def _cmd_dirac(args):
     final = dirac.solve_dirac(coeffs, initial, params["t_final"], eps)
     ensure_dir(args.out)
     dirac.write_density_csv(final, f"{args.out}/dirac_density.csv")
-    _write_manifest(args.out, "dirac", params, ["dirac_density.csv"], args.config)
+    _write_manifest(args.out, "dirac", params, ["dirac_density.csv"])
     return 0
 
 
@@ -271,7 +271,7 @@ def _cmd_converge(args):
               [[r.epsilon for r in rows],
                [r.l2_error for r in rows],
                [np.nan if r.order is None else r.order for r in rows]])
-    _write_manifest(args.out, "converge", params, ["convergence.csv"], args.config)
+    _write_manifest(args.out, "converge", params, ["convergence.csv"])
     return 0
 
 
@@ -322,8 +322,7 @@ def _cmd_roup(args):
             name = f"nu_profile_T{t:g}.csv"
             roup.write_profile_csv(profile, f"{args.out}/{name}")
             outputs.append(name)
-    resolved["dt_used"] = dts
-    _write_manifest(args.out, "roup", resolved, outputs, args.config)
+    _write_manifest(args.out, "roup", resolved, outputs, {"dt_used": dts})
     return 0
 
 
@@ -347,9 +346,8 @@ def _cmd_metric(args):
         fick.write_rejection_report(rejection, f"{args.out}/{rname}")
         outputs.append(rname)
         residuals[f"T={t:g}"] = fick.generalized_fick_residual(profile, metric)
-    resolved = dict(opts, Q=q, times=times, dt_used=dts,
-                    fick_residuals=residuals)
-    _write_manifest(args.out, "metric", resolved, outputs, args.config)
+    _write_manifest(args.out, "metric", dict(opts, Q=q, times=times), outputs,
+                    {"dt_used": dts, "fick_residuals": residuals})
     return 0
 
 
@@ -368,8 +366,9 @@ def _cmd_heuristic(args):
         peak = fick.heuristic_peak(q)
     except ConfigError:
         peak = None  # monotone regime, no interior maximum
-    resolved = {"Q": q, "T": t, "n_xi": n_xi, "xi_max": xi_max, "peak": peak}
-    _write_manifest(args.out, "heuristic", resolved, ["heuristic.csv"], args.config)
+    resolved = {"Q": q, "T": t, "n_xi": n_xi, "xi_max": xi_max}
+    _write_manifest(args.out, "heuristic", resolved, ["heuristic.csv"],
+                    {"peak": peak})
     return 0
 
 
@@ -391,19 +390,30 @@ def _cmd_verify(args):
     }
     write_json(f"{args.out}/verify_report.json", payload)
     resolved = {"only": only, "threads": threads}
-    _write_manifest(args.out, "verify", resolved, ["verify_report.json"],
-                    args.config)
+    _write_manifest(args.out, "verify", resolved, ["verify_report.json"])
     return 0 if payload["all_passed"] else 4
 
 
+# each subcommand with the flags it reads besides --config and --out
 _COMMANDS = {
-    "walk": _cmd_walk,
-    "dirac": _cmd_dirac,
-    "converge": _cmd_converge,
-    "roup": _cmd_roup,
-    "metric": _cmd_metric,
-    "heuristic": _cmd_heuristic,
-    "verify": _cmd_verify,
+    "walk": (_cmd_walk, ("T", "eps")),
+    "dirac": (_cmd_dirac, ("T", "eps")),
+    "converge": (_cmd_converge, ("T", "eps")),
+    "roup": (_cmd_roup, ("threads", "Q", "T", "times", "Qs")),
+    "metric": (_cmd_metric, ("threads", "Q", "times")),
+    "heuristic": (_cmd_heuristic, ("Q", "T")),
+    "verify": (_cmd_verify, ("threads", "only")),
+}
+
+_FLAGS = {
+    "threads": dict(type=int),
+    "Q": dict(type=float),
+    "T": dict(type=float),
+    "times": dict(help="comma-separated times"),
+    "Qs": dict(help="comma-separated Q values"),
+    "eps": dict(help="lattice scale (comma-separated list for converge)"),
+    "only": dict(choices=list(verify_mod.GROUPS),
+                 help="run a single criterion group"),
 }
 
 
@@ -418,21 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="relwalk",
                      description="walk, transport, and metric experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI configuration file")
         p.add_argument("--out", default=f"out_{name}", help="output directory")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--Q", type=float, default=None)
-        p.add_argument("--T", type=float, default=None)
-        p.add_argument("--times", default=None, help="comma-separated times")
-        p.add_argument("--Qs", default=None, help="comma-separated Q values")
-        p.add_argument("--eps", default=None,
-                       help="lattice scale (comma-separated list for converge)")
-        if name == "verify":
-            p.add_argument("--only", default=None,
-                           choices=list(verify_mod.GROUPS),
-                           help="run a single criterion group")
+        for flag in flags:
+            p.add_argument(f"--{flag}", default=None, **_FLAGS[flag])
     return parser
 
 
@@ -440,7 +441,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _io, qwalk
-from .kernels import Grid1D
+from .kernels import Grid1D, count_steps
 
 __all__ = [
     "ConvergenceRow",
@@ -164,10 +164,7 @@ def solve_dirac(coeffs: DiracCoefficients, initial: SpinorField, t_final: float,
         raise ValueError(
             f"grid spacing {grid.spacing} must equal dt {dt} for exact transport"
         )
-    n_steps = t_final / dt
-    if abs(n_steps - round(n_steps)) > 1e-9:
-        raise ValueError(f"t_final = {t_final} is not an integer number of steps")
-    n_steps = int(round(n_steps))
+    n_steps = count_steps(t_final, dt)
     x = grid.points
     psi_minus = np.array(initial.psi_minus, dtype=complex)
     psi_plus = np.array(initial.psi_plus, dtype=complex)

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: 1D grids, quadrature, DFT pair, tridiagonal solve.
+"""Shared numerical kernels: 1D grids, quadrature, DFT pair, tridiagonal solve, step counts.
 
 Conventions used throughout the package:
 
@@ -26,6 +26,7 @@ __all__ = [
     "dft_forward",
     "dft_inverse",
     "tridiag_solve",
+    "count_steps",
 ]
 
 
@@ -188,3 +189,17 @@ def tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
     if info < 0:
         raise ValueError(f"LAPACK gttrs rejected argument {-info}")
     return x
+
+
+def count_steps(t_final: float, dt: float) -> int:
+    """Number of steps of size dt that reach t_final exactly.
+
+    Raises ValueError unless dt > 0, t_final >= 0 and t_final / dt is an
+    integer to within 1e-9 of a step.
+    """
+    if dt <= 0.0 or t_final < 0.0:
+        raise ValueError("need dt > 0 and t_final >= 0")
+    n = t_final / dt
+    if abs(n - round(n)) > 1e-9:
+        raise ValueError(f"t_final = {t_final} is not an integer number of steps of {dt}")
+    return int(round(n))

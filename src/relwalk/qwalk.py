@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import _io
-from .kernels import Grid1D
+from .kernels import Grid1D, count_steps
 
 __all__ = [
     "CoinAngles",
@@ -171,11 +171,7 @@ def run_walk(jet: JetSpec, epsilon: float, t_final: float, initial) -> WalkState
     m0 = grid.lower / epsilon
     if abs(m0 - round(m0)) > 1e-6:
         raise ValueError("grid lower edge must be an integer multiple of epsilon")
-    n_steps = t_final / epsilon
-    if abs(n_steps - round(n_steps)) > 1e-9:
-        raise ValueError(
-            f"t_final = {t_final} is not an integer number of steps of {epsilon}"
-        )
+    n_steps = count_steps(t_final, epsilon)
     field = realize_jet(jet, epsilon)
     state = WalkState(
         psi_minus=np.array(initial.psi_minus, dtype=complex),
@@ -185,7 +181,7 @@ def run_walk(jet: JetSpec, epsilon: float, t_final: float, initial) -> WalkState
         dx=epsilon,
         grid=grid,
     )
-    for _ in range(int(round(n_steps))):
+    for _ in range(n_steps):
         state = step_walk(state, field)
     return state
 

@@ -25,8 +25,19 @@ Strang: exact half phases around a Crank-Nicolson collision step, one real
 tridiagonal shared by all modes. Adjacent half phases of consecutive steps
 are folded into one full phase, and the Crank-Nicolson step is taken as
 2 (I - aL)^-1 - I, so a step is one phase multiply, one LAPACK tridiagonal
-solve and one subtraction over the modes, stored mode-major as
-(n_modes, n_p) like :class:`KineticState`.
+solve and one subtraction over the modes, stored mode-major.
+
+Real, P-even initial data makes every mode obey the momentum-flip symmetry
+F(K, -P) = conj F(K, P), and both the phase and the collision step keep it.
+Since n_p is even the momentum grid mirrors about the face at P = 0, so
+the marcher keeps only the P > 0 half, (n_modes, n_p/2): the neighbour
+across P = 0 folds into the first row as an even reflection for the real
+part and an odd one for the imaginary part, which differ by a rank-1 term
+(a Sherman-Morrison update after one complex solve). Snapshots are full
+(n_modes, n_p) states like :class:`KineticState`, their P < 0 half written
+as the mirror image, so they are symmetric exactly. evolve_all therefore
+takes only symmetric initial states; evolve_mode splits arbitrary data
+into two symmetric parts.
 
 Initial data throughout is a spatial delta times the Juttner equilibrium,
 so the reconstructed density is the transition-density profile whose front
@@ -44,7 +55,7 @@ from scipy.special import kve
 
 from . import _io
 from .errors import StepSizeError, SymmetryError, TailTruncationError
-from .kernels import Grid1D, dft_inverse, quad, tridiag_solve, wavenumbers
+from .kernels import Grid1D, count_steps, dft_inverse, quad, tridiag_solve, wavenumbers
 
 __all__ = [
     "DensityProfile",
@@ -70,6 +81,10 @@ __all__ = [
 # exp(-tail) at the momentum cutoff; 27.63 keeps the discarded weight
 # below 1e-12 of the equilibrium mass
 _MIN_TAIL = 27.63
+
+# largest symmetry_residual evolve_all accepts in an initial state; the
+# states initial_state builds measure about 2e-15
+_SYMMETRY_TOL = 1e-12
 
 
 def gamma_factor(p, Q: float):
@@ -110,7 +125,8 @@ class RoupParams:
     Momentum lives on a symmetric endpoint grid, space on a periodic ring
     of the given length centered at the source. n_p must be even so the
     trapezoid weights coincide with the finite-volume cell volumes, which
-    is what makes mass conservation exact in the reconstruction.
+    is what makes mass conservation exact in the reconstruction, and so
+    the grid mirrors about a face at P = 0, which the P > 0 marcher uses.
     """
 
     Q: float
@@ -232,49 +248,78 @@ def default_dt(t_final: float, n_steps: int = 2000) -> float:
 def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, lo):
     """March mode rows F (k, n_p) n_steps, snapshot i into out[i][lo:lo + k].
 
+    Only the P > 0 half G = F[:, n_p/2:] is marched: rows must obey the
+    momentum-flip symmetry F(K, -P) = conj F(K, P), which the step
+    preserves, and each snapshot gets its P < 0 half written as
+    conj(G[:, ::-1]), so outputs are exactly symmetric. n_p is even, so
+    the grid mirrors about the face at P = 0 and the node just below it
+    holds conj(G[:, 0]). Folding that neighbour into row 0 of the P > 0
+    block of the collision matrix is a reflection: even (diagonal plus
+    the dropped coupling m) for the real part, odd (diagonal minus m) for
+    the imaginary part. One complex solve takes the even matrix, and a
+    Sherman-Morrison rank-1 update y.imag += gamma y.imag[:, 0] z, with
+    z = M_even^-1 e_0 and gamma = 2m / (1 - 2m z_0), turns its imaginary
+    part into the odd solve; z decays fast and is cut where it falls
+    below 1e-18 z_0.
+
     Strang steps H C H, with H the exact half phase exp(i dt v K / 2) and C
     the Crank-Nicolson collision step, chain as H C P C P ... C H with the
     full phase P = exp(i dt v K) between solves; half phases are applied
     only at the start and into each snapshot. C is (I - aL)^-1 (I + aL)
     = 2 (I - aL)^-1 - I with a = dt/2: the solve takes the bands of
     (I - aL)/2, which returns 2 (I - aL)^-1 G exactly (a power-of-two
-    scaling), and the step ends with one subtraction. F.T of a C-ordered
+    scaling), and the step ends with one subtraction. G.T of a C-ordered
     row block is Fortran-ordered, as LAPACK stores it. Rows never mix, so
     any contiguous block of modes computes bit-identical results
     regardless of partitioning.
     """
+    h = p_grid.count // 2
     # the inverse transform kernel is exp(-iKX), so d/dX acts as -iK on the
     # modes and the streaming phase rotates the opposite way
-    v = velocity(p_grid.points, Q)
+    v = velocity(p_grid.points[h:], Q)
     half = np.exp(0.5j * dt * np.outer(Ks, v))
     full = np.exp(1j * dt * np.outer(Ks, v))
     lower, diag, upper = _collision_bands(p_grid, Q)
     a = 0.5 * dt
-    bands = (-0.5 * a * lower, 0.5 - 0.5 * a * diag, -0.5 * a * upper)
+    m = -0.5 * a * lower[h - 1]
+    sub, mid, sup = -0.5 * a * lower[h:], 0.5 - 0.5 * a * diag[h:], -0.5 * a * upper[h:]
+    mid[0] += m
+    e0 = np.zeros(h)
+    e0[0] = 1.0
+    z = tridiag_solve(sub, mid, sup, e0)
+    gamma = 2.0 * m / (1.0 - 2.0 * m * z[0])
+    z = gamma * z[: np.nonzero(np.abs(z) >= 1e-18 * abs(z[0]))[0][-1] + 1]
+
     snap_lookup = {s: i for i, s in enumerate(snap_steps)}
     hi = lo + F.shape[0]
+
+    def snapshot(step, right, phase):
+        snap = out[snap_lookup[step]][lo:hi]
+        np.multiply(right, phase, out=snap[:, h:])
+        np.conjugate(snap[:, h:][:, ::-1], out=snap[:, :h])
+
     if 0 in snap_lookup:
-        out[snap_lookup[0]][lo:hi] = F
-    G = half * F
+        snapshot(0, F[:, h:], 1.0)
+    G = half * F[:, h:]
     for step in range(1, n_steps + 1):
-        y = tridiag_solve(*bands, G.T).T
+        y = tridiag_solve(sub, mid, sup, G.T).T
+        y.imag[:, :z.size] += y.imag[:, :1] * z
         G = np.subtract(y, G, out=y)
         if step in snap_lookup:
-            np.multiply(G, half, out=out[snap_lookup[step]][lo:hi])
+            snapshot(step, G, half)
         if step < n_steps:
             G *= full
 
 
-def _doubling_error(F, Ks, p_grid, Q, dt):
-    """Relative first-step error from step doubling, maximized over modes."""
+def _doubling_error(F, Ks, p_grid, Q, dt, scale):
+    """First-step error from step doubling, row i relative to scale[i], maximized."""
     shape = (1,) + F.shape
     coarse = np.empty(shape, dtype=complex)
     fine = np.empty(shape, dtype=complex)
     _evolve_block(F, Ks, p_grid, Q, dt, 1, [1], coarse, 0)
     _evolve_block(F, Ks, p_grid, Q, dt / 2.0, 2, [2], fine, 0)
     num = np.linalg.norm(coarse[0] - fine[0], axis=1)
-    den = np.linalg.norm(F, axis=1)
-    den = np.where(den > 0.0, den, 1.0)
+    den = np.where(scale > 0.0, scale, 1.0)
     return float(np.max(num / den))
 
 
@@ -304,28 +349,26 @@ def initial_state(params: RoupParams) -> KineticState:
 
 def evolve_mode(f0: np.ndarray, K: float, p_grid: Grid1D, Q: float,
                 t_final: float, dt: float, guard_tol: float = 0.05) -> np.ndarray:
-    """Single-wavenumber evolution; raises StepSizeError when dt is too coarse."""
-    n_steps = _count_steps(t_final, dt)
-    F = np.asarray(f0, dtype=complex).reshape(1, -1)
-    Ks = np.array([K], dtype=float)
-    err = _doubling_error(F, Ks, p_grid, Q, dt)
+    """Single-wavenumber evolution; raises StepSizeError when dt is too coarse.
+
+    f0 need not be flip-symmetric: it splits as S + A with S and iA both
+    symmetric, the two march as one block, and the result is S' - i (iA)'.
+    The step-size guard measures both rows against the norm of f0.
+    """
+    n_steps = count_steps(t_final, dt)
+    f = np.asarray(f0, dtype=complex)
+    flipped = np.conj(f[::-1])
+    F = np.stack([0.5 * (f + flipped), 0.5j * (f - flipped)])
+    Ks = np.array([K, K], dtype=float)
+    err = _doubling_error(F, Ks, p_grid, Q, dt, np.full(2, np.linalg.norm(f)))
     if err > guard_tol:
         raise StepSizeError(
             f"first-step doubling error {err:.3e} exceeds {guard_tol};"
             " reduce dt"
         )
-    out = np.empty((1, 1, p_grid.count), dtype=complex)
+    out = np.empty((1, 2, p_grid.count), dtype=complex)
     _evolve_block(F, Ks, p_grid, Q, dt, n_steps, [n_steps], out, 0)
-    return out[0, 0]
-
-
-def _count_steps(t_final: float, dt: float) -> int:
-    if dt <= 0.0 or t_final < 0.0:
-        raise ValueError("need dt > 0 and t_final >= 0")
-    n = t_final / dt
-    if abs(n - round(n)) > 1e-6:
-        raise ValueError(f"t_final = {t_final} is not an integer multiple of dt = {dt}")
-    return int(round(n))
+    return out[0, 0] - 1j * out[0, 1]
 
 
 def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
@@ -336,17 +379,19 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
 
     output_times must be integer multiples of dt (default: t_final only).
     threads > 1 splits the mode rows into contiguous blocks; results
-    are identical for any thread count.
+    are identical for any thread count. Only the P > 0 half is marched, so
+    an initial state whose symmetry_residual exceeds 1e-12 raises
+    SymmetryError; the returned states are exactly symmetric.
     """
     if dt is None:
         dt = default_dt(t_final)
-    n_steps = _count_steps(t_final, dt)
+    n_steps = count_steps(t_final, dt)
     if output_times is None:
         output_times = [t_final]
     output_times = sorted(float(t) for t in output_times)
     snap_steps = []
     for t in output_times:
-        s = _count_steps(t, dt)
+        s = count_steps(t, dt)
         if s > n_steps:
             raise ValueError(f"output time {t} lies beyond t_final = {t_final}")
         snap_steps.append(s)
@@ -356,12 +401,18 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
     state0 = initial if initial is not None else initial_state(params)
     if state0.params != params:
         raise ValueError("initial state was built for different parameters")
+    asym = symmetry_residual(state0)
+    if asym > _SYMMETRY_TOL:
+        raise SymmetryError(
+            f"initial state breaks the momentum-flip symmetry at {asym:.3e}; "
+            "only the P > 0 half is marched"
+        )
     t0 = state0.time
     F = np.asarray(state0.modes, dtype=complex)  # (n_modes, n_p), never written
     Ks = params.mode_wavenumbers
     p_grid = params.p_grid
 
-    err = _doubling_error(F, Ks, p_grid, params.Q, dt)
+    err = _doubling_error(F, Ks, p_grid, params.Q, dt, np.linalg.norm(F, axis=1))
     if err > guard_tol:
         raise StepSizeError(
             f"first-step doubling error {err:.3e} exceeds {guard_tol}; reduce dt"

@@ -77,6 +77,15 @@ def test_bad_flag_exits_2():
     assert exc.value.code == 2
 
 
+def test_flags_a_command_does_not_read_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["heuristic", "--times", "1,2", "--eps", "0.3", "--threads", "9"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["walk", "--Q", "2"])
+    assert exc.value.code == 2
+
+
 def test_preset_and_inline_conflict(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[walk]\npreset = zero\ntheta_bar = 0.1*X\n")
@@ -223,6 +232,23 @@ def test_heuristic_manifest_peak(tmp_path):
     assert cli.main(["heuristic", "--Q", "1.9", "--out", str(out2)]) == 0
     manifest2 = json.loads((out2 / "manifest.json").read_text())
     assert manifest2["parameters"]["peak"] is None
+
+
+def test_config_hash_covers_resolved_inputs(tmp_path):
+    cfg = tmp_path / "h.ini"
+    cfg.write_text("[heuristic]\nn_xi = 31\n")
+
+    def digest(*argv, out):
+        assert cli.main(["heuristic", *argv, "--out", str(tmp_path / out)]) == 0
+        return json.loads((tmp_path / out / "manifest.json").read_text())["config_sha256"]
+
+    q1 = digest("--config", str(cfg), "--Q", "1", out="q1")
+    q2 = digest("--config", str(cfg), "--Q", "2", out="q2")
+    assert q1 != q2
+    # the same inputs hash alike whether they come from a file or defaults
+    cfg.write_text("[heuristic]\nn_xi = 481\n")
+    assert digest("--config", str(cfg), "--Q", "1", out="file") == digest(
+        "--Q", "1", out="default")
 
 
 def test_numerical_failure_exits_3(tmp_path):

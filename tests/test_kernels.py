@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from relwalk import dirac, qwalk, roup
 from relwalk.errors import SingularSystemError
 from relwalk.kernels import (
     Grid1D,
+    count_steps,
     cumquad,
     dft_forward,
     dft_inverse,
@@ -287,3 +289,34 @@ def test_tridiag_shape_checks():
         tridiag_solve(np.zeros(3), np.ones(3), np.zeros(2), np.ones(3))
     with pytest.raises(ValueError):
         tridiag_solve(np.zeros(2), np.ones(3), np.zeros(2), np.ones(4))
+
+
+# ------------------------------------------------------------- step counts
+
+
+def test_count_steps():
+    assert count_steps(1.0, 0.1) == 10
+    assert count_steps(0.0, 0.1) == 0
+    for t_final, dt in ((1.0, 0.0), (-0.1, 0.1), ((50.0 + 1e-7) * 0.1, 0.1)):
+        with pytest.raises(ValueError):
+            count_steps(t_final, dt)
+
+
+def test_every_stepper_rejects_fractional_step_counts():
+    dt = 0.1
+    t_final = 50.1 * dt
+    packet = dirac.gaussian_packet(Grid1D.periodic(16.0, 160))
+    jet = qwalk.JetSpec.zero()
+    params = roup.RoupParams.standard(1.0, t_final, n_x=16, n_p=64)
+    f0 = roup.juttner(params.p_grid.points, 1.0)
+    callers = [
+        lambda: qwalk.run_walk(jet, dt, t_final, packet),
+        lambda: dirac.solve_dirac(dirac.DiracCoefficients.from_jet(jet), packet,
+                                  t_final, dt),
+        lambda: roup.evolve_all(params, t_final, dt=dt),
+        lambda: roup.evolve_all(params, 60 * dt, dt=dt, output_times=[t_final]),
+        lambda: roup.evolve_mode(f0, 0.0, params.p_grid, 1.0, t_final, dt),
+    ]
+    for call in callers:
+        with pytest.raises(ValueError, match="not an integer number of steps"):
+            call()
