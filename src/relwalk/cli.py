@@ -118,6 +118,7 @@ def _load_section(path, command):
     if path is None:
         return {}
     parser = configparser.ConfigParser()
+    parser.optionxform = str  # keys are case-sensitive: Q, Qs, T
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")

@@ -138,7 +138,7 @@ def _coupling_matrix(coeffs, t_mid, x, s):
     cos = np.cos(omega * s)
     # sin(omega*s)/omega with the omega -> 0 limit handled exactly
     sinc = s * np.sinc(omega * s / np.pi)
-    phase = np.exp(1j * alpha * s)
+    phase = qwalk._cis(alpha * s)
     e11 = phase * (cos + 1j * xi * sinc)
     e12 = phase * b * sinc
     e21 = -phase * np.conj(b) * sinc
@@ -174,8 +174,8 @@ def solve_dirac(coeffs: DiracCoefficients, initial: SpinorField, t_final: float,
         # both half couplings freeze the coefficients at the midpoint
         coupling = _coupling_matrix(coeffs, t + half, x, half)
         psi_minus, psi_plus = _apply_coupling(coupling, psi_minus, psi_plus)
-        psi_minus = np.roll(psi_minus, -1)  # left mover gathers from X + dt
-        psi_plus = np.roll(psi_plus, 1)  # right mover gathers from X - dt
+        psi_minus = qwalk._next_site(psi_minus)  # left mover gathers from X + dt
+        psi_plus = qwalk._prev_site(psi_plus)  # right mover gathers from X - dt
         psi_minus, psi_plus = _apply_coupling(coupling, psi_minus, psi_plus)
         t += dt
         if callback is not None:

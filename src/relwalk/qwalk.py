@@ -47,15 +47,27 @@ class CoinAngles:
     alpha: object
 
 
+def _cis(angle):
+    """exp(i*angle) as one complex array: cos into .real, sin into .imag."""
+    angle = np.asarray(angle, dtype=float)
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
 def _coin_entries(angles: CoinAngles):
     # single source of truth for the coin parametrisation
-    ct = np.cos(angles.theta)
-    st = np.sin(angles.theta)
-    phase = np.exp(1j * np.asarray(angles.alpha, dtype=float))
-    a = phase * np.exp(1j * np.asarray(angles.xi, dtype=float)) * ct
-    b = phase * np.exp(1j * np.asarray(angles.zeta, dtype=float)) * st
-    c = -phase * np.exp(-1j * np.asarray(angles.zeta, dtype=float)) * st
-    d = phase * np.exp(-1j * np.asarray(angles.xi, dtype=float)) * ct
+    theta = np.asarray(angles.theta, dtype=float)
+    phase = _cis(angles.alpha)
+    pc = phase * np.cos(theta)
+    ps = phase * np.sin(theta)
+    e_xi = _cis(angles.xi)
+    e_zeta = _cis(angles.zeta)
+    a = pc * e_xi
+    b = ps * e_zeta
+    c = -ps * e_zeta.conj()
+    d = pc * e_xi.conj()
     return a, b, c, d
 
 
@@ -133,17 +145,26 @@ class WalkState:
 
 
 def total_probability(state: WalkState) -> float:
-    return float(
-        np.sum(np.abs(state.psi_minus) ** 2) + np.sum(np.abs(state.psi_plus) ** 2)
-    )
+    pm, pp = state.psi_minus, state.psi_plus
+    return float(np.vdot(pm, pm).real + np.vdot(pp, pp).real)
+
+
+def _next_site(rail: np.ndarray) -> np.ndarray:
+    """Value at m+1 on the ring (rail shifted one cell toward lower m)."""
+    return np.concatenate((rail[1:], rail[:1]))
+
+
+def _prev_site(rail: np.ndarray) -> np.ndarray:
+    """Value at m-1 on the ring (rail shifted one cell toward higher m)."""
+    return np.concatenate((rail[-1:], rail[:-1]))
 
 
 def step_walk(state: WalkState, angle_field: Callable) -> WalkState:
     """Advance one step: gather from neighbours, then apply the local coin."""
     angles = angle_field(state.step_index, state.site_indices())
     a, b, c, d = _coin_entries(angles)
-    left = np.roll(state.psi_minus, -1)  # value at m+1
-    right = np.roll(state.psi_plus, 1)  # value at m-1
+    left = _next_site(state.psi_minus)
+    right = _prev_site(state.psi_plus)
     return WalkState(
         psi_minus=a * left + b * right,
         psi_plus=c * left + d * right,
@@ -192,24 +213,36 @@ def random_smooth_angle_field(seed: int, n_sites: int, amplitude: float = 0.4,
 
     Each angle is a trigonometric polynomial in the site index (periodic in
     n_sites) with a slow drift in the step index, so consecutive coins vary
-    smoothly everywhere.
+    smoothly everywhere:
+
+        angle_r(j, m) = sum_k c_rk sin(s_rk m + phi_rk + tau_rk j).
+
+    The sum is evaluated by angle addition,
+    sin(s m + phi + tau j) = sin(s m + phi) cos(tau j) + cos(s m + phi) sin(tau j),
+    so a step costs a few scalar trig calls and one matmul against the
+    (4, 2*n_modes, n_sites) sin/cos basis in m. The basis is cached for the
+    last m seen and rebuilt when m changes; scalar m works too. Values agree
+    with the direct sum to rounding, not bitwise.
     """
     rng = np.random.default_rng(seed)
     spatial = 2.0 * np.pi * rng.integers(1, n_modes + 1, size=(4, n_modes)) / n_sites
     temporal = rng.uniform(0.0, 0.02, size=(4, n_modes))
     coeff = amplitude * rng.normal(size=(4, n_modes)) / np.sqrt(n_modes)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(4, n_modes))
+    coeff2 = np.concatenate((coeff, coeff), axis=1)  # weights of the sin and the cos half
+    cache = (None, None)  # (m, basis) for the last m seen
 
     def field(j, m):
+        nonlocal cache
         m = np.asarray(m)
-        vals = []
-        for row in range(4):
-            acc = 0.0
-            for k in range(n_modes):
-                acc = acc + coeff[row, k] * np.sin(
-                    spatial[row, k] * m + temporal[row, k] * j + phase[row, k]
-                )
-            vals.append(acc)
+        cached_m, basis = cache
+        if cached_m is None or not np.array_equal(cached_m, m):
+            arg = spatial[:, :, None] * m.reshape(1, 1, -1) + phase[:, :, None]
+            basis = np.concatenate((np.sin(arg), np.cos(arg)), axis=1)
+            cache = (m.copy(), basis)
+        tj = temporal * j
+        weights = coeff2 * np.concatenate((np.cos(tj), np.sin(tj)), axis=1)
+        vals = np.matmul(weights[:, None, :], basis)[:, 0, :].reshape((4,) + m.shape)
         return CoinAngles(theta=vals[0], xi=vals[1], zeta=vals[2], alpha=vals[3])
 
     return field

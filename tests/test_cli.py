@@ -65,6 +65,19 @@ def test_unknown_key_rejected(tmp_path):
     assert code == 2
 
 
+def test_ini_keys_keep_their_case(tmp_path):
+    cfg = tmp_path / "h.ini"
+    cfg.write_text("[heuristic]\nQ = 1\n")
+    out = tmp_path / "h"
+    assert cli.main(["heuristic", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["Q"] == 1.0
+    # a lower-cased key is not the documented one
+    cfg.write_text("[heuristic]\nq = 1\n")
+    assert cli.main(["heuristic", "--config", str(cfg),
+                     "--out", str(tmp_path / "lower")]) == 2
+
+
 def test_missing_config_file(tmp_path):
     code = cli.main(["walk", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "o")])
@@ -199,6 +212,17 @@ def test_roup_q_sweep(tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == ["nu_profile_Q1.csv", "nu_profile_Q2.csv"]
+    assert manifest["parameters"]["T"] == 0.5
+
+
+def test_roup_q_sweep_from_config(tmp_path):
+    out = tmp_path / "r"
+    cfg = _small_cfg(tmp_path, "roup")
+    cfg.write_text(cfg.read_text() + "Qs = 1,2\nT = 0.5\n")
+    assert cli.main(["roup", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["nu_profile_Q1.csv", "nu_profile_Q2.csv"]
+    assert manifest["parameters"]["Qs"] == [1.0, 2.0]
     assert manifest["parameters"]["T"] == 0.5
 
 

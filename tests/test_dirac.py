@@ -196,6 +196,35 @@ def test_coupling_built_once_per_step():
     assert dirac.l2_norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_step_matches_rolled_matrix_exponential():
+    # reference: per-site expm of the half-step coupling, np.roll transport
+    from scipy.linalg import expm
+
+    n = 16
+    grid = Grid1D.periodic(1.6, n)
+    dt = grid.spacing
+    rng = np.random.default_rng(12)
+    a0, a1, theta = rng.uniform(-1.0, 1.0, size=(3, n))
+    zeta0 = rng.uniform(-np.pi, np.pi)
+    coeffs = dirac.DiracCoefficients(
+        a0=lambda T, X: a0, a1=lambda T, X: a1, theta_bar=lambda T, X: theta,
+        mu=np.pi / 2.0 + zeta0,
+    )
+    psi = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2))
+    out = dirac.solve_dirac(coeffs, dirac.SpinorField(psi[0], psi[1], grid), dt, dt)
+    b = theta * np.exp(1j * zeta0)
+    half = [expm(0.5 * dt * np.array([[1j * (a0[i] - a1[i]), b[i]],
+                                      [-np.conj(b[i]), 1j * (a0[i] + a1[i])]]))
+            for i in range(n)]
+    expected = np.stack([half[i] @ psi[:, i] for i in range(n)], axis=1)
+    expected = np.stack([np.roll(expected[0], -1), np.roll(expected[1], 1)])
+    expected = np.stack([half[i] @ expected[:, i] for i in range(n)], axis=1)
+    assert np.max(np.abs(out.psi_minus - expected[0])) <= 1e-15
+    assert np.max(np.abs(out.psi_plus - expected[1])) <= 1e-15
+    assert out.time == pytest.approx(dt)
+
+
 def test_zero_jet_walk_matches_transport_exactly():
     jet = qwalk.JetSpec.zero()
     rows = dirac.convergence_study(

@@ -131,6 +131,71 @@ def test_single_site_spreads_at_most_one_cell_per_step():
         assert occupied.max() <= 32 + k
 
 
+def _direct_smooth_field(seed, n_sites, amplitude=0.4, n_modes=3):
+    # reference: the per-mode sum of sines, with the draws of
+    # random_smooth_angle_field in the same order
+    rng = np.random.default_rng(seed)
+    spatial = 2.0 * np.pi * rng.integers(1, n_modes + 1, size=(4, n_modes)) / n_sites
+    temporal = rng.uniform(0.0, 0.02, size=(4, n_modes))
+    coeff = amplitude * rng.normal(size=(4, n_modes)) / np.sqrt(n_modes)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(4, n_modes))
+
+    def field(j, m):
+        m = np.asarray(m)
+        vals = []
+        for row in range(4):
+            acc = 0.0
+            for k in range(n_modes):
+                acc = acc + coeff[row, k] * np.sin(
+                    spatial[row, k] * m + temporal[row, k] * j + phase[row, k]
+                )
+            vals.append(acc)
+        return vals
+
+    return field
+
+
+def _field_error(field, reference, j, m):
+    got = field(j, m)
+    want = reference(j, m)
+    rows = [got.theta, got.xi, got.zeta, got.alpha]
+    assert all(np.shape(r) == np.shape(m) for r in rows)
+    return max(float(np.max(np.abs(g - w))) for g, w in zip(rows, want))
+
+
+def test_smooth_field_matches_direct_sum():
+    n = 1024
+    field = random_smooth_angle_field(seed=7, n_sites=n)
+    reference = _direct_smooth_field(seed=7, n_sites=n)
+    m = np.arange(-n // 2, n // 2)
+    for j in (0, 1, 9999):
+        assert _field_error(field, reference, j, m) <= 1e-12
+    assert _field_error(field, reference, 9999, 17) <= 1e-12  # scalar m
+    # a different m must rebuild the cached basis, and going back as well
+    assert _field_error(field, reference, 5, np.arange(n) + 3) <= 1e-12
+    assert _field_error(field, reference, 9999, m) <= 1e-12
+
+
+def test_step_matches_rolled_explicit_coins():
+    # reference: np.roll shifts and one build_coin matrix per site
+    n = 16
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2))
+    state = _state_from(psi[0], psi[1])
+    angles = CoinAngles(*rng.uniform(-np.pi, np.pi, size=(4, n)))
+    out = step_walk(state, lambda j, m: angles)
+    gathered = np.stack([np.roll(psi[0], -1), np.roll(psi[1], 1)])
+    expected = np.empty_like(psi)
+    for i in range(n):
+        coin = build_coin(CoinAngles(angles.theta[i], angles.xi[i],
+                                     angles.zeta[i], angles.alpha[i]))
+        expected[:, i] = coin @ gathered[:, i]
+    assert np.max(np.abs(out.psi_minus - expected[0])) <= 1e-15
+    assert np.max(np.abs(out.psi_plus - expected[1])) <= 1e-15
+    assert out.step_index == 1
+
+
 # ---------------------------------------------------------------- jets
 
 
