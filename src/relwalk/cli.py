@@ -447,14 +447,15 @@ def main(argv=None) -> int:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
+    except NumericalError as exc:
+        # before ValueError: some numerical failures are ValueErrors too
+        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
+        sys.stderr.write("\n")
+        return 3
     except ValueError as exc:
         json.dump({"error": "ConfigError", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except NumericalError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
 
 
 if __name__ == "__main__":

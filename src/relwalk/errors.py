@@ -33,5 +33,9 @@ class SignConventionError(NumericalError):
     """Cumulative flux integral went negative where the density is resolved."""
 
 
+class DegenerateMetricError(NumericalError, ValueError):
+    """A profile leaves no region where the diffusion metric is defined."""
+
+
 class NoInteriorPeakError(ConfigError):
     """Requested a density peak in a regime where the profile is monotone."""

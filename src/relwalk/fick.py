@@ -8,9 +8,11 @@ The transport law behind the late-time profiles is a generalized Fick law
 with a position-dependent metric. Writing the flux as
 J = -(1/2) N dh/dX - h dN/dX, the inverse metric h follows from the profile
 alone: h = I / N^2 with I(X) = -2 * integral of N J from the left edge of
-the light cone up to X. The Galilean Ornstein-Uhlenbeck process is the
-infinite-Q reference; its h field is spatially flat, which anchors both the
-sign convention and the flatness tolerance used here.
+the light cone up to X, or equally, when N J integrates to zero over the
+cone, 2 * integral of N J from X to the right edge. The Galilean
+Ornstein-Uhlenbeck process is the infinite-Q reference; its h field is
+spatially flat, which anchors both the sign convention and the flatness
+tolerance used here.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _io, kernels
-from .errors import NoInteriorPeakError, SignConventionError
+from .errors import DegenerateMetricError, NoInteriorPeakError, SignConventionError
 from .roup import DensityProfile
 
 # fraction of max N below which h = I/N^2 is not trusted
@@ -77,7 +79,8 @@ def heuristic_peak(Q) -> float:
 class MetricField:
     """Inverse metric h and metric g = 1/h reconstructed from one profile.
 
-    integral holds I(X) = -2 cumulative flux integral; h and g are nan
+    integral holds I(X), the cumulative flux integral taken from the
+    nearer cone edge (see metric_from_density); h and g are nan
     where valid is False (density below N_FLOOR_RATIO of its max).
     """
 
@@ -93,24 +96,31 @@ class MetricField:
 def metric_from_density(profile: DensityProfile) -> MetricField:
     """Reconstruct the diffusion metric h = I/N^2 from a density profile.
 
-    The cumulative integral starts at the left light-cone edge X = -QT
-    (the full grid edge when Q is infinite). The valid region is where the
-    density clears the floor inside the cone; outside the cone the
-    continuum density vanishes identically and the samples are spectral
-    ringing, not signal. Material negativity of I on the valid region
-    means the profile's flux disagrees with the adopted sign convention
-    and raises; isolated non-positive values at the reconstruction noise
-    floor are masked rather than divided.
+    The cumulative integral starts at the nearer light-cone edge: at
+    X = -QT for X <= 0 and at X = QT for X > 0 (the full grid edges when
+    Q is infinite), so I near either edge is a short sum rather than the
+    cancellation of the whole left half, and a mirror-symmetric profile
+    gives a mirror-symmetric metric. The two starts agree when N J
+    integrates to zero over the cone, as it does for an even density and
+    odd current. The valid region is where the density clears the floor
+    inside the cone; outside the cone the continuum density vanishes
+    identically and the samples are spectral ringing, not signal.
+    Material negativity of I on the valid region means the profile's flux
+    disagrees with the adopted sign convention and raises; isolated
+    non-positive values at the reconstruction noise floor are masked
+    rather than divided.
     """
     x = profile.x_grid.points
     n = np.clip(np.asarray(profile.density, dtype=float), 0.0, None)
     j = np.asarray(profile.current, dtype=float)
     integrand = n * j
     if np.isfinite(profile.Q):
-        # zero contributions left of the cone so cumquad starts the
-        # integral at -QT regardless of grid padding
-        integrand = np.where(x >= -profile.Q * profile.time, integrand, 0.0)
-    big_i = -2.0 * kernels.cumquad(integrand, profile.x_grid)
+        # zero contributions outside the cone so cumquad starts the
+        # integrals at -QT and QT regardless of grid padding
+        integrand = np.where(np.abs(x) <= profile.Q * profile.time, integrand, 0.0)
+    big_i = np.where(x > 0.0,
+                     2.0 * kernels.cumquad(integrand, profile.x_grid, from_lower=False),
+                     -2.0 * kernels.cumquad(integrand, profile.x_grid))
     valid = n >= N_FLOOR_RATIO * n.max()
     if np.isfinite(profile.Q):
         valid &= np.abs(x) < profile.Q * profile.time
@@ -134,7 +144,7 @@ def _central_valid_slice(metric: MetricField, density) -> slice:
     """Largest contiguous valid run containing the density maximum."""
     idx = np.flatnonzero(metric.valid)
     if idx.size == 0:
-        raise ValueError("no valid points in metric field")
+        raise DegenerateMetricError("no valid points in metric field")
     runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
     peak = int(np.argmax(density))
     for run in runs:
@@ -156,7 +166,7 @@ def generalized_fick_residual(profile: DensityProfile, metric: MetricField) -> f
     res = 0.5 * n * np.gradient(h, dx) + h * np.gradient(n, dx) + j
     denom = float(np.linalg.norm(j))
     if denom == 0.0:
-        raise ValueError("current vanishes on the valid region")
+        raise DegenerateMetricError("current vanishes on the valid region")
     return float(np.linalg.norm(res)) / denom
 
 

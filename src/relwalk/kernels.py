@@ -11,10 +11,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
+from scipy.linalg import cython_lapack
 
 from .errors import SingularSystemError
 
@@ -153,16 +155,64 @@ def dft_inverse(modes, x_grid: Grid1D) -> np.ndarray:
     return scale * np.fft.fft(twisted, axis=-1)
 
 
+def _capi_routine(name, *argtypes):
+    """A scipy.linalg.cython_lapack routine as a ctypes function.
+
+    scipy's f2py wrappers of ?pttrs hold the interpreter lock while LAPACK
+    runs, so solves on worker threads would serialize; a CFUNCTYPE call
+    releases it. The routine is the one cython_lapack exports, found
+    through the capsule in its __pyx_capi__ table.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.pythonapi.PyCapsule_GetName
+    get_name.restype = ctypes.c_char_p
+    get_name.argtypes = [ctypes.py_object]
+    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+    get_pointer.restype = ctypes.c_void_p
+    get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_int_p = ctypes.POINTER(ctypes.c_int)
+# (n, nrhs, d, e, b, ldb, info) and (uplo, n, nrhs, d, e, b, ldb, info)
+_dpttrs = _capi_routine("dpttrs", _int_p, _int_p, *[ctypes.c_void_p] * 3, _int_p, _int_p)
+_zpttrs = _capi_routine("zpttrs", ctypes.c_char_p, _int_p, _int_p,
+                        *[ctypes.c_void_p] * 3, _int_p, _int_p)
+
+
+def _pttrs(d, e, x):
+    """Overwrite the Fortran-ordered x (n,) or (n, k) with A^-1 x.
+
+    d and e are the ?pttrf factors of a real symmetric A = L D L^T; e has
+    the dtype of x.
+    """
+    n = ctypes.c_int(d.shape[0])
+    nrhs = ctypes.c_int(x.size // d.shape[0])
+    info = ctypes.c_int(0)
+    args = (ctypes.byref(n), ctypes.byref(nrhs), d.ctypes.data, e.ctypes.data,
+            x.ctypes.data, ctypes.byref(n), ctypes.byref(info))
+    if x.dtype == np.complex128:
+        _zpttrs(b"L", *args)
+    else:
+        _dpttrs(*args)
+    if info.value < 0:
+        raise ValueError(f"LAPACK pttrs rejected argument {-info.value}")
+
+
 def tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
     """Solve a tridiagonal system A x = rhs.
 
     sub and sup have length n-1; rhs may be (n,) or (n, k) for many
     right-hand sides sharing one matrix, and is never overwritten.
-    LAPACK ``?gttrf`` factors A with partial pivoting and ``?gttrs`` sweeps
-    a copy of rhs; a Fortran-ordered rhs (the transpose of a C-ordered
-    (k, n) stack) is copied without a transpose. Each column is solved
-    independently, so the result does not depend on how the columns are
-    blocked. Raises SingularSystemError on a zero pivot.
+    A real symmetric positive-definite A (sub equal to sup, and ?pttrf
+    finds every pivot positive) is solved pivot-free as L D L^T by
+    ?pttrs, with the interpreter lock released; any other A is factored
+    with partial pivoting by ?gttrf and solved by ?gttrs. Either way the
+    sweeps run on a copy of rhs; a Fortran-ordered rhs (the transpose of
+    a C-ordered (k, n) stack) is copied without a transpose. Each column
+    is solved independently, so the result does not depend on how the
+    columns are blocked. Raises SingularSystemError on a zero pivot.
     """
     diag = np.asarray(diag)
     sub = np.asarray(sub)
@@ -181,6 +231,13 @@ def tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
             return np.linalg.solve(dense.astype(dtype), rhs.astype(dtype))
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
+    if dtype in (np.float64, np.complex128) and not np.iscomplexobj(diag) \
+            and not np.iscomplexobj(sub) and np.array_equal(sub, sup):
+        d, e, info = scipy.linalg.lapack.dpttrf(diag, sub)
+        if info == 0:
+            x = np.array(rhs, dtype=dtype, order="F")
+            _pttrs(d, e.astype(dtype), x)
+            return x
     gttrf, gttrs = scipy.linalg.lapack.get_lapack_funcs(("gttrf", "gttrs"), dtype=dtype)
     *factors, info = gttrf(sub, diag, sup)
     if info > 0:

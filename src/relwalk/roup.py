@@ -20,12 +20,17 @@ where L is the momentum-space collision operator. This module discretizes
 L with exponentially fitted finite-volume fluxes (drift and diffusion in
 one flux, potential increments taken exactly), which makes the sampled
 Juttner equilibrium the exact kernel of the discrete operator and keeps
-the trapezoid mass of every mode constant to rounding. Time stepping is
-Strang: exact half phases around a Crank-Nicolson collision step, one real
+the trapezoid mass of every mode constant to rounding. The fitted fluxes
+obey detailed balance with respect to that Juttner, so the collision
+matrix is diagonally similar to a symmetric one. Time stepping is Strang:
+exact half phases around a Crank-Nicolson collision step, one real
 tridiagonal shared by all modes. Adjacent half phases of consecutive steps
 are folded into one full phase, and the Crank-Nicolson step is taken as
-2 (I - aL)^-1 - I, so a step is one phase multiply, one LAPACK tridiagonal
-solve and one subtraction over the modes, stored mode-major.
+2 (I - aL)^-1 - I. The modes are marched in the symmetric frame, divided
+by the similarity weights (a real diagonal that commutes with the phases),
+so a step is one phase multiply, one pivot-free L D L^T solve of a
+symmetric positive-definite tridiagonal (LAPACK ?pttrs) and one
+subtraction over the modes, stored mode-major.
 
 Real, P-even initial data makes every mode obey the momentum-flip symmetry
 F(K, -P) = conj F(K, P), and both the phase and the collision step keep it.
@@ -81,6 +86,10 @@ __all__ = [
 # exp(-tail) at the momentum cutoff; 27.63 keeps the discarded weight
 # below 1e-12 of the equilibrium mass
 _MIN_TAIL = 27.63
+
+# the marcher's symmetric frame divides by weights that fall to about
+# exp(-tail/2); past this exponent they underflow to zero
+_MAX_TAIL = 2.0 * np.log(1.0 / np.finfo(float).tiny)
 
 # largest symmetry_residual evolve_all accepts in an initial state; the
 # states initial_state builds measure about 2e-15
@@ -147,6 +156,11 @@ class RoupParams:
             raise TailTruncationError(
                 f"momentum cutoff keeps only exp(-{tail:.2f}) tails; "
                 f"need the equilibrium exponent at p_max above {_MIN_TAIL}"
+            )
+        if tail > _MAX_TAIL:
+            raise TailTruncationError(
+                f"momentum cutoff reaches exp(-{tail:.2f}) tails; the "
+                f"equilibrium exponent at p_max must stay below {_MAX_TAIL:.2f}"
             )
 
     @classmethod
@@ -262,6 +276,17 @@ def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, lo):
     part into the odd solve; z decays fast and is cut where it falls
     below 1e-18 z_0.
 
+    The march runs in the symmetric frame. Detailed balance makes
+    S = W^-1 M W symmetric for the diagonal W = diag(w), w_0 = 1 and
+    w_{i+1} / w_i = sqrt(sub_i / sup_i) (about exp(-dU/2) of the fitted
+    potential), with off-diagonal -sqrt(sub_i sup_i). S has the
+    eigenvalues of M, at least 1/2 because those of the detailed-balance
+    generator L are real and non-positive, so it is positive definite and
+    tridiag_solve takes it pivot-free as L D L^T. The marched state is
+    W^-1 G: w divides the opening half phase and multiplies each
+    snapshot's half phase. Since w_0 = 1, e_0, m and gamma carry over, and
+    the rank-1 update uses z = S^-1 e_0.
+
     Strang steps H C H, with H the exact half phase exp(i dt v K / 2) and C
     the Crank-Nicolson collision step, chain as H C P C P ... C H with the
     full phase P = exp(i dt v K) between solves; half phases are applied
@@ -284,9 +309,12 @@ def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, lo):
     m = -0.5 * a * lower[h - 1]
     sub, mid, sup = -0.5 * a * lower[h:], 0.5 - 0.5 * a * diag[h:], -0.5 * a * upper[h:]
     mid[0] += m
+    # the symmetric frame; sub and sup are negative, and so is off
+    w = np.concatenate(([1.0], np.cumprod(np.sqrt(sub / sup))))
+    off = -np.sqrt(sub * sup)
     e0 = np.zeros(h)
     e0[0] = 1.0
-    z = tridiag_solve(sub, mid, sup, e0)
+    z = tridiag_solve(off, mid, off, e0)
     gamma = 2.0 * m / (1.0 - 2.0 * m * z[0])
     z = gamma * z[: np.nonzero(np.abs(z) >= 1e-18 * abs(z[0]))[0][-1] + 1]
 
@@ -301,8 +329,10 @@ def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, lo):
     if 0 in snap_lookup:
         snapshot(0, F[:, h:], 1.0)
     G = half * F[:, h:]
+    G /= w
+    half *= w
     for step in range(1, n_steps + 1):
-        y = tridiag_solve(sub, mid, sup, G.T).T
+        y = tridiag_solve(off, mid, off, G.T).T
         y.imag[:, :z.size] += y.imag[:, :1] * z
         G = np.subtract(y, G, out=y)
         if step in snap_lookup:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from relwalk import cli
+from relwalk import cli, roup, verify
 from relwalk.errors import ConfigError
 
 
@@ -283,6 +283,44 @@ def test_numerical_failure_exits_3(tmp_path):
     code = cli.main(["roup", "--config", str(cfg), "--Q", "1",
                      "--times", "0.5", "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+def _error_name(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+def test_value_error_in_the_inputs_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "steps.ini"
+    cfg.write_text("[roup]\nn_x = 64\nn_p = 256\nrefine = 1\nthreads = 1\n"
+                   "dt = 0.01\n")
+    code = cli.main(["roup", "--config", str(cfg), "--times", "0.333",
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert _error_name(capsys) == "ConfigError"
+
+
+def test_degenerate_metric_exits_3(tmp_path, monkeypatch, capsys):
+    # a profile without current leaves no point where h = I/N^2 is defined
+    reconstruct = roup.reconstruct_density
+
+    def without_current(state, **kwargs):
+        profile = reconstruct(state, **kwargs)
+        profile.current[:] = 0.0
+        return profile
+
+    monkeypatch.setattr(roup, "reconstruct_density", without_current)
+    cfg = _small_cfg(tmp_path, "metric")
+    code = cli.main(["metric", "--config", str(cfg), "--times", "1",
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert _error_name(capsys) == "DegenerateMetricError"
+
+
+def test_failed_criterion_exits_4(tmp_path, monkeypatch):
+    failed = verify.CriterionResult(1, "walk-probability", "walk", False, 0.0)
+    monkeypatch.setattr(verify, "run_all", lambda only, threads: [failed])
+    code = cli.main(["verify", "--only", "walk", "--out", str(tmp_path / "v")])
+    assert code == 4
 
 
 def test_verify_group_report(tmp_path):

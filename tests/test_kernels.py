@@ -249,24 +249,42 @@ def test_tridiag_complex_and_multi_rhs():
     assert np.max(np.abs(x - x0)) < 1e-11
 
 
+def _bands(kind, rng, n):
+    # strictly diagonally dominant, so every kind is well conditioned
+    diag = rng.uniform(2.5, 3.5, size=n)
+    sub = rng.uniform(-1.0, 1.0, size=n - 1)
+    if kind == "general":
+        return sub, diag, rng.uniform(-1.0, 1.0, size=n - 1)
+    if kind == "indefinite":
+        # symmetric, but ?pttrf meets a negative pivot: solved by ?gttrs
+        diag[::2] *= -1.0
+    return sub, diag, sub.copy()
+
+
 def test_tridiag_keeps_rhs_and_ignores_its_layout():
-    # real bands, complex rhs: a C-ordered (n, k) rhs and the transpose of
-    # a C-ordered (k, n) stack must give the same bits and stay untouched
+    # a C-ordered (n, k) rhs and the transpose of a C-ordered (k, n) stack
+    # must give the same bits and stay untouched, for each solver path
     rng = np.random.default_rng(4)
     n, k = 50, 6
-    sub = rng.normal(size=n - 1)
-    sup = rng.normal(size=n - 1)
-    diag = 4.0 + rng.normal(size=n)
-    stack = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
-    c_rhs = np.ascontiguousarray(stack.T)
-    saved = stack.copy()
-    x_f = tridiag_solve(sub, diag, sup, stack.T)
-    x_c = tridiag_solve(sub, diag, sup, c_rhs)
-    assert np.array_equal(stack, saved)
-    assert np.array_equal(c_rhs, saved.T)
-    assert np.array_equal(x_f, x_c)
-    dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-    assert np.max(np.abs(dense @ x_f - c_rhs)) < 1e-12
+    for kind in ("general", "spd", "indefinite"):
+        sub, diag, sup = _bands(kind, rng, n)
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        for dtype in (float, complex):
+            stack = rng.normal(size=(k, n)).astype(dtype)
+            if dtype is complex:
+                stack += 1j * rng.normal(size=(k, n))
+            c_rhs = np.ascontiguousarray(stack.T)
+            saved = stack.copy()
+            x_f = tridiag_solve(sub, diag, sup, stack.T)
+            x_c = tridiag_solve(sub, diag, sup, c_rhs)
+            assert np.array_equal(stack, saved)
+            assert np.array_equal(c_rhs, saved.T)
+            assert np.array_equal(x_f, x_c)
+            assert x_f.dtype == np.dtype(dtype)
+            reference = np.linalg.solve(dense, c_rhs)
+            assert np.max(np.abs(x_f - reference)) <= 1e-13 * np.max(np.abs(reference))
+            column = tridiag_solve(sub, diag, sup, c_rhs[:, 0])
+            assert np.array_equal(column, x_f[:, 0])
 
 
 def test_tridiag_tiny_systems():

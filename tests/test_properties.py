@@ -1,4 +1,4 @@
-"""Property tests of the walk's invariants under random coins and states."""
+"""Property tests of the walk's and the kinetic marcher's invariants."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from relwalk.kernels import Grid1D  # noqa: E402
+from relwalk import roup  # noqa: E402
+from relwalk.kernels import Grid1D, quad  # noqa: E402
 from relwalk.qwalk import CoinAngles, WalkState, build_coin, step_walk, total_probability  # noqa: E402
 
 # derandomized so the suite stays deterministic; few examples keep it fast
@@ -49,3 +50,17 @@ def test_total_probability_is_squared_modulus_sum(seed, n):
     _, state = _random_state(seed, n)
     direct = np.sum(np.abs(state.psi_minus) ** 2) + np.sum(np.abs(state.psi_plus) ** 2)
     assert abs(total_probability(state) - direct) <= 1e-14 * direct
+
+
+@_settings
+@given(st.floats(0.3, 10.0), st.integers(4, 64), st.floats(1e-3, 2e-2), st.integers(1, 40))
+def test_kinetic_march_keeps_symmetry_mass_and_equilibrium(Q, half_n_p, dt, steps):
+    # Crank-Nicolson keeps these for any dt, so the accuracy guard is off
+    t_final = steps * dt
+    params = roup.RoupParams.standard(Q, t_final, n_x=8, n_p=2 * half_n_p)
+    f0 = roup.initial_state(params).modes[0]
+    state = roup.evolve_all(params, t_final, dt=dt, guard_tol=np.inf)[0]
+    assert roup.symmetry_residual(state) == 0.0
+    mass0 = quad(f0, params.p_grid)
+    assert abs(quad(state.modes[0], params.p_grid) - mass0) <= 1e-13 * mass0
+    assert np.max(np.abs(state.modes[0] - f0)) <= 1e-12 * np.max(f0)

@@ -43,6 +43,19 @@ def test_params_reject_thin_tails():
         roup.RoupParams(Q=1.0, p_max=5.0, n_p=512, length=1.0, n_x=128)
 
 
+def test_params_reject_tails_past_the_symmetric_frame():
+    # the marcher divides by weights of about exp(-tail/2), which underflow
+    # past tail = 2 ln(1/tiny) = 1416.8; just inside, the state stays finite
+    def params(tail):
+        p_max = np.sqrt((1.0 + tail) ** 2 - 1.0)
+        return roup.RoupParams(Q=1.0, p_max=p_max, n_p=64, length=1.0, n_x=8)
+
+    with pytest.raises(TailTruncationError):
+        params(1420.0)
+    state = roup.evolve_all(params(1400.0), 0.01, dt=0.01)[0]
+    assert np.all(np.isfinite(state.modes))
+
+
 def test_params_reject_odd_counts():
     with pytest.raises(ValueError):
         roup.RoupParams(Q=1.0, p_max=40.0, n_p=511, length=1.0, n_x=128)
