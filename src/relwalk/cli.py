@@ -85,16 +85,12 @@ def compile_expression(text: str):
 
 # ------------------------------------------------------------- configuration
 
+_WALK_KEYS = {"preset", "theta_bar", "xi_bar", "alpha_bar", "zeta_bar", "zeta0", "p",
+              "t_final", "length", "packet_center", "packet_width", "packet_momentum"}
 _SECTION_KEYS = {
-    "walk": {"preset", "theta_bar", "xi_bar", "alpha_bar", "zeta_bar", "zeta0",
-             "p", "epsilon", "t_final", "length", "packet_center",
-             "packet_width", "packet_momentum"},
-    "dirac": {"preset", "theta_bar", "xi_bar", "alpha_bar", "zeta_bar", "zeta0",
-              "p", "epsilon", "t_final", "length", "packet_center",
-              "packet_width", "packet_momentum"},
-    "converge": {"preset", "theta_bar", "xi_bar", "alpha_bar", "zeta_bar",
-                 "zeta0", "p", "eps", "t_final", "length", "packet_center",
-                 "packet_width", "packet_momentum"},
+    "walk": _WALK_KEYS | {"epsilon"},
+    "dirac": _WALK_KEYS | {"epsilon"},
+    "converge": _WALK_KEYS | {"eps"},
     "roup": {"Q", "Qs", "T", "times", "n_x", "n_p", "dt", "refine", "threads"},
     "metric": {"Q", "times", "n_x", "n_p", "dt", "refine", "threads"},
     "heuristic": {"Q", "T", "n_xi", "xi_max"},
@@ -206,13 +202,11 @@ def _write_manifest(out_dir, command, inputs, outputs, results=None):
 def _walk_setup(args, command):
     section = _load_section(args.config, command)
     jet, jet_record = _jet_from(section)
-    eps_default = [0.1, 0.05, 0.025] if command == "converge" else 0.05
     if command == "converge":
         eps = _pick(args.eps and _float_list(args.eps), section, "eps",
-                    _float_list, eps_default)
+                    _float_list, [0.1, 0.05, 0.025])
     else:
-        eps = _pick(args.eps and float(args.eps), section, "epsilon",
-                    float, eps_default)
+        eps = _pick(args.eps and float(args.eps), section, "epsilon", float, 0.05)
     params = {
         "jet": jet_record,
         "epsilon": eps,

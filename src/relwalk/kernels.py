@@ -1,4 +1,4 @@
-"""Shared numerical kernels: 1D grids, quadrature, DFT pair, tridiagonal solve, step counts.
+"""Shared numerical kernels: 1D grids, quadrature, DFT pair, tridiagonal solves, step counts.
 
 Conventions used throughout the package:
 
@@ -11,12 +11,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
-from scipy.linalg import cython_lapack
 
 from .errors import SingularSystemError
 
@@ -28,6 +26,7 @@ __all__ = [
     "dft_forward",
     "dft_inverse",
     "tridiag_solve",
+    "BlockedLDL",
     "count_steps",
 ]
 
@@ -155,49 +154,81 @@ def dft_inverse(modes, x_grid: Grid1D) -> np.ndarray:
     return scale * np.fft.fft(twisted, axis=-1)
 
 
-def _capi_routine(name, *argtypes):
-    """A scipy.linalg.cython_lapack routine as a ctypes function.
+_BLOCK = 16  # rows per diagonal block of BlockedLDL
 
-    scipy's f2py wrappers of ?pttrs hold the interpreter lock while LAPACK
-    runs, so solves on worker threads would serialize; a CFUNCTYPE call
-    releases it. The routine is the one cython_lapack exports, found
-    through the capsule in its __pyx_capi__ table.
+
+def _chain(f):
+    """c[j, k] = prod f[k+1..j-1] for k < j, else 0; terms below sqrt(tiny) are cut:
+    subnormals slow every product, and they could only matter against 1e150 larger edges."""
+    rank = np.arange(f.size)
+    c = np.cumprod(np.where(rank[:, None] > rank, f[:, None], 1.0), axis=0)
+    c = np.tril(np.roll(c, 1, axis=0), -1)
+    c[np.abs(c) < np.sqrt(np.finfo(float).tiny)] = 0.0
+    return c
+
+
+class BlockedLDL:
+    """A real symmetric positive-definite tridiagonal A = L D L^T, factored for many solves.
+
+    diag has length n and off, the sub- and superdiagonal, n - 1. After
+    dpttrf the system is padded with identity rows to ``rows``, a multiple
+    of 16, and cut into 16-row blocks: x_j = M_j (b_j - e s e_0 - g r e_15),
+    with M_j the explicit inverse of (L D L^T)_jj, e and g the couplings of
+    L and D L^T across the block edges, s the last entry of L^-1 b in block
+    j - 1 and r the first of x in block j + 1. Each carry is a triangular
+    (nb, nb) matrix of products of edge factors applied to one edge row
+    per block, so a solve is four matrix products and has no loop over
+    rows or blocks. Raises SingularSystemError unless every pivot is positive.
     """
-    capsule = cython_lapack.__pyx_capi__[name]
-    get_name = ctypes.pythonapi.PyCapsule_GetName
-    get_name.restype = ctypes.c_char_p
-    get_name.argtypes = [ctypes.py_object]
-    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
-    get_pointer.restype = ctypes.c_void_p
-    get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
-    address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(None, *argtypes)(address)
 
+    def __init__(self, diag, off):
+        d, e, info = scipy.linalg.lapack.dpttrf(diag, off)
+        if info != 0:
+            raise SingularSystemError(
+                f"pivot {info} is not positive: the matrix is not positive definite")
+        nb = -(-d.size // _BLOCK)
+        self.rows = nb * _BLOCK
+        d = np.concatenate((d, np.ones(self.rows - d.size))).reshape(nb, _BLOCK)
+        # e[j, 15] couples block j to block j + 1, and is zero after the last real row
+        e = np.concatenate((e, np.zeros(self.rows - e.size))).reshape(nb, _BLOCK)
+        # L_jj^-1 row by row, then (D L^T)_jj^-1 = L_jj^-T D_jj^-1
+        l_inv = np.tile(np.eye(_BLOCK), (nb, 1, 1))
+        for i in range(1, _BLOCK):
+            l_inv[:, i, :i] = -e[:, i - 1, None] * l_inv[:, i - 1, :i]
+        u_inv = np.swapaxes(l_inv, 1, 2) / d[:, None, :]
+        self._inv = u_inv @ l_inv
+        # s chains from c = (L_jj^-1 b_j)[15], s_j = c_j - e s_{j-1} l_inv[15, 0];
+        # r from u = (M_j b_j)[0] - M_j[0, 0] e s_{j-1}, r_j = u_j - g r_{j+1} u_inv[0, 15]
+        self._edges = np.stack((l_inv[:, -1], self._inv[:, 0]), axis=1)
+        e_in = np.concatenate(([0.0], e[:-1, -1]))
+        g_out = d[:, -1] * e[:, -1]
+        self._s_in = -e_in[:, None] * _chain(-e_in * l_inv[:, -1, 0])
+        self._r_in = -g_out[:, None] * _chain(-g_out[::-1] * u_inv[::-1, 0, -1])[::-1, ::-1]
 
-_int_p = ctypes.POINTER(ctypes.c_int)
-# (n, nrhs, d, e, b, ldb, info) and (uplo, n, nrhs, d, e, b, ldb, info)
-_dpttrs = _capi_routine("dpttrs", _int_p, _int_p, *[ctypes.c_void_p] * 3, _int_p, _int_p)
-_zpttrs = _capi_routine("zpttrs", ctypes.c_char_p, _int_p, _int_p,
-                        *[ctypes.c_void_p] * 3, _int_p, _int_p)
+    def solver(self, cols):
+        """solve(rhs, out): out = A^-1 rhs for C-ordered real (rows, cols) arrays.
 
+        rhs has zero padding rows and is not written; each solver owns its
+        scratch buffers, so threads share one factorization.
+        """
+        nb = self.rows // _BLOCK
+        edges, carries = np.empty((2, nb, 2, cols))
+        work = np.empty((nb, _BLOCK, cols))
 
-def _pttrs(d, e, x):
-    """Overwrite the Fortran-ordered x (n,) or (n, k) with A^-1 x.
+        def solve(rhs, out):
+            if not (rhs.flags.c_contiguous and out.flags.c_contiguous):
+                raise ValueError("rhs and out must be C-ordered")
+            b = rhs.reshape(nb, _BLOCK, cols)
+            np.matmul(self._edges, b, out=edges)
+            np.matmul(self._s_in, edges[:, 0], out=carries[:, 0])
+            np.multiply(self._inv[:, :1, 0], carries[:, 0], out=edges[:, 0])
+            np.add(edges[:, 0], edges[:, 1], out=edges[:, 0])
+            np.matmul(self._r_in, edges[:, 0], out=carries[:, 1])
+            np.copyto(work, b)
+            work[:, ::_BLOCK - 1] += carries
+            np.matmul(self._inv, work, out=out.reshape(nb, _BLOCK, cols))
 
-    d and e are the ?pttrf factors of a real symmetric A = L D L^T; e has
-    the dtype of x.
-    """
-    n = ctypes.c_int(d.shape[0])
-    nrhs = ctypes.c_int(x.size // d.shape[0])
-    info = ctypes.c_int(0)
-    args = (ctypes.byref(n), ctypes.byref(nrhs), d.ctypes.data, e.ctypes.data,
-            x.ctypes.data, ctypes.byref(n), ctypes.byref(info))
-    if x.dtype == np.complex128:
-        _zpttrs(b"L", *args)
-    else:
-        _dpttrs(*args)
-    if info.value < 0:
-        raise ValueError(f"LAPACK pttrs rejected argument {-info.value}")
+        return solve
 
 
 def tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
@@ -205,19 +236,14 @@ def tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
 
     sub and sup have length n-1; rhs may be (n,) or (n, k) for many
     right-hand sides sharing one matrix, and is never overwritten.
-    A real symmetric positive-definite A (sub equal to sup, and ?pttrf
-    finds every pivot positive) is solved pivot-free as L D L^T by
-    ?pttrs, with the interpreter lock released; any other A is factored
-    with partial pivoting by ?gttrf and solved by ?gttrs. Either way the
-    sweeps run on a copy of rhs; a Fortran-ordered rhs (the transpose of
-    a C-ordered (k, n) stack) is copied without a transpose. Each column
-    is solved independently, so the result does not depend on how the
-    columns are blocked. Raises SingularSystemError on a zero pivot.
+    A is factored with partial pivoting by ?gttrf and solved by ?gttrs
+    on a copy of rhs; a Fortran-ordered rhs (the transpose of a C-ordered
+    (k, n) stack) is copied without a transpose. Each column is solved
+    independently, so the result does not depend on how the columns are
+    blocked. Raises SingularSystemError on a zero pivot. Many solves with
+    one symmetric positive-definite A are cheaper through BlockedLDL.
     """
-    diag = np.asarray(diag)
-    sub = np.asarray(sub)
-    sup = np.asarray(sup)
-    rhs = np.asarray(rhs)
+    sub, diag, sup, rhs = map(np.asarray, (sub, diag, sup, rhs))
     n = diag.shape[0]
     if sub.shape[0] != n - 1 or sup.shape[0] != n - 1:
         raise ValueError("off-diagonals must have length n - 1")
@@ -231,13 +257,6 @@ def tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
             return np.linalg.solve(dense.astype(dtype), rhs.astype(dtype))
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
-    if dtype in (np.float64, np.complex128) and not np.iscomplexobj(diag) \
-            and not np.iscomplexobj(sub) and np.array_equal(sub, sup):
-        d, e, info = scipy.linalg.lapack.dpttrf(diag, sub)
-        if info == 0:
-            x = np.array(rhs, dtype=dtype, order="F")
-            _pttrs(d, e.astype(dtype), x)
-            return x
     gttrf, gttrs = scipy.linalg.lapack.get_lapack_funcs(("gttrf", "gttrs"), dtype=dtype)
     *factors, info = gttrf(sub, diag, sup)
     if info > 0:

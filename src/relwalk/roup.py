@@ -28,21 +28,18 @@ tridiagonal shared by all modes. Adjacent half phases of consecutive steps
 are folded into one full phase, and the Crank-Nicolson step is taken as
 2 (I - aL)^-1 - I. The modes are marched in the symmetric frame, divided
 by the similarity weights (a real diagonal that commutes with the phases),
-so a step is one phase multiply, one pivot-free L D L^T solve of a
-symmetric positive-definite tridiagonal (LAPACK ?pttrs) and one
-subtraction over the modes, stored mode-major.
+so a step is one phase multiply, one L D L^T solve of a symmetric
+positive-definite tridiagonal (blocked into small matrix products, see
+kernels.BlockedLDL) and one subtraction, over fixed chunks of modes
+stored momentum-major.
 
 Real, P-even initial data makes every mode obey the momentum-flip symmetry
-F(K, -P) = conj F(K, P), and both the phase and the collision step keep it.
-Since n_p is even the momentum grid mirrors about the face at P = 0, so
-the marcher keeps only the P > 0 half, (n_modes, n_p/2): the neighbour
-across P = 0 folds into the first row as an even reflection for the real
-part and an odd one for the imaginary part, which differ by a rank-1 term
-(a Sherman-Morrison update after one complex solve). Snapshots are full
-(n_modes, n_p) states like :class:`KineticState`, their P < 0 half written
-as the mirror image, so they are symmetric exactly. evolve_all therefore
-takes only symmetric initial states; evolve_mode splits arbitrary data
-into two symmetric parts.
+F(K, -P) = conj F(K, P), and both the phase and the collision step keep it,
+so the marcher keeps only the P > 0 half (see _evolve_block). Snapshots are
+full (n_modes, n_p) states like :class:`KineticState`, their P < 0 half
+written as the mirror image, so they are symmetric exactly. evolve_all
+therefore takes only symmetric initial states; evolve_mode splits
+arbitrary data into two symmetric parts.
 
 Initial data throughout is a spatial delta times the Juttner equilibrium,
 so the reconstructed density is the transition-density profile whose front
@@ -60,7 +57,7 @@ from scipy.special import kve
 
 from . import _io
 from .errors import StepSizeError, SymmetryError, TailTruncationError
-from .kernels import Grid1D, count_steps, dft_inverse, quad, tridiag_solve, wavenumbers
+from .kernels import BlockedLDL, Grid1D, count_steps, dft_inverse, quad, tridiag_solve
 
 __all__ = [
     "DensityProfile",
@@ -94,6 +91,9 @@ _MAX_TAIL = 2.0 * np.log(1.0 / np.finfo(float).tiny)
 # largest symmetry_residual evolve_all accepts in an initial state; the
 # states initial_state builds measure about 2e-15
 _SYMMETRY_TOL = 1e-12
+
+# cells per marched chunk: it stays in L2, its products too small for BLAS threads
+_CHUNK_CELLS = 16384
 
 
 def gamma_factor(p, Q: float):
@@ -259,8 +259,8 @@ def default_dt(t_final: float, n_steps: int = 2000) -> float:
     return t_final / n_steps
 
 
-def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, lo):
-    """March mode rows F (k, n_p) n_steps, snapshot i into out[i][lo:lo + k].
+def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, threads=1):
+    """March mode rows F (n, n_p) n_steps, snapshot i into out[i].
 
     Only the P > 0 half G = F[:, n_p/2:] is marched: rows must obey the
     momentum-flip symmetry F(K, -P) = conj F(K, P), which the step
@@ -270,8 +270,8 @@ def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, lo):
     holds conj(G[:, 0]). Folding that neighbour into row 0 of the P > 0
     block of the collision matrix is a reflection: even (diagonal plus
     the dropped coupling m) for the real part, odd (diagonal minus m) for
-    the imaginary part. One complex solve takes the even matrix, and a
-    Sherman-Morrison rank-1 update y.imag += gamma y.imag[:, 0] z, with
+    the imaginary part. One solve takes the even matrix, and a
+    Sherman-Morrison rank-1 update y.imag += gamma y.imag[0] z, with
     z = M_even^-1 e_0 and gamma = 2m / (1 - 2m z_0), turns its imaginary
     part into the odd solve; z decays fast and is cut where it falls
     below 1e-18 z_0.
@@ -282,10 +282,10 @@ def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, lo):
     potential), with off-diagonal -sqrt(sub_i sup_i). S has the
     eigenvalues of M, at least 1/2 because those of the detailed-balance
     generator L are real and non-positive, so it is positive definite and
-    tridiag_solve takes it pivot-free as L D L^T. The marched state is
-    W^-1 G: w divides the opening half phase and multiplies each
-    snapshot's half phase. Since w_0 = 1, e_0, m and gamma carry over, and
-    the rank-1 update uses z = S^-1 e_0.
+    BlockedLDL factors it once. The marched state is W^-1 G: w divides
+    the opening half phase and multiplies each snapshot's half phase.
+    Since w_0 = 1, e_0, m and gamma carry over, and the rank-1 update
+    uses z = S^-1 e_0.
 
     Strang steps H C H, with H the exact half phase exp(i dt v K / 2) and C
     the Crank-Nicolson collision step, chain as H C P C P ... C H with the
@@ -293,64 +293,80 @@ def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, lo):
     only at the start and into each snapshot. C is (I - aL)^-1 (I + aL)
     = 2 (I - aL)^-1 - I with a = dt/2: the solve takes the bands of
     (I - aL)/2, which returns 2 (I - aL)^-1 G exactly (a power-of-two
-    scaling), and the step ends with one subtraction. G.T of a C-ordered
-    row block is Fortran-ordered, as LAPACK stores it. Rows never mix, so
-    any contiguous block of modes computes bit-identical results
-    regardless of partitioning.
+    scaling), and the step ends with one subtraction.
+
+    The rows march in fixed chunks of _CHUNK_CELLS // (n_p/2) modes, each
+    stored momentum-major as G.T, (rows, k) complex and C-ordered with
+    zero padding rows, so its float view is the (rows, 2k) real
+    right-hand side of the real matrix. The caller and threads - 1 workers
+    take whole chunks in turn and columns never mix, so results are
+    bitwise independent of threads.
     """
     h = p_grid.count // 2
-    # the inverse transform kernel is exp(-iKX), so d/dX acts as -iK on the
-    # modes and the streaming phase rotates the opposite way
-    v = velocity(p_grid.points[h:], Q)
-    half = np.exp(0.5j * dt * np.outer(Ks, v))
-    full = np.exp(1j * dt * np.outer(Ks, v))
     lower, diag, upper = _collision_bands(p_grid, Q)
     a = 0.5 * dt
     m = -0.5 * a * lower[h - 1]
     sub, mid, sup = -0.5 * a * lower[h:], 0.5 - 0.5 * a * diag[h:], -0.5 * a * upper[h:]
     mid[0] += m
     # the symmetric frame; sub and sup are negative, and so is off
-    w = np.concatenate(([1.0], np.cumprod(np.sqrt(sub / sup))))
+    w = np.concatenate(([1.0], np.cumprod(np.sqrt(sub / sup))))[:, None]
     off = -np.sqrt(sub * sup)
-    e0 = np.zeros(h)
-    e0[0] = 1.0
-    z = tridiag_solve(off, mid, off, e0)
+    z = tridiag_solve(off, mid, off, np.eye(1, h)[0])
     gamma = 2.0 * m / (1.0 - 2.0 * m * z[0])
-    z = gamma * z[: np.nonzero(np.abs(z) >= 1e-18 * abs(z[0]))[0][-1] + 1]
-
+    z = gamma * z[: np.nonzero(np.abs(z) >= 1e-18 * abs(z[0]))[0][-1] + 1, None]
+    ldl = BlockedLDL(mid, off)
+    # the inverse transform kernel is exp(-iKX), so d/dX acts as -iK on the
+    # modes and the streaming phase rotates the opposite way
+    v = velocity(p_grid.points[h:], Q)
     snap_lookup = {s: i for i, s in enumerate(snap_steps)}
-    hi = lo + F.shape[0]
+    size = max(1, _CHUNK_CELLS // h)
+    parts = min(threads, -(-F.shape[0] // size))  # no more marchers than chunks
 
-    def snapshot(step, right, phase):
-        snap = out[snap_lookup[step]][lo:hi]
-        np.multiply(right, phase, out=snap[:, h:])
-        np.conjugate(snap[:, h:][:, ::-1], out=snap[:, :h])
+    def march(i):  # every parts-th chunk, from chunk i on
+        for lo in range(i * size, F.shape[0], parts * size):
+            chunk = F[lo:lo + size, h:].T
+            k = chunk.shape[1]
+            half = np.exp(0.5j * dt * np.outer(v, Ks[lo:lo + k]))
+            full = np.exp(1j * dt * np.outer(v, Ks[lo:lo + k]))
+            solve = ldl.solver(2 * k)
 
-    if 0 in snap_lookup:
-        snapshot(0, F[:, h:], 1.0)
-    G = half * F[:, h:]
-    G /= w
-    half *= w
-    for step in range(1, n_steps + 1):
-        y = tridiag_solve(off, mid, off, G.T).T
-        y.imag[:, :z.size] += y.imag[:, :1] * z
-        G = np.subtract(y, G, out=y)
-        if step in snap_lookup:
-            snapshot(step, G, half)
-        if step < n_steps:
-            G *= full
+            def snapshot(step, right, phase):
+                snap = out[snap_lookup[step]][lo:lo + k]
+                np.multiply(right.T, phase.T, out=snap[:, h:])
+                np.conjugate(snap[:, h:][:, ::-1], out=snap[:, :h])
+
+            if 0 in snap_lookup:
+                snapshot(0, chunk, np.ones(1))
+            G, y = np.zeros((2, ldl.rows, k), dtype=complex)
+            np.multiply(half, chunk, out=G[:h])
+            G[:h] /= w
+            half *= w
+            for step in range(1, n_steps + 1):
+                solve(G.view(float), y.view(float))
+                y.imag[:z.size] += z * y.imag[0]
+                G, y = np.subtract(y, G, out=y), G
+                if step in snap_lookup:
+                    snapshot(step, G[:h], half)
+                if step < n_steps:
+                    G[:h] *= full
+
+    # the caller takes a share too: each worker thread keeps a malloc arena
+    with ThreadPoolExecutor(max_workers=max(1, parts - 1)) as pool:
+        shares = pool.map(march, range(1, parts))
+        march(0)
+        list(shares)
 
 
-def _doubling_error(F, Ks, p_grid, Q, dt, scale):
-    """First-step error from step doubling, row i relative to scale[i], maximized."""
-    shape = (1,) + F.shape
-    coarse = np.empty(shape, dtype=complex)
-    fine = np.empty(shape, dtype=complex)
-    _evolve_block(F, Ks, p_grid, Q, dt, 1, [1], coarse, 0)
-    _evolve_block(F, Ks, p_grid, Q, dt / 2.0, 2, [2], fine, 0)
+def _check_step(F, Ks, p_grid, Q, dt, scale, guard_tol):
+    """StepSizeError when one step's doubling error, row i over scale[i], exceeds guard_tol."""
+    coarse, fine = np.empty((2, 1) + F.shape, dtype=complex)
+    _evolve_block(F, Ks, p_grid, Q, dt, 1, [1], coarse)
+    _evolve_block(F, Ks, p_grid, Q, dt / 2.0, 2, [2], fine)
     num = np.linalg.norm(coarse[0] - fine[0], axis=1)
-    den = np.where(scale > 0.0, scale, 1.0)
-    return float(np.max(num / den))
+    err = float(np.max(num / np.where(scale > 0.0, scale, 1.0)))
+    if err > guard_tol:
+        raise StepSizeError(
+            f"first-step doubling error {err:.3e} exceeds {guard_tol}; reduce dt")
 
 
 @dataclass
@@ -390,14 +406,9 @@ def evolve_mode(f0: np.ndarray, K: float, p_grid: Grid1D, Q: float,
     flipped = np.conj(f[::-1])
     F = np.stack([0.5 * (f + flipped), 0.5j * (f - flipped)])
     Ks = np.array([K, K], dtype=float)
-    err = _doubling_error(F, Ks, p_grid, Q, dt, np.full(2, np.linalg.norm(f)))
-    if err > guard_tol:
-        raise StepSizeError(
-            f"first-step doubling error {err:.3e} exceeds {guard_tol};"
-            " reduce dt"
-        )
+    _check_step(F, Ks, p_grid, Q, dt, np.full(2, np.linalg.norm(f)), guard_tol)
     out = np.empty((1, 2, p_grid.count), dtype=complex)
-    _evolve_block(F, Ks, p_grid, Q, dt, n_steps, [n_steps], out, 0)
+    _evolve_block(F, Ks, p_grid, Q, dt, n_steps, [n_steps], out)
     return out[0, 0] - 1j * out[0, 1]
 
 
@@ -408,23 +419,21 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
     """Evolve every stored wavenumber, returning one state per output time.
 
     output_times must be integer multiples of dt (default: t_final only).
-    threads > 1 splits the mode rows into contiguous blocks; results
-    are identical for any thread count. Only the P > 0 half is marched, so
-    an initial state whose symmetry_residual exceeds 1e-12 raises
+    The modes march in fixed chunks that threads > 1 shares out among the
+    caller and its workers, so results are bitwise identical for any thread
+    count; threads < 1 raises ValueError. Only the P > 0 half is marched, so an
+    initial state whose symmetry_residual exceeds 1e-12 raises
     SymmetryError; the returned states are exactly symmetric.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if dt is None:
         dt = default_dt(t_final)
     n_steps = count_steps(t_final, dt)
-    if output_times is None:
-        output_times = [t_final]
-    output_times = sorted(float(t) for t in output_times)
-    snap_steps = []
-    for t in output_times:
-        s = count_steps(t, dt)
-        if s > n_steps:
-            raise ValueError(f"output time {t} lies beyond t_final = {t_final}")
-        snap_steps.append(s)
+    times = sorted(float(t) for t in ([t_final] if output_times is None else output_times))
+    snap_steps = [count_steps(t, dt) for t in times]
+    if snap_steps and snap_steps[-1] > n_steps:
+        raise ValueError(f"output time {times[-1]} lies beyond t_final = {t_final}")
     if len(set(snap_steps)) != len(snap_steps):
         raise ValueError("output times collide on the step grid")
 
@@ -435,38 +444,14 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
     if asym > _SYMMETRY_TOL:
         raise SymmetryError(
             f"initial state breaks the momentum-flip symmetry at {asym:.3e}; "
-            "only the P > 0 half is marched"
-        )
-    t0 = state0.time
+            "only the P > 0 half is marched")
     F = np.asarray(state0.modes, dtype=complex)  # (n_modes, n_p), never written
-    Ks = params.mode_wavenumbers
-    p_grid = params.p_grid
-
-    err = _doubling_error(F, Ks, p_grid, params.Q, dt, np.linalg.norm(F, axis=1))
-    if err > guard_tol:
-        raise StepSizeError(
-            f"first-step doubling error {err:.3e} exceeds {guard_tol}; reduce dt"
-        )
-
+    run = (F, params.mode_wavenumbers, params.p_grid, params.Q, dt)
+    _check_step(*run, np.linalg.norm(F, axis=1), guard_tol)
     # one array per snapshot, so a kept state does not pin the others
     out = [np.empty((params.n_modes, params.n_p), dtype=complex) for _ in snap_steps]
-    if threads <= 1:
-        _evolve_block(F, Ks, p_grid, params.Q, dt, n_steps, snap_steps, out, 0)
-    else:
-        blocks = np.array_split(np.arange(params.n_modes), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = []
-            for block in blocks:
-                if block.size == 0:
-                    continue
-                lo = int(block[0])
-                hi = int(block[-1]) + 1
-                futures.append(pool.submit(
-                    _evolve_block, F[lo:hi], Ks[lo:hi], p_grid,
-                    params.Q, dt, n_steps, snap_steps, out, lo))
-            for fut in futures:
-                fut.result()
-    return [KineticState(params, t0 + s * dt, modes) for s, modes in zip(snap_steps, out)]
+    _evolve_block(*run, n_steps, snap_steps, out, threads)
+    return [KineticState(params, state0.time + s * dt, m) for s, m in zip(snap_steps, out)]
 
 
 def symmetry_residual(state: KineticState) -> float:

@@ -300,6 +300,8 @@ def run_criterion(number: int, ctx: RunContext | None = None) -> CriterionResult
 def run_all(only: str | None = None, threads: int = 4) -> list[CriterionResult]:
     if only is not None and only not in GROUPS:
         raise ValueError(f"unknown group {only!r}; choose from {GROUPS}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     ctx = RunContext(threads=threads)
     results = []
     for num, name, group, _ in CRITERIA:

@@ -299,6 +299,14 @@ def test_value_error_in_the_inputs_exits_2(tmp_path, capsys):
     assert _error_name(capsys) == "ConfigError"
 
 
+@pytest.mark.parametrize("command", ["roup", "metric", "verify"])
+def test_nonpositive_threads_exit_2(tmp_path, capsys, command):
+    for threads in ("0", "-3"):
+        code = cli.main([command, "--threads", threads, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert _error_name(capsys) == "ConfigError"
+
+
 def test_degenerate_metric_exits_3(tmp_path, monkeypatch, capsys):
     # a profile without current leaves no point where h = I/N^2 is defined
     reconstruct = roup.reconstruct_density

@@ -4,6 +4,7 @@ import pytest
 from relwalk import dirac, qwalk, roup
 from relwalk.errors import SingularSystemError
 from relwalk.kernels import (
+    BlockedLDL,
     Grid1D,
     count_steps,
     cumquad,
@@ -256,14 +257,14 @@ def _bands(kind, rng, n):
     if kind == "general":
         return sub, diag, rng.uniform(-1.0, 1.0, size=n - 1)
     if kind == "indefinite":
-        # symmetric, but ?pttrf meets a negative pivot: solved by ?gttrs
+        # symmetric, but with negative pivots
         diag[::2] *= -1.0
     return sub, diag, sub.copy()
 
 
 def test_tridiag_keeps_rhs_and_ignores_its_layout():
     # a C-ordered (n, k) rhs and the transpose of a C-ordered (k, n) stack
-    # must give the same bits and stay untouched, for each solver path
+    # must give the same bits and stay untouched, for each kind of matrix
     rng = np.random.default_rng(4)
     n, k = 50, 6
     for kind in ("general", "spd", "indefinite"):
@@ -285,6 +286,50 @@ def test_tridiag_keeps_rhs_and_ignores_its_layout():
             assert np.max(np.abs(x_f - reference)) <= 1e-13 * np.max(np.abs(reference))
             column = tridiag_solve(sub, diag, sup, c_rhs[:, 0])
             assert np.array_equal(column, x_f[:, 0])
+
+
+def _check_blocked_ldl(diag, off, rng):
+    ldl = BlockedLDL(diag, off)
+    n = diag.size
+    assert ldl.rows % 16 == 0 and n <= ldl.rows < n + 16
+    dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+    for cols in (1, 32):
+        rhs = np.zeros((ldl.rows, cols))
+        rhs[:n] = rng.normal(size=(n, cols))
+        saved = rhs.copy()
+        out = np.full_like(rhs, np.nan)
+        ldl.solver(cols)(rhs, out)
+        assert np.array_equal(rhs, saved)
+        assert np.all(out[n:] == 0.0)
+        reference = np.linalg.solve(dense, rhs[:n])
+        assert np.max(np.abs(out[:n] - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("n", [3, 15, 16, 17, 1024])
+def test_blocked_ldl_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    sub, diag, _ = _bands("spd", rng, n)
+    _check_blocked_ldl(diag, sub, rng)
+    # barely dominant, so the carries reach across many blocks
+    diag = np.abs(np.append(sub, 0.0)) + np.abs(np.insert(sub, 0, 0.0)) + 0.05
+    _check_blocked_ldl(diag, sub, rng)
+
+
+def test_blocked_ldl_on_the_front_crank_nicolson_matrix():
+    # the symmetric-frame P > 0 matrix that roup factors for Q = 1, dt = 1e-3
+    p_grid = roup.RoupParams.standard(1.0, 0.5).p_grid
+    lower, diag, upper = roup._collision_bands(p_grid, 1.0)
+    h, a = p_grid.count // 2, 0.5e-3
+    mid = 0.5 - 0.5 * a * diag[h:]
+    mid[0] -= 0.5 * a * lower[h - 1]
+    off = -0.5 * a * np.sqrt(lower[h:] * upper[h:])
+    _check_blocked_ldl(mid, off, np.random.default_rng(7))
+
+
+def test_blocked_ldl_rejects_indefinite_matrices():
+    sub, diag, _ = _bands("indefinite", np.random.default_rng(5), 40)
+    with pytest.raises(SingularSystemError):
+        BlockedLDL(diag, sub)
 
 
 def test_tridiag_tiny_systems():

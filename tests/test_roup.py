@@ -205,6 +205,22 @@ def test_evolve_all_threads_match_serial_bitwise():
     assert np.array_equal(a.modes, b.modes)
 
 
+def test_evolve_all_threads_match_serial_bitwise_across_chunks():
+    params = _small_params(n_x=64, n_p=2048, t_final=0.05)
+    # 33 modes march as chunks of 16, 16 and 1
+    assert params.n_modes > 2 * (roup._CHUNK_CELLS // (params.n_p // 2))
+    serial = roup.evolve_all(params, 0.05, dt=1e-3)[0]
+    for threads in (2, 3):
+        state = roup.evolve_all(params, 0.05, dt=1e-3, threads=threads)[0]
+        assert np.array_equal(state.modes, serial.modes)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_evolve_all_rejects_nonpositive_threads(threads):
+    with pytest.raises(ValueError, match="threads"):
+        roup.evolve_all(_small_params(n_x=8, n_p=64), 0.5, threads=threads)
+
+
 def _textbook_strang(params, dt, n_steps, snap_steps, F=None, Ks=None):
     """Per-step H C H with a dense Crank-Nicolson solve on the full grid, as a reference.
 
