@@ -10,23 +10,31 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
+
+_CELL = "%.17g"
+
 
 def format_number(value) -> str:
-    return "%.17g" % float(value)
+    return _CELL % float(value)
 
 
 def write_csv(path, header, columns) -> None:
-    """Write columns (equal-length sequences) under a comma-separated header."""
-    columns = [list(c) for c in columns]
+    """Write columns (equal-length sequences) under a comma-separated header.
+
+    Each cell reads as format_number(cell); whole rows are formatted at
+    once from float lists, which writes the same bytes faster.
+    """
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("columns have unequal lengths")
+    row = ",".join([_CELL] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(format_number(c[i]) for c in columns) + "\n")
+        fh.writelines(row % cells for cells in zip(*columns))
 
 
 def write_json(path, payload) -> None:

@@ -128,17 +128,22 @@ def _coupling_matrix(coeffs, t_mid, x, s):
     """Entries (e11, e12, e21, e22) of exp(s*C(t_mid, x)) at every point.
 
     C is i*a*I plus an anti-Hermitian part, so the exponential is unitary.
+    Scalar coefficients stay scalar through the trigonometry. The phase is
+    then filled out to x.shape, so every complex product runs over whole
+    arrays: numpy's vector loops fuse multiply-adds that its scalar
+    products do not, and the entries must not depend on whether a
+    coefficient came as a scalar or as samples of a constant.
     """
-    alpha = np.broadcast_to(np.asarray(coeffs.a0(t_mid, x), dtype=float), x.shape)
-    xi = -np.broadcast_to(np.asarray(coeffs.a1(t_mid, x), dtype=float), x.shape)
-    theta = np.broadcast_to(np.asarray(coeffs.theta_bar(t_mid, x), dtype=float), x.shape)
+    alpha = np.asarray(coeffs.a0(t_mid, x), dtype=float)
+    xi = -np.asarray(coeffs.a1(t_mid, x), dtype=float)
+    theta = np.asarray(coeffs.theta_bar(t_mid, x), dtype=float)
     zeta0 = coeffs.mu - np.pi / 2.0
     b = theta * np.exp(1j * zeta0)
     omega = np.hypot(xi, theta)
     cos = np.cos(omega * s)
     # sin(omega*s)/omega with the omega -> 0 limit handled exactly
     sinc = s * np.sinc(omega * s / np.pi)
-    phase = qwalk._cis(alpha * s)
+    phase = np.full(x.shape, qwalk._cis(alpha * s))
     e11 = phase * (cos + 1j * xi * sinc)
     e12 = phase * b * sinc
     e21 = -phase * np.conj(b) * sinc

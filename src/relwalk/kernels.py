@@ -7,6 +7,10 @@ Conventions used throughout the package:
   discretised on a periodic sample set, so the inverse carries exp(-i K X),
 * reductions use numpy's pairwise summation, which is deterministic and
   independent of any worker-pool layout chosen higher up.
+
+Everything here needs numpy alone. BlockedLDL factors with an in-package
+L D L^T recurrence; only the general tridiag_solve calls LAPACK, and it
+imports scipy on its first call, so importing the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import SingularSystemError
 
@@ -167,25 +170,49 @@ def _chain(f):
     return c
 
 
+def _ldl_factor(diag, off):
+    """d, e with A = L D L^T, D = diag(d) and e the subdiagonal of the unit L.
+
+    The recurrence e_i <- e_i / d_i, d_{i+1} <- d_{i+1} - e_i e_i_old of
+    LAPACK dpttrf, with its rounding, as a loop over Python floats; it runs
+    once per factorization, so the loop costs little next to the solves.
+    Raises SingularSystemError at the first pivot that is not positive,
+    numbered from 1 like dpttrf's info.
+    """
+    d = np.asarray(diag, dtype=float).tolist()
+    e = np.asarray(off, dtype=float).tolist()
+    if len(d) < 1 or len(e) != len(d) - 1:
+        raise ValueError("need n >= 1 diagonal entries and n - 1 off-diagonal ones")
+    for i, ei in enumerate(e):
+        if not d[i] > 0.0:
+            break
+        e[i] = ei / d[i]
+        d[i + 1] -= e[i] * ei
+    else:
+        i = len(e)
+    if not d[i] > 0.0:
+        raise SingularSystemError(
+            f"pivot {i + 1} is not positive: the matrix is not positive definite")
+    return np.array(d), np.array(e)
+
+
 class BlockedLDL:
     """A real symmetric positive-definite tridiagonal A = L D L^T, factored for many solves.
 
     diag has length n and off, the sub- and superdiagonal, n - 1. After
-    dpttrf the system is padded with identity rows to ``rows``, a multiple
-    of 16, and cut into 16-row blocks: x_j = M_j (b_j - e s e_0 - g r e_15),
-    with M_j the explicit inverse of (L D L^T)_jj, e and g the couplings of
-    L and D L^T across the block edges, s the last entry of L^-1 b in block
-    j - 1 and r the first of x in block j + 1. Each carry is a triangular
-    (nb, nb) matrix of products of edge factors applied to one edge row
-    per block, so a solve is four matrix products and has no loop over
-    rows or blocks. Raises SingularSystemError unless every pivot is positive.
+    _ldl_factor the system is padded with identity rows to ``rows``, a
+    multiple of 16, and cut into 16-row blocks:
+    x_j = M_j (b_j - e s e_0 - g r e_15), with M_j the explicit inverse of
+    (L D L^T)_jj, e and g the couplings of L and D L^T across the block
+    edges, s the last entry of L^-1 b in block j - 1 and r the first of x
+    in block j + 1. Each carry is a triangular (nb, nb) matrix of products
+    of edge factors applied to one edge row per block, so a solve is four
+    matrix products and has no loop over rows or blocks. Raises
+    SingularSystemError unless every pivot is positive.
     """
 
     def __init__(self, diag, off):
-        d, e, info = scipy.linalg.lapack.dpttrf(diag, off)
-        if info != 0:
-            raise SingularSystemError(
-                f"pivot {info} is not positive: the matrix is not positive definite")
+        d, e = _ldl_factor(diag, off)
         nb = -(-d.size // _BLOCK)
         self.rows = nb * _BLOCK
         d = np.concatenate((d, np.ones(self.rows - d.size))).reshape(nb, _BLOCK)
@@ -236,12 +263,14 @@ def tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
 
     sub and sup have length n-1; rhs may be (n,) or (n, k) for many
     right-hand sides sharing one matrix, and is never overwritten.
-    A is factored with partial pivoting by ?gttrf and solved by ?gttrs
-    on a copy of rhs; a Fortran-ordered rhs (the transpose of a C-ordered
-    (k, n) stack) is copied without a transpose. Each column is solved
-    independently, so the result does not depend on how the columns are
-    blocked. Raises SingularSystemError on a zero pivot. Many solves with
-    one symmetric positive-definite A are cheaper through BlockedLDL.
+    A is factored with partial pivoting by LAPACK ?gttrf and solved by
+    ?gttrs on a copy of rhs; scipy.linalg.lapack is imported on the first
+    call, so only callers of this function load it. A Fortran-ordered rhs
+    (the transpose of a C-ordered (k, n) stack) is copied without a
+    transpose. Each column is solved independently, so the result does not
+    depend on how the columns are blocked. Raises SingularSystemError on a
+    zero pivot. Many solves with one symmetric positive-definite A are
+    cheaper through BlockedLDL.
     """
     sub, diag, sup, rhs = map(np.asarray, (sub, diag, sup, rhs))
     n = diag.shape[0]
@@ -249,6 +278,8 @@ def tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
         raise ValueError("off-diagonals must have length n - 1")
     if rhs.shape[0] != n:
         raise ValueError("right-hand side length does not match the matrix")
+    import scipy.linalg.lapack
+
     dtype = np.result_type(diag, sub, sup, rhs, float)
     if n < 3:
         # scipy's ?gttrf wrapper rejects n < 3, so these go through a dense solve

@@ -196,6 +196,32 @@ def test_coupling_built_once_per_step():
     assert dirac.l2_norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scalar", ["a0", "a1", "theta_bar", "all"])
+def test_scalar_coefficients_match_sampled_constants_bitwise(scalar):
+    # a scalar coefficient skips the broadcast before the trigonometry; the
+    # bits must match the same constant sampled on the grid
+    grid = Grid1D.periodic(8.0, 80)
+    f = dirac.gaussian_packet(grid, momentum=1.5)
+    values = {"a0": lambda T: 0.1 * np.sin(T) + 0.7, "a1": lambda T: -0.2,
+              "theta_bar": lambda T: 0.3}
+
+    def coeffs(sampled):
+        def field(name):
+            if name in sampled:
+                return lambda T, X: np.full_like(X, values[name](T))
+            return lambda T, X: values[name](T)
+        return dirac.DiracCoefficients(**{name: field(name) for name in values}, mu=0.4)
+
+    everywhere = set(values)
+    mixed = coeffs(set() if scalar == "all" else everywhere - {scalar})
+    out = dirac.solve_dirac(mixed, f, 1.2, grid.spacing)
+    ref = dirac.solve_dirac(coeffs(everywhere), f, 1.2, grid.spacing)
+    assert np.array_equal(out.psi_minus, ref.psi_minus)
+    assert np.array_equal(out.psi_plus, ref.psi_plus)
+    entries = dirac._coupling_matrix(mixed, 0.05, grid.points, 0.05)
+    assert all(e.shape == grid.points.shape for e in entries)
+
+
 def test_step_matches_rolled_matrix_exponential():
     # reference: per-site expm of the half-step coupling, np.roll transport
     from scipy.linalg import expm

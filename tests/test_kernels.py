@@ -6,6 +6,7 @@ from relwalk.errors import SingularSystemError
 from relwalk.kernels import (
     BlockedLDL,
     Grid1D,
+    _ldl_factor,
     count_steps,
     cumquad,
     dft_forward,
@@ -315,7 +316,7 @@ def test_blocked_ldl_matches_dense_solve(n):
     _check_blocked_ldl(diag, sub, rng)
 
 
-def test_blocked_ldl_on_the_front_crank_nicolson_matrix():
+def _front_crank_nicolson():
     # the symmetric-frame P > 0 matrix that roup factors for Q = 1, dt = 1e-3
     p_grid = roup.RoupParams.standard(1.0, 0.5).p_grid
     lower, diag, upper = roup._collision_bands(p_grid, 1.0)
@@ -323,12 +324,39 @@ def test_blocked_ldl_on_the_front_crank_nicolson_matrix():
     mid = 0.5 - 0.5 * a * diag[h:]
     mid[0] -= 0.5 * a * lower[h - 1]
     off = -0.5 * a * np.sqrt(lower[h:] * upper[h:])
-    _check_blocked_ldl(mid, off, np.random.default_rng(7))
+    return mid, off
+
+
+def test_blocked_ldl_on_the_front_crank_nicolson_matrix():
+    _check_blocked_ldl(*_front_crank_nicolson(), np.random.default_rng(7))
 
 
 def test_blocked_ldl_rejects_indefinite_matrices():
     sub, diag, _ = _bands("indefinite", np.random.default_rng(5), 40)
     with pytest.raises(SingularSystemError):
+        BlockedLDL(diag, sub)
+
+
+def test_ldl_factor_matches_dpttrf_bitwise_on_the_front_matrix():
+    dpttrf = pytest.importorskip("scipy.linalg.lapack").dpttrf
+    mid, off = _front_crank_nicolson()
+    d_ref, e_ref, info = dpttrf(mid, off)
+    assert info == 0
+    d, e = _ldl_factor(mid, off)
+    assert np.array_equal(d, d_ref) and np.array_equal(e, e_ref)
+
+
+@pytest.mark.parametrize("row", [0, 1, 7, 39])
+def test_ldl_factor_names_the_first_bad_pivot_like_dpttrf(row):
+    # a zero diagonal entry makes that pivot zero (row 0) or negative
+    dpttrf = pytest.importorskip("scipy.linalg.lapack").dpttrf
+    sub, diag, _ = _bands("spd", np.random.default_rng(row), 40)
+    diag[row] = 0.0
+    info = dpttrf(diag, sub)[2]
+    assert info == row + 1
+    with pytest.raises(SingularSystemError, match=f"pivot {info} "):
+        _ldl_factor(diag, sub)
+    with pytest.raises(SingularSystemError, match=f"pivot {info} "):
         BlockedLDL(diag, sub)
 
 

@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from relwalk import roup  # noqa: E402
-from relwalk.kernels import Grid1D, quad  # noqa: E402
+from relwalk.kernels import Grid1D, _ldl_factor, quad  # noqa: E402
 from relwalk.qwalk import CoinAngles, WalkState, build_coin, step_walk, total_probability  # noqa: E402
 
 # derandomized so the suite stays deterministic; few examples keep it fast
@@ -64,3 +64,19 @@ def test_kinetic_march_keeps_symmetry_mass_and_equilibrium(Q, half_n_p, dt, step
     mass0 = quad(f0, params.p_grid)
     assert abs(quad(state.modes[0], params.p_grid) - mass0) <= 1e-13 * mass0
     assert np.max(np.abs(state.modes[0] - f0)) <= 1e-12 * np.max(f0)
+
+
+@_settings
+@given(_seed, st.integers(2, 300), st.floats(1e-6, 10.0), st.floats(-12.0, 12.0))
+def test_ldl_factor_matches_dpttrf_bitwise(seed, n, margin, log_scale):
+    # diagonally dominant by margin times the band scale, so positive definite
+    dpttrf = pytest.importorskip("scipy.linalg.lapack").dpttrf
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    off = scale * rng.uniform(-1.0, 1.0, size=n - 1)
+    diag = np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0))
+    diag += margin * scale * rng.uniform(0.5, 1.5, size=n)
+    d_ref, e_ref, info = dpttrf(diag, off)
+    assert info == 0
+    d, e = _ldl_factor(diag, off)
+    assert np.array_equal(d, d_ref) and np.array_equal(e, e_ref)

@@ -21,6 +21,14 @@ def test_juttner_normalization_against_adaptive_quadrature():
         assert roup.juttner_normalization(Q) == pytest.approx(1.0 / integral, rel=1e-8)
 
 
+def test_juttner_normalization_matches_the_scaled_bessel_form():
+    # A = 1 / (2 Q exp(Q^2) K1(Q^2)); kve itself is accurate to about 2e-15 here
+    kve = pytest.importorskip("scipy.special").kve
+    for Q in np.geomspace(0.01, 1000.0, 401):
+        exact = 1.0 / (2.0 * Q * kve(1, Q * Q))
+        assert abs(roup.juttner_normalization(Q) / exact - 1.0) <= 2e-15
+
+
 def test_juttner_grid_mass_is_one():
     for Q in (1.0, 8.0):
         params = _small_params(Q=Q)
