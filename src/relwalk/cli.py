@@ -1,12 +1,16 @@
 """Experiment runner: every study as a subcommand with reproducible outputs.
 
-Configuration comes from an INI file (one section per subcommand, flat
-typed keys) with command-line flags taking precedence; each subcommand
-accepts only the flags it reads. Jet angle fields are restricted to a safe
-expression subset: polynomials and sin/cos in T and X. Every run directory
-gets a manifest naming the resolved parameters and the sha256 of the
-resolved inputs, and identical configurations reproduce output files byte
-for byte.
+``OPTIONS`` holds one table per subcommand and is the one source of its
+inputs. Each row names an INI key, its command-line flag (or None), a
+parser that checks the value's type and range, and a default. From the
+table come the subcommand's flags and their ``--help``, its INI section
+(flat keys; unknown sections and keys are rejected) and the parameters
+its manifest records. A flag wins over the INI value, which wins over the
+default. An out-of-range value, and an input the run would not read, is a
+configuration error. Jet angle fields are restricted to a safe expression
+subset: polynomials and sin/cos in T and X. Every run directory gets a
+manifest naming the resolved parameters and the sha256 of the resolved
+inputs, and identical configurations reproduce output files byte for byte.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure,
 4 verification failure. Errors are emitted as one-line JSON on stderr.
@@ -17,7 +21,9 @@ import ast
 import configparser
 import hashlib
 import json
+import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,99 +89,135 @@ def compile_expression(text: str):
     return field
 
 
-# ------------------------------------------------------------- configuration
+# -------------------------------------------------------------- option table
 
-_WALK_KEYS = {"preset", "theta_bar", "xi_bar", "alpha_bar", "zeta_bar", "zeta0", "p",
-              "t_final", "length", "packet_center", "packet_width", "packet_momentum"}
-_SECTION_KEYS = {
-    "walk": _WALK_KEYS | {"epsilon"},
-    "dirac": _WALK_KEYS | {"epsilon"},
-    "converge": _WALK_KEYS | {"eps"},
-    "roup": {"Q", "Qs", "T", "times", "n_x", "n_p", "dt", "refine", "threads"},
-    "metric": {"Q", "times", "n_x", "n_p", "dt", "refine", "threads"},
-    "heuristic": {"Q", "T", "n_xi", "xi_max"},
-    "verify": {"only", "threads"},
+def _parser(what, cast, ok=lambda value: True):
+    """Parser of one flag or INI value: cast the text, then require ok(value)."""
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise ValueError(f"must be {what}")
+        return value
+    parse.what = what
+    return parse
+
+
+_REAL = _parser("a finite number", float, math.isfinite)
+_POSITIVE = _parser("a number > 0", float, lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = _parser("a number >= 0", float, lambda v: 0.0 <= v < math.inf)
+_INTEGER = _parser("an integer", int)
+_COUNT = _parser("an integer >= 1", int, lambda v: v >= 1)
+_POSITIVES = _parser("comma-separated numbers > 0", lambda text: [
+    _POSITIVE(part) for part in text.split(",") if part.strip()], bool)
+# an angle field is checked by compiling it and recorded as its text
+_EXPRESSION = _parser("an expression in T and X",
+                      lambda text: compile_expression(text) and text)
+
+
+class Opt(NamedTuple):
+    """One input of a subcommand; ``name`` is its manifest key if not ``key``."""
+
+    key: str
+    flag: str | None
+    parse: Callable
+    default: object
+    name: str | None = None
+
+
+_ANGLES = ("theta_bar", "xi_bar", "alpha_bar", "zeta_bar")
+_JET_PRESETS = {"zero": qwalk.JetSpec.zero(zeta0=-np.pi / 2.0),
+                "benchmark": qwalk.JetSpec.benchmark()}
+# the jet is a preset or inline angle fields, recorded as the manifest's "jet"
+_PRESET = _parser(f"one of {', '.join(_JET_PRESETS)}", str, _JET_PRESETS.__contains__)
+_JET = (Opt("preset", None, _PRESET, "benchmark"),
+        *(Opt(key, None, _EXPRESSION, "0") for key in _ANGLES),
+        Opt("zeta0", None, _REAL, -np.pi / 2.0),
+        Opt("p", None, _INTEGER, 0))
+_PACKET = (Opt("t_final", "T", _NONNEGATIVE, 1.0),
+           Opt("length", None, _POSITIVE, 16.0),
+           Opt("packet_center", None, _REAL, 0.0),
+           Opt("packet_width", None, _POSITIVE, 1.0),
+           Opt("packet_momentum", None, _REAL, 0.5))
+_KINETIC = (Opt("n_x", None, _INTEGER, 512),  # RoupParams checks both are even, >= 8
+            Opt("n_p", None, _INTEGER, 2048),
+            Opt("refine", None, _COUNT, 4),
+            Opt("threads", "threads", _COUNT, 4),
+            Opt("dt", None, _POSITIVE, None),
+            Opt("Q", "Q", _POSITIVE, 1.0))
+_GROUP = _parser(f"one of {', '.join(verify_mod.GROUPS)}", str,
+                 verify_mod.GROUPS.__contains__)
+
+OPTIONS = {
+    "walk": (Opt("epsilon", "eps", _POSITIVE, 0.05), *_PACKET, *_JET),
+    "dirac": (Opt("epsilon", "eps", _POSITIVE, 0.05), *_PACKET, *_JET),
+    "converge": (Opt("eps", "eps", _POSITIVES, [0.1, 0.05, 0.025], "epsilon"),
+                 *_PACKET, *_JET),
+    # a time sweep at fixed Q, or a Q sweep at fixed T when Qs is given
+    "roup": (*_KINETIC, Opt("times", "times", _POSITIVES, [0.5, 2.0, 10.0]),
+             Opt("T", "T", _POSITIVE, 1.0), Opt("Qs", "Qs", _POSITIVES, None)),
+    "metric": (*_KINETIC, Opt("times", "times", _POSITIVES, [1.0, 4.0, 10.0])),
+    "heuristic": (Opt("Q", "Q", _POSITIVE, 1.0), Opt("T", "T", _POSITIVE, 0.05),
+                  Opt("n_xi", None, _parser("an integer >= 3", int, lambda v: v >= 3), 481),
+                  Opt("xi_max", None, _POSITIVE, 1.2)),
+    "verify": (Opt("only", "only", _GROUP, None), Opt("threads", "threads", _COUNT, 4)),
 }
 
-_JET_PRESETS = {
-    "zero": qwalk.JetSpec.zero(zeta0=-np.pi / 2.0),
-    "benchmark": qwalk.JetSpec(
-        p=0,
-        zeta0=-np.pi / 2.0,
-        theta_bar=lambda T, X: 0.3 * np.cos(X),
-        xi_bar=lambda T, X: 0.2,
-        alpha_bar=lambda T, X: 0.1 * np.sin(T),
-    ),
-}
+
+def _drop(params, given, unread, context):
+    """Remove the inputs a run does not read; giving one is an error."""
+    bad = [key for key in unread if key in given]
+    if bad:
+        raise ConfigError(f"{', '.join(bad)} not read {context}")
+    for key in unread:
+        del params[key]
 
 
-def _load_section(path, command):
-    """Flat key-value section for one command; unknown keys rejected."""
-    if path is None:
-        return {}
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # keys are case-sensitive: Q, Qs, T
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file {path!r} not found or unreadable")
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        extra = set(parser[section]) - _SECTION_KEYS[section]
-        if extra:
-            raise ConfigError(
-                f"unknown keys in [{section}]: {', '.join(sorted(extra))}")
-    if command not in parser:
-        return {}
-    return dict(parser[command])
+def _resolve(args, command):
+    """The inputs of one run as its manifest records them.
 
-
-def _pick(flag_value, section, key, cast, default):
-    if flag_value is not None:
-        return flag_value
-    if key in section:
-        raw = section[key]
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
-    return default
-
-
-def _float_list(text):
-    try:
-        values = [float(part) for part in str(text).split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad number list {text!r}: {exc}") from None
-    if not values:
-        raise ConfigError(f"empty number list {text!r}")
-    return values
-
-
-def _jet_from(section):
-    preset = section.get("preset")
-    inline = {"theta_bar", "xi_bar", "alpha_bar", "zeta_bar"} & set(section)
-    if preset is not None:
-        if inline:
-            raise ConfigError("jet preset and inline angle fields both given")
-        if preset not in _JET_PRESETS:
-            raise ConfigError(
-                f"unknown jet preset {preset!r}; choose from "
-                f"{sorted(_JET_PRESETS)}")
-        return _JET_PRESETS[preset], {"preset": preset}
-    if not inline:
-        return _JET_PRESETS["benchmark"], {"preset": "benchmark"}
-    fields = {}
-    record = {}
-    for key in ("theta_bar", "xi_bar", "alpha_bar", "zeta_bar"):
-        text = section.get(key, "0")
-        record[key] = text
-        fields[key] = compile_expression(text)
-    zeta0 = float(section.get("zeta0", -np.pi / 2.0))
-    p = int(section.get("p", 0))
-    record.update(zeta0=zeta0, p=p)
-    jet = qwalk.JetSpec(p=p, zeta0=zeta0, **fields)
-    return jet, record
+    Each value is the flag's, else the INI file's, else the default. The
+    whole INI file is checked, and the inputs the run does not read are
+    dropped.
+    """
+    section = {}
+    if args.config is not None:
+        ini = configparser.ConfigParser()
+        ini.optionxform = str  # keys are case-sensitive: Q, Qs, T
+        if not ini.read(args.config):
+            raise ConfigError(f"config file {args.config!r} not found or unreadable")
+        for name in ini.sections():
+            if name not in OPTIONS:
+                raise ConfigError(f"unknown config section [{name}]")
+            extra = set(ini[name]) - {opt.key for opt in OPTIONS[name]}
+            if extra:
+                raise ConfigError(f"unknown keys in [{name}]: {', '.join(sorted(extra))}")
+        if ini.has_section(command):
+            section = dict(ini[command])
+    params, given = {}, set()
+    for opt in OPTIONS[command]:
+        flag = getattr(args, opt.flag) if opt.flag else None
+        raw = section.get(opt.key) if flag is None else flag
+        value = opt.default
+        if raw is not None:
+            try:
+                value = opt.parse(raw)
+            except ValueError as exc:
+                where = f"[{command}] {opt.key}" if flag is None else f"--{opt.flag}"
+                raise ConfigError(f"bad value for {where}: {raw!r} ({exc})") from None
+            given.add(opt.key)
+        params[opt.name or opt.key] = value
+    if command == "roup":
+        if "Qs" in given:
+            _drop(params, given, ("Q", "times"), "by a Q sweep (Qs given)")
+        else:
+            _drop(params, given, ("T", "Qs"), "by a time sweep (no Qs given)")
+    elif "preset" in params:  # the walk family
+        if given.intersection(_ANGLES):
+            _drop(params, given, ("preset",), "with inline angle fields")
+        else:
+            _drop(params, given, (*_ANGLES, "zeta0", "p"), "without an inline angle field")
+        params["jet"] = {opt.key: params.pop(opt.key) for opt in _JET if opt.key in params}
+    return params
 
 
 def _config_hash(command, inputs):
@@ -199,27 +241,17 @@ def _write_manifest(out_dir, command, inputs, outputs, results=None):
 
 # ------------------------------------------------------------------ commands
 
-def _walk_setup(args, command):
-    section = _load_section(args.config, command)
-    jet, jet_record = _jet_from(section)
-    if command == "converge":
-        eps = _pick(args.eps and _float_list(args.eps), section, "eps",
-                    _float_list, [0.1, 0.05, 0.025])
-    else:
-        eps = _pick(args.eps and float(args.eps), section, "epsilon", float, 0.05)
-    params = {
-        "jet": jet_record,
-        "epsilon": eps,
-        "t_final": _pick(args.T, section, "t_final", float, 1.0),
-        "length": _pick(None, section, "length", float, 16.0),
-        "packet_center": _pick(None, section, "packet_center", float, 0.0),
-        "packet_width": _pick(None, section, "packet_width", float, 1.0),
-        "packet_momentum": _pick(None, section, "packet_momentum", float, 0.5),
-    }
-    packet = lambda grid: dirac.gaussian_packet(
+def _jet(record):
+    if "preset" in record:
+        return _JET_PRESETS[record["preset"]]
+    return qwalk.JetSpec(p=record["p"], zeta0=record["zeta0"],
+                         **{key: compile_expression(record[key]) for key in _ANGLES})
+
+
+def _packet(params):
+    return lambda grid: dirac.gaussian_packet(
         grid, center=params["packet_center"], width=params["packet_width"],
         momentum=params["packet_momentum"])
-    return jet, packet, params
 
 
 def _grid_for(params, eps):
@@ -231,55 +263,43 @@ def _grid_for(params, eps):
                            params["packet_center"])
 
 
-def _cmd_walk(args):
-    jet, packet, params = _walk_setup(args, "walk")
+def _cmd_walk(params, out):
+    """Walk density after evolving a Gaussian packet."""
     eps = params["epsilon"]
-    initial = packet(_grid_for(params, eps))
-    state = qwalk.run_walk(jet, eps, params["t_final"], initial)
-    ensure_dir(args.out)
-    qwalk.write_walk_csv(state, f"{args.out}/walk_density.csv")
-    _write_manifest(args.out, "walk", params, ["walk_density.csv"])
+    initial = _packet(params)(_grid_for(params, eps))
+    state = qwalk.run_walk(_jet(params["jet"]), eps, params["t_final"], initial)
+    ensure_dir(out)
+    qwalk.write_walk_csv(state, f"{out}/walk_density.csv")
+    _write_manifest(out, "walk", params, ["walk_density.csv"])
     return 0
 
 
-def _cmd_dirac(args):
-    jet, packet, params = _walk_setup(args, "dirac")
+def _cmd_dirac(params, out):
+    """Dirac density, the walk's continuum limit, from the same packet."""
     eps = params["epsilon"]
-    initial = packet(_grid_for(params, eps))
-    coeffs = dirac.DiracCoefficients.from_jet(jet)
+    initial = _packet(params)(_grid_for(params, eps))
+    coeffs = dirac.DiracCoefficients.from_jet(_jet(params["jet"]))
     final = dirac.solve_dirac(coeffs, initial, params["t_final"], eps)
-    ensure_dir(args.out)
-    dirac.write_density_csv(final, f"{args.out}/dirac_density.csv")
-    _write_manifest(args.out, "dirac", params, ["dirac_density.csv"])
+    ensure_dir(out)
+    dirac.write_density_csv(final, f"{out}/dirac_density.csv")
+    _write_manifest(out, "dirac", params, ["dirac_density.csv"])
     return 0
 
 
-def _cmd_converge(args):
-    jet, packet, params = _walk_setup(args, "converge")
-    rows = dirac.convergence_study(jet, packet, params["t_final"],
-                                   params["epsilon"], params["length"],
-                                   params["packet_center"])
-    ensure_dir(args.out)
+def _cmd_converge(params, out):
+    """Walk-versus-Dirac L2 error and order over the lattice scales."""
+    rows = dirac.convergence_study(_jet(params["jet"]), _packet(params),
+                                   params["t_final"], params["epsilon"],
+                                   params["length"], params["packet_center"])
+    ensure_dir(out)
     from ._io import write_csv
-    write_csv(f"{args.out}/convergence.csv",
+    write_csv(f"{out}/convergence.csv",
               ["epsilon", "l2_error", "order"],
               [[r.epsilon for r in rows],
                [r.l2_error for r in rows],
                [np.nan if r.order is None else r.order for r in rows]])
-    _write_manifest(args.out, "converge", params, ["convergence.csv"])
+    _write_manifest(out, "converge", params, ["convergence.csv"])
     return 0
-
-
-def _roup_params(args, command):
-    section = _load_section(args.config, command)
-    params = {
-        "n_x": _pick(None, section, "n_x", int, 512),
-        "n_p": _pick(None, section, "n_p", int, 2048),
-        "refine": _pick(None, section, "refine", int, 4),
-        "threads": _pick(args.threads, section, "threads", int, 4),
-        "dt": _pick(None, section, "dt", float, None),
-    }
-    return section, params
 
 
 def _run_profile(Q, t, opts):
@@ -289,92 +309,65 @@ def _run_profile(Q, t, opts):
     return roup.reconstruct_density(state, refine=opts["refine"]), dt
 
 
-def _cmd_roup(args):
-    section, opts = _roup_params(args, "roup")
-    qs = _pick(args.Qs and _float_list(args.Qs), section, "Qs", _float_list, None)
-    times = _pick(args.times and _float_list(args.times), section, "times",
-                  _float_list, None)
-    if qs is not None and times is not None:
-        raise ConfigError("give either a time sweep or a Q sweep, not both")
-    ensure_dir(args.out)
-    outputs = []
-    resolved = dict(opts)
-    dts = {}
-    if qs is not None:
-        t = _pick(args.T, section, "T", float, 1.0)
-        resolved.update(T=t, Qs=qs)
-        for q in qs:
-            profile, dts[f"Q={q:g}"] = _run_profile(q, t, opts)
-            name = f"nu_profile_Q{q:g}.csv"
-            roup.write_profile_csv(profile, f"{args.out}/{name}")
-            outputs.append(name)
+def _cmd_roup(params, out):
+    """Kinetic density profiles: times at fixed Q, or a Q sweep (Qs) at fixed T."""
+    if "Qs" in params:
+        runs = [("Q", q, q, params["T"]) for q in params["Qs"]]
     else:
-        q = _pick(args.Q, section, "Q", float, 1.0)
-        times = times if times is not None else [0.5, 2.0, 10.0]
-        resolved.update(Q=q, times=times)
-        for t in times:
-            profile, dts[f"T={t:g}"] = _run_profile(q, t, opts)
-            name = f"nu_profile_T{t:g}.csv"
-            roup.write_profile_csv(profile, f"{args.out}/{name}")
-            outputs.append(name)
-    _write_manifest(args.out, "roup", resolved, outputs, {"dt_used": dts})
+        runs = [("T", t, params["Q"], t) for t in params["times"]]
+    ensure_dir(out)
+    outputs = []
+    dts = {}
+    for axis, value, q, t in runs:
+        profile, dts[f"{axis}={value:g}"] = _run_profile(q, t, params)
+        outputs.append(f"nu_profile_{axis}{value:g}.csv")
+        roup.write_profile_csv(profile, f"{out}/{outputs[-1]}")
+    _write_manifest(out, "roup", params, outputs, {"dt_used": dts})
     return 0
 
 
-def _cmd_metric(args):
-    section, opts = _roup_params(args, "metric")
-    q = _pick(args.Q, section, "Q", float, 1.0)
-    times = _pick(args.times and _float_list(args.times), section, "times",
-                  _float_list, [1.0, 4.0, 10.0])
-    ensure_dir(args.out)
+def _cmd_metric(params, out):
+    """Diffusion metric, generalized Fick residual and simple-Fick rejection."""
+    ensure_dir(out)
     outputs = []
     residuals = {}
     dts = {}
-    for t in times:
-        profile, dts[f"T={t:g}"] = _run_profile(q, t, opts)
+    for t in params["times"]:
+        profile, dts[f"T={t:g}"] = _run_profile(params["Q"], t, params)
         metric = fick.metric_from_density(profile)
         name = f"metric_T{t:g}.csv"
-        fick.write_metric_csv(metric, f"{args.out}/{name}")
+        fick.write_metric_csv(metric, f"{out}/{name}")
         outputs.append(name)
         rejection = fick.simple_fick_rejection(profile)
         rname = f"fick_rejection_T{t:g}.json"
-        fick.write_rejection_report(rejection, f"{args.out}/{rname}")
+        fick.write_rejection_report(rejection, f"{out}/{rname}")
         outputs.append(rname)
         residuals[f"T={t:g}"] = fick.generalized_fick_residual(profile, metric)
-    _write_manifest(args.out, "metric", dict(opts, Q=q, times=times), outputs,
+    _write_manifest(out, "metric", params, outputs,
                     {"dt_used": dts, "fick_residuals": residuals})
     return 0
 
 
-def _cmd_heuristic(args):
-    section = _load_section(args.config, "heuristic")
-    q = _pick(args.Q, section, "Q", float, 1.0)
-    t = _pick(args.T, section, "T", float, 0.05)
-    n_xi = _pick(None, section, "n_xi", int, 481)
-    xi_max = _pick(None, section, "xi_max", float, 1.2)
-    if q <= 0.0 or t <= 0.0 or n_xi < 3 or xi_max <= 0.0:
-        raise ConfigError("heuristic needs Q > 0, T > 0, n_xi >= 3, xi_max > 0")
-    xi = np.linspace(-xi_max, xi_max, n_xi)
-    ensure_dir(args.out)
-    fick.write_heuristic_csv(t, q, xi, f"{args.out}/heuristic.csv")
+def _cmd_heuristic(params, out):
+    """Closed-form short-time heuristic profile."""
+    q, t = params["Q"], params["T"]
+    xi = np.linspace(-params["xi_max"], params["xi_max"], params["n_xi"])
+    ensure_dir(out)
+    fick.write_heuristic_csv(t, q, xi, f"{out}/heuristic.csv")
     try:
         peak = fick.heuristic_peak(q)
     except ConfigError:
         peak = None  # monotone regime, no interior maximum
-    resolved = {"Q": q, "T": t, "n_xi": n_xi, "xi_max": xi_max}
-    _write_manifest(args.out, "heuristic", resolved, ["heuristic.csv"],
-                    {"peak": peak})
+    _write_manifest(out, "heuristic", params, ["heuristic.csv"], {"peak": peak})
     return 0
 
 
-def _cmd_verify(args):
-    section = _load_section(args.config, "verify")
-    only = _pick(args.only, section, "only", str, None)
-    threads = _pick(args.threads, section, "threads", int, 4)
-    results = verify_mod.run_all(only=only, threads=threads)
+def _cmd_verify(params, out):
+    """Acceptance criteria, all or one group (only); exit 4 if any fails."""
+    results = verify_mod.run_all(only=params["only"], threads=params["threads"])
     for result in results:
         print(result.line())
-    ensure_dir(args.out)
+    ensure_dir(out)
     payload = {
         "all_passed": all(r.passed for r in results),
         "criteria": [
@@ -383,33 +376,14 @@ def _cmd_verify(args):
             for r in results
         ],
     }
-    write_json(f"{args.out}/verify_report.json", payload)
-    resolved = {"only": only, "threads": threads}
-    _write_manifest(args.out, "verify", resolved, ["verify_report.json"])
+    write_json(f"{out}/verify_report.json", payload)
+    _write_manifest(out, "verify", params, ["verify_report.json"])
     return 0 if payload["all_passed"] else 4
 
 
-# each subcommand with the flags it reads besides --config and --out
-_COMMANDS = {
-    "walk": (_cmd_walk, ("T", "eps")),
-    "dirac": (_cmd_dirac, ("T", "eps")),
-    "converge": (_cmd_converge, ("T", "eps")),
-    "roup": (_cmd_roup, ("threads", "Q", "T", "times", "Qs")),
-    "metric": (_cmd_metric, ("threads", "Q", "times")),
-    "heuristic": (_cmd_heuristic, ("Q", "T")),
-    "verify": (_cmd_verify, ("threads", "only")),
-}
-
-_FLAGS = {
-    "threads": dict(type=int),
-    "Q": dict(type=float),
-    "T": dict(type=float),
-    "times": dict(help="comma-separated times"),
-    "Qs": dict(help="comma-separated Q values"),
-    "eps": dict(help="lattice scale (comma-separated list for converge)"),
-    "only": dict(choices=list(verify_mod.GROUPS),
-                 help="run a single criterion group"),
-}
+_COMMANDS = {"walk": _cmd_walk, "dirac": _cmd_dirac, "converge": _cmd_converge,
+             "roup": _cmd_roup, "metric": _cmd_metric, "heuristic": _cmd_heuristic,
+             "verify": _cmd_verify}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -419,24 +393,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _shown(default):
+    if isinstance(default, list):
+        return ",".join(map(str, default))
+    return "unset" if default is None else default
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="relwalk",
                      description="walk, transport, and metric experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in _COMMANDS.items():
-        p = sub.add_parser(name)
+    for name, options in OPTIONS.items():
+        doc = _COMMANDS[name].__doc__
+        p = sub.add_parser(name, help=doc, description=doc)
         p.add_argument("--config", default=None, help="INI configuration file")
         p.add_argument("--out", default=f"out_{name}", help="output directory")
-        for flag in flags:
-            p.add_argument(f"--{flag}", default=None, **_FLAGS[flag])
+        for opt in options:
+            if opt.flag:
+                p.add_argument(f"--{opt.flag}", help=f"{opt.parse.what}; INI key "
+                               f"{opt.key}, default {_shown(opt.default)}")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        return _COMMANDS[args.command](_resolve(args, args.command), args.out)
     except ConfigError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

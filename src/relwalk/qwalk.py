@@ -98,6 +98,13 @@ class JetSpec:
     def zero(cls, p: int = 0, zeta0: float = 0.0) -> "JetSpec":
         return cls(p=p, zeta0=zeta0)
 
+    @classmethod
+    def benchmark(cls) -> "JetSpec":
+        """Jet of the convergence studies: p = 0, zeta0 = -pi/2, theta_bar =
+        0.3 cos X, xi_bar = 0.2, alpha_bar = 0.1 sin T, zeta_bar = 0."""
+        return cls(p=0, zeta0=-np.pi / 2.0, theta_bar=lambda T, X: 0.3 * np.cos(X),
+                   xi_bar=lambda T, X: 0.2, alpha_bar=lambda T, X: 0.1 * np.sin(T))
+
 
 def constant_field(value: float) -> Callable:
     return lambda T, X: value

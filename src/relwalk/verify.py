@@ -75,13 +75,7 @@ def _crit_walk_probability(ctx):
 
 
 def _crit_continuum_convergence(ctx):
-    jet = qwalk.JetSpec(
-        p=0,
-        zeta0=-np.pi / 2.0,
-        theta_bar=lambda T, X: 0.3 * np.cos(X),
-        xi_bar=lambda T, X: 0.2,
-        alpha_bar=lambda T, X: 0.1 * np.sin(T),
-    )
+    jet = qwalk.JetSpec.benchmark()
     packet = lambda grid: dirac.gaussian_packet(grid, width=1.0, momentum=0.5)
     rows = dirac.convergence_study(jet, packet, 1.0, [0.1, 0.05, 0.025], 16.0)
     orders = [r.order for r in rows if r.order is not None]

@@ -1,5 +1,6 @@
 """Command-line interface: config handling, exit codes, reproducibility."""
 
+import argparse
 import json
 
 import numpy as np
@@ -117,6 +118,102 @@ def test_heuristic_rejects_nonpositive(tmp_path):
     assert cli.main(["heuristic", "--T", "0", "--out", str(tmp_path / "o")]) == 2
 
 
+def _error_name(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "--eps", "0"],
+    ["converge", "--eps", "0.1,0"],
+    ["roup", "--Q", "0", "--times", "0.5"],
+    ["metric", "--Q", "0"],
+    ["heuristic", "--Q", "nan"],
+    ["heuristic", "--Q", "inf"],
+], ids=" ".join)
+def test_out_of_range_number_exits_2(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert _error_name(capsys) == "ConfigError"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section, text", [
+    ("walk", "length = -16\n"),
+    ("walk", "t_final = -1\n"),
+    ("dirac", "packet_width = 0\n"),
+    ("dirac", "packet_momentum = nan\n"),
+    ("converge", "eps = 0.1,,-0.05\n"),
+    ("roup", "dt = 0\n"),
+    ("roup", "refine = 0\n"),
+    ("metric", "times = 1,inf\n"),
+    ("heuristic", "n_xi = 2\n"),
+    ("heuristic", "xi_max = 0\n"),
+    ("verify", "only = bogus\n"),
+])
+def test_out_of_range_ini_value_exits_2(tmp_path, capsys, section, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{text}")
+    code = cli.main([section, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert _error_name(capsys) == "ConfigError"
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["roup", "--T", "4", "--times", "0.5"], None),
+    (["roup", "--times", "0.5"], "[roup]\nT = 4\n"),
+    (["roup", "--Q", "3", "--Qs", "1", "--T", "0.5"], None),
+    (["roup", "--Qs", "1"], "[roup]\ntimes = 0.5\n"),
+    (["walk"], "[walk]\nzeta0 = 1.0\n"),
+    (["converge"], "[converge]\npreset = zero\np = 1\n"),
+], ids=["T-in-time-sweep", "ini-T-in-time-sweep", "Q-in-Q-sweep", "times-in-Q-sweep",
+        "zeta0-without-angle-field", "p-with-preset"])
+def test_inputs_a_run_would_ignore_exit_2(tmp_path, capsys, argv, ini):
+    if ini is not None:
+        cfg = tmp_path / "unread.ini"
+        cfg.write_text(ini)
+        argv = argv + ["--config", str(cfg)]
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert _error_name(capsys) == "ConfigError"
+    assert not (tmp_path / "o").exists()
+
+
+# the flags and INI keys each subcommand accepted before the option table
+_WALK_INI = {"preset", "theta_bar", "xi_bar", "alpha_bar", "zeta_bar", "zeta0", "p",
+             "t_final", "length", "packet_center", "packet_width", "packet_momentum"}
+_ACCEPTED = {
+    "walk": ({"T", "eps"}, _WALK_INI | {"epsilon"}),
+    "dirac": ({"T", "eps"}, _WALK_INI | {"epsilon"}),
+    "converge": ({"T", "eps"}, _WALK_INI | {"eps"}),
+    "roup": ({"threads", "Q", "T", "times", "Qs"},
+             {"Q", "Qs", "T", "times", "n_x", "n_p", "dt", "refine", "threads"}),
+    "metric": ({"threads", "Q", "times"},
+               {"Q", "times", "n_x", "n_p", "dt", "refine", "threads"}),
+    "heuristic": ({"Q", "T"}, {"Q", "T", "n_xi", "xi_max"}),
+    "verify": ({"threads", "only"}, {"only", "threads"}),
+}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_option_table_is_the_only_source_of_flags_and_keys():
+    subparsers = _subparsers()
+    assert set(subparsers) == set(cli.OPTIONS) == set(_ACCEPTED)
+    for command, options in cli.OPTIONS.items():
+        flags = {opt.flag for opt in options if opt.flag}
+        parsed = {a.dest for a in subparsers[command]._actions} - {"help", "config", "out"}
+        assert parsed == flags
+        assert (flags, {opt.key for opt in options}) == _ACCEPTED[command]
+        # --help names each flag's INI key and default
+        help_text = {a.dest: a.help for a in subparsers[command]._actions}
+        for opt in options:
+            if opt.flag:
+                assert f"INI key {opt.key}, default " in help_text[opt.flag]
+
+
 # -------------------------------------------------------------- walk family
 
 def test_walk_writes_csv_and_manifest(tmp_path):
@@ -184,9 +281,12 @@ def test_dirac_density_csv(tmp_path):
 
 # ------------------------------------------------------------ kinetic family
 
+_SMALL_GRID = "n_x = 128\nn_p = 512\nrefine = 2\nthreads = 1\n"
+
+
 def _small_cfg(tmp_path, section):
     cfg = tmp_path / "small.ini"
-    cfg.write_text(f"[{section}]\nn_x = 128\nn_p = 512\nrefine = 2\nthreads = 1\n")
+    cfg.write_text(f"[{section}]\n{_SMALL_GRID}")
     return cfg
 
 
@@ -285,10 +385,6 @@ def test_numerical_failure_exits_3(tmp_path):
     assert code == 3
 
 
-def _error_name(capsys):
-    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
-
-
 def test_value_error_in_the_inputs_exits_2(tmp_path, capsys):
     cfg = tmp_path / "steps.ini"
     cfg.write_text("[roup]\nn_x = 64\nn_p = 256\nrefine = 1\nthreads = 1\n"
@@ -340,3 +436,56 @@ def test_verify_group_report(tmp_path):
     numbers = [c["number"] for c in report["criteria"]]
     assert numbers == [1, 2, 3]
     assert all(c["passed"] for c in report["criteria"])
+
+
+# ------------------------------------------------------------ golden manifests
+
+# config_sha256 and parameter keys written before the option table
+_GOLDEN = {
+    "heuristic": (
+        ["heuristic", "--Q", "1"], None,
+        "739af3d92259fd820af5490e36e94b83d086892470dcd22f7c3dde9f8f95ea95",
+        ["Q", "T", "n_xi", "peak", "xi_max"]),
+    "walk": (
+        ["walk", "--eps", "0.1", "--T", "0.5"], None,
+        "9481da0d152df11a5e992cd12dcd2b09f98ea6f5d0c810940d1bbd739ae7b473",
+        ["epsilon", "jet", "length", "packet_center", "packet_momentum",
+         "packet_width", "t_final"]),
+    "walk-inline-jet": (
+        ["walk"], "[walk]\ntheta_bar = 0.3*cos(X)\nalpha_bar = 0.1*sin(T)\n"
+        "xi_bar = 0.2\nepsilon = 0.1\nt_final = 0.5\nzeta0 = 1.0\np = 1\n",
+        "0797900e3deb64b9cc7615c4b7c88d7b84babce84f87dd7f4dc97bc91f9738e3",
+        ["epsilon", "jet", "length", "packet_center", "packet_momentum",
+         "packet_width", "t_final"]),
+    "converge": (
+        ["converge", "--eps", "0.1,0.05", "--T", "0.5"], None,
+        "27e38216a35c421854c2c3ef7a3bb2391a8a06c7fd36660c0430cb4334fa8e05",
+        ["epsilon", "jet", "length", "packet_center", "packet_momentum",
+         "packet_width", "t_final"]),
+    "roup-time-sweep": (
+        ["roup", "--Q", "1", "--times", "0.25,0.5"], f"[roup]\n{_SMALL_GRID}",
+        "7433a7a6ef9ece785f72ffafe1f1fb535acd091af98a9cc07025a9f0fb0a4e50",
+        ["Q", "dt", "dt_used", "n_p", "n_x", "refine", "threads", "times"]),
+    "roup-Q-sweep": (
+        ["roup", "--T", "0.5", "--Qs", "1,2"], f"[roup]\n{_SMALL_GRID}",
+        "86cf833c3aebd162ef51e42fd7011152cb5a2549a13ae5acc5d64882c7937d90",
+        ["Qs", "T", "dt", "dt_used", "n_p", "n_x", "refine", "threads"]),
+    "metric": (
+        ["metric", "--Q", "1", "--times", "1"], f"[metric]\n{_SMALL_GRID}",
+        "13a87ca963a0bdbac1450317c5baf010f0cac4df8615b210d15a723a9aac28c5",
+        ["Q", "dt", "dt_used", "fick_residuals", "n_p", "n_x", "refine",
+         "threads", "times"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN))
+def test_manifest_matches_golden(tmp_path, case):
+    argv, ini, digest, keys = _GOLDEN[case]
+    if ini is not None:
+        (tmp_path / "golden.ini").write_text(ini)
+        argv = argv + ["--config", str(tmp_path / "golden.ini")]
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_sha256"] == digest
+    assert sorted(manifest["parameters"]) == keys
