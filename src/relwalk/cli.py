@@ -31,7 +31,7 @@ from . import __version__, dirac, fick, qwalk, roup
 from . import verify as verify_mod
 from ._io import ensure_dir, write_json
 from .errors import ConfigError, NumericalError
-from .kernels import Grid1D
+from .kernels import count_steps
 
 
 # ---------------------------------------------------------------- expressions
@@ -217,6 +217,9 @@ def _resolve(args, command):
         else:
             _drop(params, given, (*_ANGLES, "zeta0", "p"), "without an inline angle field")
         params["jet"] = {opt.key: params.pop(opt.key) for opt in _JET if opt.key in params}
+    if params.get("dt") is not None:  # every output time on the dt grid, before any march
+        for t in params.get("times") or [params["T"]]:
+            count_steps(t, params["dt"])
     return params
 
 
@@ -254,19 +257,10 @@ def _packet(params):
         momentum=params["packet_momentum"])
 
 
-def _grid_for(params, eps):
-    count = params["length"] / eps
-    if abs(count - round(count)) > 1e-9:
-        raise ConfigError(
-            f"length {params['length']} is not a multiple of epsilon {eps}")
-    return Grid1D.periodic(params["length"], int(round(count)),
-                           params["packet_center"])
-
-
 def _cmd_walk(params, out):
     """Walk density after evolving a Gaussian packet."""
     eps = params["epsilon"]
-    initial = _packet(params)(_grid_for(params, eps))
+    initial = _packet(params)(dirac.lattice(params["length"], eps, params["packet_center"]))
     state = qwalk.run_walk(_jet(params["jet"]), eps, params["t_final"], initial)
     ensure_dir(out)
     qwalk.write_walk_csv(state, f"{out}/walk_density.csv")
@@ -277,7 +271,7 @@ def _cmd_walk(params, out):
 def _cmd_dirac(params, out):
     """Dirac density, the walk's continuum limit, from the same packet."""
     eps = params["epsilon"]
-    initial = _packet(params)(_grid_for(params, eps))
+    initial = _packet(params)(dirac.lattice(params["length"], eps, params["packet_center"]))
     coeffs = dirac.DiracCoefficients.from_jet(_jet(params["jet"]))
     final = dirac.solve_dirac(coeffs, initial, params["t_final"], eps)
     ensure_dir(out)
@@ -338,9 +332,8 @@ def _cmd_metric(params, out):
         name = f"metric_T{t:g}.csv"
         fick.write_metric_csv(metric, f"{out}/{name}")
         outputs.append(name)
-        rejection = fick.simple_fick_rejection(profile)
         rname = f"fick_rejection_T{t:g}.json"
-        fick.write_rejection_report(rejection, f"{out}/{rname}")
+        write_json(f"{out}/{rname}", fick.simple_fick_rejection(profile))
         outputs.append(rname)
         residuals[f"T={t:g}"] = fick.generalized_fick_residual(profile, metric)
     _write_manifest(out, "metric", params, outputs,
@@ -388,9 +381,7 @@ _COMMANDS = {"walk": _cmd_walk, "dirac": _cmd_dirac, "converge": _cmd_converge,
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        json.dump({"error": "ConfigError", "message": message}, sys.stderr)
-        sys.stderr.write("\n")
-        raise SystemExit(2)
+        raise ConfigError(message)
 
 
 def _shown(default):
@@ -416,22 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](_resolve(args, args.command), args.out)
-    except ConfigError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
+    except (ConfigError, NumericalError, ValueError) as exc:
+        # every library ValueError the CLI reaches is bad input (ring, steps, grid, times)
+        known = isinstance(exc, (ConfigError, NumericalError))
+        json.dump({"error": type(exc).__name__ if known else "ConfigError",
+                   "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except NumericalError as exc:
-        # before ValueError: some numerical failures are ValueErrors too
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
-    except ValueError as exc:
-        json.dump({"error": "ConfigError", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ __all__ = [
     "gaussian_packet",
     "l2_distance",
     "l2_norm",
+    "lattice",
     "mass_matrix",
     "measure_dispersion",
     "solve_dirac",
@@ -66,19 +67,22 @@ def l2_distance(a: SpinorField, b: SpinorField) -> float:
 
 
 def gaussian_packet(grid: Grid1D, center: float = 0.0, width: float = 1.0,
-                    momentum: float = 0.0, weights=(1.0, 1.0),
-                    normalize: bool = True) -> SpinorField:
-    """Smooth wave packet, equal rails by default, unit L2 norm."""
+                    momentum: float = 0.0) -> SpinorField:
+    """Smooth wave packet on equal rails, unit L2 norm."""
     x = grid.points
     env = np.exp(-((x - center) ** 2) / (2.0 * width**2)) * np.exp(1j * momentum * x)
-    field = SpinorField(weights[0] * env, weights[1] * env, grid, 0.0)
-    if normalize:
-        n = l2_norm(field)
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero packet")
-        field.psi_minus = field.psi_minus / n
-        field.psi_plus = field.psi_plus / n
-    return field
+    n = l2_norm(SpinorField(env, env, grid))
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero packet")
+    return SpinorField(env / n, env / n, grid, 0.0)
+
+
+def lattice(length: float, eps: float, center: float = 0.0) -> Grid1D:
+    """Periodic ring of spacing eps; ValueError unless length is a whole number of steps."""
+    count = length / eps
+    if abs(count - round(count)) > 1e-9:
+        raise ValueError(f"length {length} is not a multiple of epsilon {eps}")
+    return Grid1D.periodic(length, int(round(count)), center)
 
 
 def walk_to_field(state: qwalk.WalkState) -> SpinorField:
@@ -188,13 +192,13 @@ def solve_dirac(coeffs: DiracCoefficients, initial: SpinorField, t_final: float,
     return SpinorField(psi_minus, psi_plus, grid, t)
 
 
-def measure_dispersion(k: float, mass: float, zeta0: float = -np.pi / 2.0,
-                       dt_target: float = 1e-3, t_final: float = 0.5) -> float:
+def measure_dispersion(k: float, mass: float, dt_target: float = 1e-3,
+                       t_final: float = 0.5) -> float:
     """Measured phase frequency of the plane-wave branch with wavenumber k.
 
-    Launches the positive-frequency eigen-spinor exp(ikX) on a 2*pi ring and
-    accumulates the per-step Rayleigh phase of the evolving state. The
-    period constraint fixes dt to (2*pi)/round(2*pi/dt_target).
+    Launches the positive-frequency eigen-spinor exp(ikX) on a 2*pi ring
+    (zeta0 = -pi/2) and accumulates the per-step Rayleigh phase of the
+    evolving state. The period constraint fixes dt to (2*pi)/round(2*pi/dt_target).
     """
     length = 2.0 * np.pi
     count = int(round(length / dt_target))
@@ -209,7 +213,7 @@ def measure_dispersion(k: float, mass: float, zeta0: float = -np.pi / 2.0,
         a0=lambda T, X: 0.0,
         a1=lambda T, X: 0.0,
         theta_bar=lambda T, X: mass,
-        mu=np.pi / 2.0 + zeta0,
+        mu=0.0,
     )
     prev = {"m": initial.psi_minus.copy(), "p": initial.psi_plus.copy()}
     phases = []
@@ -245,11 +249,7 @@ def convergence_study(jet: qwalk.JetSpec, packet: Callable, t_final: float,
     rows = []
     prev = None
     for eps in eps_list:
-        count = length / eps
-        if abs(count - round(count)) > 1e-9:
-            raise ValueError(f"domain length {length} is not a multiple of {eps}")
-        grid = Grid1D.periodic(length, int(round(count)), center)
-        initial = packet(grid)
+        initial = packet(lattice(length, eps, center))
         walked = walk_to_field(qwalk.run_walk(jet, eps, t_final, initial))
         reference = solve_dirac(DiracCoefficients.from_jet(jet), initial, t_final, eps)
         err = l2_distance(walked, reference)

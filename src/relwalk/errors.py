@@ -33,7 +33,7 @@ class SignConventionError(NumericalError):
     """Cumulative flux integral went negative where the density is resolved."""
 
 
-class DegenerateMetricError(NumericalError, ValueError):
+class DegenerateMetricError(NumericalError):
     """A profile leaves no region where the diffusion metric is defined."""
 
 

@@ -190,17 +190,17 @@ def galilean_ou_chi(t):
     return float(chi) if chi.ndim == 0 else chi
 
 
-def galilean_ou_profile(t, n_x: int = 512, half_width: float = 8.0) -> DensityProfile:
+def galilean_ou_profile(t, n_x: int = 512) -> DensityProfile:
     """Gaussian reference profile of the infinite-Q process.
 
-    half_width counts standard deviations of the Gaussian on each side;
-    the default keeps the boundary density below 1e-13 of the peak.
+    The ring spans 8 standard deviations of the Gaussian on each side,
+    which keeps the boundary density below 1e-13 of the peak.
     """
     if t <= 0.0:
         raise ValueError("reference profile needs t > 0")
     s = galilean_ou_variance(t)
     sd = np.sqrt(s)
-    grid = kernels.Grid1D.periodic(2.0 * half_width * sd, n_x)
+    grid = kernels.Grid1D.periodic(16.0 * sd, n_x)
     x = grid.points
     density = np.exp(-x * x / (2.0 * s)) / np.sqrt(2.0 * np.pi * s)
     # J = -chi dN/dX
@@ -208,11 +208,11 @@ def galilean_ou_profile(t, n_x: int = 512, half_width: float = 8.0) -> DensityPr
     return DensityProfile(grid, float(t), np.inf, density, current)
 
 
-def simple_fick_rejection(profile: DensityProfile, flux_ratio: float = FLUX_RATIO):
+def simple_fick_rejection(profile: DensityProfile):
     """Probe J = -D dN/dX at the density maxima.
 
     Any finite D forces J to vanish where N has an interior extremum, so a
-    flux above flux_ratio of max |J| at a maximum rules the simple law out.
+    flux above FLUX_RATIO of max |J| at a maximum rules the simple law out.
     Returns a JSON-ready report listing each prominent maximum.
     """
     n = np.asarray(profile.density, dtype=float)
@@ -234,12 +234,12 @@ def simple_fick_rejection(profile: DensityProfile, flux_ratio: float = FLUX_RATI
                 "abs_J_over_max": ratio,
             }
         )
-        if ratio > flux_ratio:
+        if ratio > FLUX_RATIO:
             rejected = True
     return {
         "time": profile.time,
         "Q": profile.Q if np.isfinite(profile.Q) else "inf",
-        "flux_ratio_threshold": flux_ratio,
+        "flux_ratio_threshold": FLUX_RATIO,
         "max_abs_J": max_abs_j,
         "peaks": entries,
         "simple_fick_rejected": rejected,
@@ -264,7 +264,3 @@ def write_heuristic_csv(t, Q, xi, path) -> None:
     values = heuristic_density(t, xi * Q * t, Q)
     _io.write_csv(path, ["T", "xi", "N_heuristic"],
                   [np.full(xi.size, float(t)), xi, values])
-
-
-def write_rejection_report(report, path) -> None:
-    _io.write_json(path, report)

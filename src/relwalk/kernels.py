@@ -93,22 +93,16 @@ def _check_length(values: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 
 def quad(values, grid: Grid1D):
-    """Integrate sampled data over the grid.
+    """Integrate sampled data over the grid with the trapezoid rule.
 
-    Composite Simpson when the point count is odd, trapezoid otherwise.
+    Its weights h/2, h, ..., h, h/2 are the cell volumes of the kinetic
+    solver's finite-volume momentum grid, which keeps its mass exact.
     Works on the last axis, so stacked integrands are fine.
     """
     values = _check_length(values, grid)
     h = grid.spacing
-    n = grid.count
-    if n % 2 == 1:
-        w = np.full(n, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        w *= h / 3.0
-    else:
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2.0
+    w = np.full(grid.count, h)
+    w[0] = w[-1] = h / 2.0
     return np.sum(values * w, axis=-1)
 
 

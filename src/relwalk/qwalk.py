@@ -27,7 +27,6 @@ __all__ = [
     "JetSpec",
     "WalkState",
     "build_coin",
-    "constant_field",
     "random_smooth_angle_field",
     "realize_jet",
     "run_walk",
@@ -104,10 +103,6 @@ class JetSpec:
         0.3 cos X, xi_bar = 0.2, alpha_bar = 0.1 sin T, zeta_bar = 0."""
         return cls(p=0, zeta0=-np.pi / 2.0, theta_bar=lambda T, X: 0.3 * np.cos(X),
                    xi_bar=lambda T, X: 0.2, alpha_bar=lambda T, X: 0.1 * np.sin(T))
-
-
-def constant_field(value: float) -> Callable:
-    return lambda T, X: value
 
 
 def realize_jet(jet: JetSpec, epsilon: float) -> Callable:
@@ -214,27 +209,29 @@ def run_walk(jet: JetSpec, epsilon: float, t_final: float, initial) -> WalkState
     return state
 
 
-def random_smooth_angle_field(seed: int, n_sites: int, amplitude: float = 0.4,
-                              n_modes: int = 3) -> Callable:
-    """Benchmark field: a few random Fourier modes, smooth on the ring.
+def random_smooth_angle_field(seed: int, n_sites: int) -> Callable:
+    """Benchmark field: three random Fourier modes, smooth on the ring.
 
     Each angle is a trigonometric polynomial in the site index (periodic in
     n_sites) with a slow drift in the step index, so consecutive coins vary
     smoothly everywhere:
 
-        angle_r(j, m) = sum_k c_rk sin(s_rk m + phi_rk + tau_rk j).
+        angle_r(j, m) = sum_k c_rk sin(s_rk m + phi_rk + tau_rk j),
+
+    with s_rk 1 to 3 turns over the ring and c_rk of deviation 0.4 / sqrt(3).
 
     The sum is evaluated by angle addition,
     sin(s m + phi + tau j) = sin(s m + phi) cos(tau j) + cos(s m + phi) sin(tau j),
     so a step costs a few scalar trig calls and one matmul against the
-    (4, 2*n_modes, n_sites) sin/cos basis in m. The basis is cached for the
+    (4, 6, n_sites) sin/cos basis in m. The basis is cached for the
     last m seen and rebuilt when m changes; scalar m works too. Values agree
     with the direct sum to rounding, not bitwise.
     """
     rng = np.random.default_rng(seed)
+    n_modes = 3
     spatial = 2.0 * np.pi * rng.integers(1, n_modes + 1, size=(4, n_modes)) / n_sites
     temporal = rng.uniform(0.0, 0.02, size=(4, n_modes))
-    coeff = amplitude * rng.normal(size=(4, n_modes)) / np.sqrt(n_modes)
+    coeff = 0.4 * rng.normal(size=(4, n_modes)) / np.sqrt(n_modes)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(4, n_modes))
     coeff2 = np.concatenate((coeff, coeff), axis=1)  # weights of the sin and the cos half
     cache = (None, None)  # (m, basis) for the last m seen

@@ -47,7 +47,8 @@ marcher the module needs numpy alone.
 
 Initial data throughout is a spatial delta times the Juttner equilibrium,
 so the reconstructed density is the transition-density profile whose front
-and metric the companion module :mod:`relwalk.fick` analyzes.
+and metric the companion module :mod:`relwalk.fick` analyzes; its density
+and current come back from the K >= 0 modes through one np.fft.hfft.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import numpy as np
 
 from . import _io
 from .errors import StepSizeError, SymmetryError, TailTruncationError
-from .kernels import BlockedLDL, Grid1D, count_steps, dft_inverse, quad
+from .kernels import BlockedLDL, Grid1D, count_steps, quad
 # not called here: perfbench/tracing.py swaps this binding to time the solve,
 # so it stays until the tracer counts steps inside the marcher
 from .kernels import tridiag_solve  # noqa: F401
@@ -103,6 +104,9 @@ _CHUNK_CELLS = 16384
 
 # trapezoid nodes of the rapidity integral in juttner_normalization
 _RAPIDITY_NODES = 257
+
+# equilibrium exponent at the momentum cutoff of RoupParams.standard
+_TAIL = 32.0
 
 
 def gamma_factor(p, Q: float):
@@ -150,9 +154,7 @@ class RoupParams:
 
     Momentum lives on a symmetric endpoint grid, space on a periodic ring
     of the given length centered at the source. n_p must be even so the
-    trapezoid weights coincide with the finite-volume cell volumes, which
-    is what makes mass conservation exact in the reconstruction, and so
-    the grid mirrors about a face at P = 0, which the P > 0 marcher uses.
+    grid mirrors about a face at P = 0, which the P > 0 marcher uses.
     """
 
     Q: float
@@ -182,8 +184,8 @@ class RoupParams:
 
     @classmethod
     def standard(cls, Q: float, t_final: float, n_x: int = 512, n_p: int = 2048,
-                 length: float | None = None, tail: float = 32.0) -> "RoupParams":
-        """Cutoff from a target tail exponent, ring from the causal cone.
+                 length: float | None = None) -> "RoupParams":
+        """Cutoff at the tail exponent _TAIL, ring from the causal cone.
 
         length defaults to three times the light-cone radius: speeds stay
         below Q, so the density stays within |X| < Q*t_final, and a ring
@@ -192,7 +194,7 @@ class RoupParams:
         """
         if t_final <= 0.0:
             raise ValueError("t_final must be positive")
-        p_max = Q * np.sqrt((1.0 + tail / (Q * Q)) ** 2 - 1.0)
+        p_max = Q * np.sqrt((1.0 + _TAIL / (Q * Q)) ** 2 - 1.0)
         if length is None:
             length = 3.0 * max(Q, 1.0) * t_final
         return cls(Q=Q, p_max=p_max, n_p=n_p, length=length, n_x=n_x)
@@ -272,8 +274,9 @@ def apply_collision(values: np.ndarray, p_grid: Grid1D, Q: float) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def default_dt(t_final: float, n_steps: int = 2000) -> float:
-    return t_final / n_steps
+def default_dt(t_final: float) -> float:
+    """The step that reaches t_final in 2000 steps."""
+    return t_final / 2000
 
 
 def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, threads=1):
@@ -501,68 +504,41 @@ class DensityProfile:
     current: np.ndarray
 
 
-def _hermitian_extend(half: np.ndarray, n_x: int) -> np.ndarray:
-    """Half-spectrum (j = 0..n_x/2) to full fft-order, forcing a real field."""
-    full = np.zeros(n_x, dtype=complex)
-    m = n_x // 2
-    full[: m + 1] = half
-    full[m] = half[m].real  # shared Nyquist bin must be self-conjugate
-    full[m + 1:] = np.conj(half[1:m][::-1])
-    return full
-
-
-def reconstruct_density(state: KineticState, refine: int = 1,
-                        check: bool = True) -> DensityProfile:
+def reconstruct_density(state: KineticState, refine: int = 1) -> DensityProfile:
     """Integrate the modes over momentum and invert the spatial transform.
 
-    refine > 1 zero-pads the spectrum onto a refine-times-finer ring, a
-    pure trigonometric interpolation. With check on, violations of the
-    momentum-flip symmetry or a non-real reconstruction raise SymmetryError.
+    The K >= 0 integrals of N and J, twisted by exp(-i K X_lower), are a
+    half spectrum: one np.fft.hfft extends it Hermitian, zero-pads it onto
+    a refine-times-finer ring (trigonometric interpolation, the last bin
+    halved between its two images) and inverts it. SymmetryError flags a
+    broken momentum-flip symmetry, or an imaginary K = 0 integral (which
+    hfft drops) large enough to make N or J measurably not real.
     """
     params = state.params
     if refine < 1:
         raise ValueError("refine must be a positive integer")
-    if check:
-        res = symmetry_residual(state)
-        if res > 1e-6:
-            raise SymmetryError(
-                f"momentum-flip symmetry violated at {res:.3e}; "
-                "the evolution or the initial data is inconsistent"
-            )
+    res = symmetry_residual(state)
+    if res > 1e-6:
+        raise SymmetryError(
+            f"momentum-flip symmetry violated at {res:.3e}; "
+            "the evolution or the initial data is inconsistent"
+        )
     p_grid = params.p_grid
     v = velocity(p_grid.points, params.Q)
-    n_half = quad(state.modes, p_grid)
-    j_half = quad(state.modes * v, p_grid)
-
-    n_x = params.n_x * refine
-    x_grid = Grid1D.periodic(params.length, n_x)
-    full_n = _zero_pad(_hermitian_extend(n_half, params.n_x), n_x)
-    full_j = _zero_pad(_hermitian_extend(j_half, params.n_x), n_x)
-    density = dft_inverse(full_n, x_grid)
-    current = dft_inverse(full_j, x_grid)
-    if check:
-        scale_n = np.max(np.abs(density))
-        scale_j = max(np.max(np.abs(current)), 1e-300)
-        if np.max(np.abs(density.imag)) > 1e-8 * scale_n:
-            raise SymmetryError("reconstructed density is not real")
-        if np.max(np.abs(current.imag)) > 1e-8 * scale_j + 1e-14 * scale_n:
-            raise SymmetryError("reconstructed current is not real")
-    return DensityProfile(x_grid, state.time, params.Q,
-                          density.real.copy(), current.real.copy())
-
-
-def _zero_pad(full: np.ndarray, n_fine: int) -> np.ndarray:
-    n = full.size
-    if n_fine == n:
-        return full
-    m = n // 2
-    padded = np.zeros(n_fine, dtype=complex)
-    padded[:m] = full[:m]
-    # split the Nyquist bin symmetrically to keep the interpolant real
-    padded[m] = 0.5 * full[m]
-    padded[n_fine - m] = 0.5 * np.conj(full[m])
-    padded[n_fine - m + 1:] = full[m + 1:]
-    return padded
+    x_grid = Grid1D.periodic(params.length, params.n_x * refine)
+    half = np.stack((quad(state.modes, p_grid), quad(state.modes * v, p_grid)))
+    half *= np.exp(-1j * params.mode_wavenumbers * x_grid.lower)
+    if refine > 1:
+        half[:, -1] *= 0.5
+    scale = np.sqrt(2.0 * np.pi) / x_grid.period
+    density, current = np.fft.hfft(half, x_grid.count) * scale
+    imag_n, imag_j = np.abs(half[:, 0].imag) * scale
+    scale_n = np.max(np.abs(density))
+    if imag_n > 1e-8 * scale_n:
+        raise SymmetryError("reconstructed density is not real")
+    if imag_j > 1e-8 * np.max(np.abs(current)) + 1e-14 * scale_n:
+        raise SymmetryError("reconstructed current is not real")
+    return DensityProfile(x_grid, state.time, params.Q, density, current)
 
 
 def rescaled_profile(profile: DensityProfile):

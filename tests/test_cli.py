@@ -85,19 +85,16 @@ def test_missing_config_file(tmp_path):
     assert code == 2
 
 
-def test_bad_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["walk", "--frobnicate"])
-    assert exc.value.code == 2
+def test_bad_flag_exits_2(capsys):
+    assert cli.main(["walk", "--frobnicate"]) == 2
+    assert _error_name(capsys) == "ConfigError"
 
 
-def test_flags_a_command_does_not_read_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["heuristic", "--times", "1,2", "--eps", "0.3", "--threads", "9"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["walk", "--Q", "2"])
-    assert exc.value.code == 2
+def test_flags_a_command_does_not_read_exit_2(capsys):
+    assert cli.main(["heuristic", "--times", "1,2", "--eps", "0.3", "--threads", "9"]) == 2
+    assert _error_name(capsys) == "ConfigError"
+    assert cli.main(["walk", "--Q", "2"]) == 2
+    assert _error_name(capsys) == "ConfigError"
 
 
 def test_preset_and_inline_conflict(tmp_path):
@@ -263,6 +260,15 @@ def test_converge_orders_near_one(tmp_path):
     assert rows["order"][-1] == pytest.approx(1.0, abs=0.15)
 
 
+def test_walk_and_converge_report_one_lattice_error(tmp_path, capsys):
+    messages = []
+    for argv in (["walk", "--eps", "0.3"], ["converge", "--eps", "0.1,0.3"]):
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        messages.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
+    assert messages[0] == messages[1] == {
+        "error": "ConfigError", "message": "length 16.0 is not a multiple of epsilon 0.3"}
+
+
 def test_converge_mismatched_step_is_config_error(tmp_path):
     code = cli.main(["walk", "--eps", "0.1", "--T", "0.25",
                      "--out", str(tmp_path / "o")])
@@ -393,6 +399,19 @@ def test_value_error_in_the_inputs_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == 2
     assert _error_name(capsys) == "ConfigError"
+
+
+@pytest.mark.parametrize("command", ["roup", "metric"])
+def test_off_grid_output_time_writes_no_file(tmp_path, capsys, command):
+    # 0.5 is on the dt grid and 0.333 is not: nothing may be marched or written
+    cfg = tmp_path / "steps.ini"
+    cfg.write_text(f"[{command}]\nn_x = 16\nn_p = 64\nrefine = 1\nthreads = 1\n"
+                   "dt = 0.01\n")
+    code = cli.main([command, "--config", str(cfg), "--times", "0.5,0.333",
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert _error_name(capsys) == "ConfigError"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["roup", "metric", "verify"])

@@ -50,13 +50,6 @@ def test_gaussian_packet_normalized():
     assert np.isclose(dirac.l2_norm(f), 1.0, atol=1e-12)
 
 
-def test_gaussian_packet_weights():
-    grid = Grid1D.periodic(16.0, 200)
-    f = dirac.gaussian_packet(grid, weights=(1.0, 0.0), normalize=False)
-    assert np.all(f.psi_plus == 0.0)
-    assert np.max(np.abs(f.psi_minus)) == 1.0
-
-
 def test_l2_distance_rejects_mismatched_grids():
     a = dirac.gaussian_packet(Grid1D.periodic(16.0, 200))
     b = dirac.gaussian_packet(Grid1D.periodic(16.0, 100))

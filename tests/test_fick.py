@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from relwalk import fick, kernels, roup
-from relwalk.errors import NoInteriorPeakError, SignConventionError
+from relwalk import _io, fick, kernels, roup
+from relwalk.errors import DegenerateMetricError, NoInteriorPeakError, SignConventionError
 
 
 def test_heuristic_center_value():
@@ -198,7 +198,7 @@ def test_fick_residual_validation():
     quiet = roup.DensityProfile(profile.x_grid, profile.time, profile.Q,
                                 profile.density, np.zeros(profile.x_grid.count))
     quiet_metric = fick.metric_from_density(quiet)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateMetricError):
         fick.generalized_fick_residual(quiet, quiet_metric)
 
 
@@ -258,7 +258,7 @@ def test_heuristic_csv_and_rejection_json(tmp_path):
     assert np.allclose(data["N_heuristic"], fick.heuristic_density(0.05, xi * 0.05, 1.0))
     report = fick.simple_fick_rejection(fick.galilean_ou_profile(1.0))
     jpath = tmp_path / "report.json"
-    fick.write_rejection_report(report, jpath)
+    _io.write_json(jpath, report)
     loaded = json.loads(jpath.read_text())
     assert loaded["simple_fick_rejected"] is False
     assert loaded["Q"] == "inf"

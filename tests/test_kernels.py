@@ -52,33 +52,13 @@ def test_quad_constant():
     assert quad(np.ones(21), g) == pytest.approx(2.0, abs=1e-14)
 
 
-def test_quad_square_simpson_oracle():
-    # Simpson is exact for P**2 on an odd-count grid: integral over [0,1] is 1/3
-    g = Grid1D(0.0, 1.0, 101)
-    p = g.points
-    assert quad(p**2, g) == pytest.approx(1.0 / 3.0, abs=1e-14)
-
-
-def test_quad_cubic_exact_on_odd_counts():
-    # composite Simpson integrates cubics exactly; coefficients are arbitrary
-    rng = np.random.default_rng(7)
-    g = Grid1D(-2.0, 3.0, 51)
-    x = g.points
-    for _ in range(5):
-        c = rng.normal(size=4)
-        vals = c[0] + c[1] * x + c[2] * x**2 + c[3] * x**3
-        exact = sum(
-            ck * (g.upper ** (k + 1) - g.lower ** (k + 1)) / (k + 1)
-            for k, ck in enumerate(c)
-        )
-        assert quad(vals, g) == pytest.approx(exact, rel=1e-13, abs=1e-13)
-
-
-def test_quad_even_count_falls_back_to_trapezoid():
-    g = Grid1D(0.0, 1.0, 10)
-    x = g.points
-    # trapezoid is exact for affine data
-    assert quad(3.0 * x + 1.0, g) == pytest.approx(2.5, abs=1e-14)
+def test_quad_is_trapezoid_on_any_count():
+    for count in (10, 11):
+        g = Grid1D(0.0, 1.0, count)
+        x = g.points
+        # trapezoid is exact for affine data, and is h**2/6 high for x**2
+        assert quad(3.0 * x + 1.0, g) == pytest.approx(2.5, abs=1e-14)
+        assert quad(x**2, g) - 1.0 / 3.0 == pytest.approx(g.spacing**2 / 6.0, rel=1e-12)
 
 
 def test_quad_odd_function_cancels():
@@ -129,22 +109,13 @@ def test_cumquad_from_upper_mirrors():
     assert np.allclose(left + right, left[-1], atol=1e-14)
 
 
-def test_cumquad_final_entry_matches_quad_on_even_counts():
-    # both rules are trapezoid when the count is even, so they agree to 1e-12;
-    # odd counts route quad through Simpson and only agree at O(h**2)
+def test_cumquad_final_entry_matches_quad():
+    # both are the trapezoid rule on any count, so they agree to rounding
     rng = np.random.default_rng(3)
-    g = Grid1D(0.0, 2.0, 64)
-    vals = rng.normal(size=64)
-    assert cumquad(vals, g)[-1] == pytest.approx(quad(vals, g), abs=1e-12)
-
-
-def test_cumquad_odd_count_agrees_with_quad_at_second_order():
-    g_coarse = Grid1D(0.0, 1.0, 65)
-    g_fine = Grid1D(0.0, 1.0, 257)
-    f = lambda x: np.exp(-(x**2))
-    gap_coarse = abs(cumquad(f(g_coarse.points), g_coarse)[-1] - quad(f(g_coarse.points), g_coarse))
-    gap_fine = abs(cumquad(f(g_fine.points), g_fine)[-1] - quad(f(g_fine.points), g_fine))
-    assert gap_fine < gap_coarse / 8.0  # O(h**2) shrink, factor 16 expected
+    for count in (64, 65):
+        g = Grid1D(0.0, 2.0, count)
+        vals = rng.normal(size=count)
+        assert cumquad(vals, g)[-1] == pytest.approx(quad(vals, g), abs=1e-12)
 
 
 def test_cumquad_zeros():

@@ -7,7 +7,6 @@ from relwalk.qwalk import (
     JetSpec,
     WalkState,
     build_coin,
-    constant_field,
     random_smooth_angle_field,
     realize_jet,
     run_walk,
@@ -221,7 +220,7 @@ def test_coin_distance_to_identity_linear_in_scale():
         p=0,
         zeta0=-np.pi / 2.0,
         theta_bar=lambda T, X: 0.3 * np.cos(X),
-        xi_bar=constant_field(0.2),
+        xi_bar=lambda T, X: 0.2,
         alpha_bar=lambda T, X: 0.1 * np.sin(T),
     )
 
@@ -258,7 +257,7 @@ def test_long_run_probability_drift_small():
         zeta0=0.4,
         theta_bar=lambda T, X: 0.25 * np.cos(X) + 0.1 * np.sin(T),
         xi_bar=lambda T, X: 0.2 * np.sin(X),
-        alpha_bar=constant_field(0.1),
+        alpha_bar=lambda T, X: 0.1,
     )
     out = run_walk(jet, eps, 50.0, packet)  # 1000 steps
     assert out.step_index == 1000
