@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -109,13 +111,26 @@ def test_cumquad_from_upper_mirrors():
     assert np.allclose(left + right, left[-1], atol=1e-14)
 
 
-def test_cumquad_final_entry_matches_quad():
-    # both are the trapezoid rule on any count, so they agree to rounding
+def test_cumquad_final_entry_matches_quad_on_even_counts():
+    # both are the trapezoid rule, so they agree to rounding
     rng = np.random.default_rng(3)
-    for count in (64, 65):
-        g = Grid1D(0.0, 2.0, count)
-        vals = rng.normal(size=count)
-        assert cumquad(vals, g)[-1] == pytest.approx(quad(vals, g), abs=1e-12)
+    g = Grid1D(0.0, 2.0, 64)
+    vals = rng.normal(size=64)
+    assert cumquad(vals, g)[-1] == pytest.approx(quad(vals, g), abs=1e-12)
+
+
+def test_cumquad_odd_count_agrees_with_quad_at_second_order():
+    # quad is the trapezoid rule on odd counts too, so the two agree to
+    # rounding there, and both converge to the exact integral at O(h**2)
+    exact = 0.5 * math.sqrt(math.pi) * math.erf(1.0)
+    f = lambda x: np.exp(-(x**2))
+    errors = []
+    for count in (65, 257):
+        g = Grid1D(0.0, 1.0, count)
+        total = cumquad(f(g.points), g)[-1]
+        assert total == pytest.approx(quad(f(g.points), g), abs=1e-12)
+        errors.append(abs(total - exact))
+    assert errors[1] < errors[0] / 8.0  # O(h**2) shrink, factor 16 expected
 
 
 def test_cumquad_zeros():
