@@ -31,7 +31,7 @@ from . import __version__, dirac, fick, qwalk, roup
 from . import verify as verify_mod
 from ._io import ensure_dir, write_json
 from .errors import ConfigError, NumericalError
-from .kernels import count_steps
+from .kernels import count_steps, run_jobs
 
 
 # ---------------------------------------------------------------- expressions
@@ -106,6 +106,7 @@ _REAL = _parser("a finite number", float, math.isfinite)
 _POSITIVE = _parser("a number > 0", float, lambda v: 0.0 < v < math.inf)
 _NONNEGATIVE = _parser("a number >= 0", float, lambda v: 0.0 <= v < math.inf)
 _INTEGER = _parser("an integer", int)
+_EVEN = _parser("an even integer >= 8", int, lambda v: v >= 8 and v % 2 == 0)
 _COUNT = _parser("an integer >= 1", int, lambda v: v >= 1)
 _POSITIVES = _parser("comma-separated numbers > 0", lambda text: [
     _POSITIVE(part) for part in text.split(",") if part.strip()], bool)
@@ -138,10 +139,10 @@ _PACKET = (Opt("t_final", "T", _NONNEGATIVE, 1.0),
            Opt("packet_center", None, _REAL, 0.0),
            Opt("packet_width", None, _POSITIVE, 1.0),
            Opt("packet_momentum", None, _REAL, 0.5))
-_KINETIC = (Opt("n_x", None, _INTEGER, 512),  # RoupParams checks both are even, >= 8
-            Opt("n_p", None, _INTEGER, 2048),
+_KINETIC = (Opt("n_x", None, _EVEN, 512),
+            Opt("n_p", None, _EVEN, 2048),
             Opt("refine", None, _COUNT, 4),
-            Opt("threads", "threads", _COUNT, 4),
+            Opt("threads", "threads", _COUNT, 4),  # runs marched at once, a process each
             Opt("dt", None, _POSITIVE, None),
             Opt("Q", "Q", _POSITIVE, 1.0))
 _GROUP = _parser(f"one of {', '.join(verify_mod.GROUPS)}", str,
@@ -296,11 +297,22 @@ def _cmd_converge(params, out):
     return 0
 
 
-def _run_profile(Q, t, opts):
+def _run_profile(Q, t, dt, opts):
+    """One kinetic run of a study, marched and reconstructed."""
     run = roup.RoupParams.standard(Q, t, n_x=opts["n_x"], n_p=opts["n_p"])
-    dt = opts["dt"] if opts["dt"] is not None else roup.default_dt(t)
-    state = roup.evolve_all(run, t, dt=dt, threads=opts["threads"])[0]
-    return roup.reconstruct_density(state, refine=opts["refine"]), dt
+    return roup.reconstruct_density(roup.evolve_all(run, t, dt=dt)[0], refine=opts["refine"])
+
+
+def _profiles(runs, opts):
+    """(profile, dt) of each (Q, T) in runs, up to opts["threads"] runs marched at once.
+
+    Workers send back the profile, not the state. The runs of one study
+    share their grid, so the step count ranks their cost.
+    """
+    dts = [opts["dt"] if opts["dt"] is not None else roup.default_dt(t) for _, t in runs]
+    jobs = [(q, t, dt, opts) for (q, t), dt in zip(runs, dts)]
+    steps = [count_steps(t, dt) for _, t, dt, _ in jobs]
+    return list(zip(run_jobs(_run_profile, jobs, opts["threads"], steps), dts))
 
 
 def _cmd_roup(params, out):
@@ -309,11 +321,12 @@ def _cmd_roup(params, out):
         runs = [("Q", q, q, params["T"]) for q in params["Qs"]]
     else:
         runs = [("T", t, params["Q"], t) for t in params["times"]]
+    profiles = _profiles([(q, t) for _, _, q, t in runs], params)
     ensure_dir(out)
     outputs = []
     dts = {}
-    for axis, value, q, t in runs:
-        profile, dts[f"{axis}={value:g}"] = _run_profile(q, t, params)
+    for (axis, value, _, _), (profile, dt) in zip(runs, profiles):
+        dts[f"{axis}={value:g}"] = dt
         outputs.append(f"nu_profile_{axis}{value:g}.csv")
         roup.write_profile_csv(profile, f"{out}/{outputs[-1]}")
     _write_manifest(out, "roup", params, outputs, {"dt_used": dts})
@@ -322,12 +335,13 @@ def _cmd_roup(params, out):
 
 def _cmd_metric(params, out):
     """Diffusion metric, generalized Fick residual and simple-Fick rejection."""
+    profiles = _profiles([(params["Q"], t) for t in params["times"]], params)
     ensure_dir(out)
     outputs = []
     residuals = {}
     dts = {}
-    for t in params["times"]:
-        profile, dts[f"T={t:g}"] = _run_profile(params["Q"], t, params)
+    for t, (profile, dt) in zip(params["times"], profiles):
+        dts[f"T={t:g}"] = dt
         metric = fick.metric_from_density(profile)
         name = f"metric_T{t:g}.csv"
         fick.write_metric_csv(metric, f"{out}/{name}")
@@ -357,12 +371,14 @@ def _cmd_heuristic(params, out):
 
 def _cmd_verify(params, out):
     """Acceptance criteria, all or one group (only); exit 4 if any fails."""
-    results = verify_mod.run_all(only=params["only"], threads=params["threads"])
+    results, plan_s = verify_mod.run_all(only=params["only"], threads=params["threads"])
+    print(f"{'kinetic run plan':<43s}{plan_s:.1f}s")
     for result in results:
-        print(result.line())
+        print(f"{result.line()}  {result.runtime:.1f}s")
     ensure_dir(out)
     payload = {
         "all_passed": all(r.passed for r in results),
+        "plan_s": plan_s,
         "criteria": [
             {"number": r.number, "name": r.name, "group": r.group,
              "passed": r.passed, "runtime_s": r.runtime, "details": r.details}

@@ -31,7 +31,7 @@ by the similarity weights (a real diagonal that commutes with the phases),
 so a step is one phase multiply, one L D L^T solve of a symmetric
 positive-definite tridiagonal (blocked into small matrix products, see
 kernels.BlockedLDL) and one subtraction, over fixed chunks of modes
-stored momentum-major.
+stored momentum-major and marched one after another.
 
 Real, P-even initial data makes every mode obey the momentum-flip symmetry
 F(K, -P) = conj F(K, P), and both the phase and the collision step keep it,
@@ -54,7 +54,6 @@ and current come back from the K >= 0 modes through one np.fft.hfft.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,7 +278,7 @@ def default_dt(t_final: float) -> float:
     return t_final / 2000
 
 
-def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, threads=1):
+def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out):
     """March mode rows F (n, n_p) n_steps, snapshot i into out[i].
 
     Only the P > 0 half G = F[:, n_p/2:] is marched: rows must obey the
@@ -315,12 +314,12 @@ def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, threads=1):
     (I - aL)/2, which returns 2 (I - aL)^-1 G exactly (a power-of-two
     scaling), and the step ends with one subtraction.
 
-    The rows march in fixed chunks of _CHUNK_CELLS // (n_p/2) modes, each
-    stored momentum-major as G.T, (rows, k) complex and C-ordered with
-    zero padding rows, so its float view is the (rows, 2k) real
-    right-hand side of the real matrix. The caller and threads - 1 workers
-    take whole chunks in turn and columns never mix, so results are
-    bitwise independent of threads.
+    The rows march one after another in fixed chunks of
+    _CHUNK_CELLS // (n_p/2) modes, each stored momentum-major as G.T,
+    (rows, k) complex and C-ordered with zero padding rows, so its float
+    view is the (rows, 2k) real right-hand side of the real matrix. A
+    chunk whose rows are all zero stays zero without a march; skipping it
+    leaves the other chunks, and so the results, bitwise unchanged.
     """
     h = p_grid.count // 2
     lower, diag, upper = _collision_bands(p_grid, Q)
@@ -344,41 +343,36 @@ def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out, threads=1):
     v = velocity(p_grid.points[h:], Q)
     snap_lookup = {s: i for i, s in enumerate(snap_steps)}
     size = max(1, _CHUNK_CELLS // h)
-    parts = min(threads, -(-F.shape[0] // size))  # no more marchers than chunks
+    for lo in range(0, F.shape[0], size):
+        chunk = F[lo:lo + size, h:].T
+        k = chunk.shape[1]
+        if not chunk.any():  # a linear step keeps zero rows zero
+            for snap in out:
+                snap[lo:lo + k] = 0.0
+            continue
+        half = np.exp(0.5j * dt * np.outer(v, Ks[lo:lo + k]))
+        full = np.exp(1j * dt * np.outer(v, Ks[lo:lo + k]))
+        solve = ldl.solver(2 * k)
 
-    def march(i):  # every parts-th chunk, from chunk i on
-        for lo in range(i * size, F.shape[0], parts * size):
-            chunk = F[lo:lo + size, h:].T
-            k = chunk.shape[1]
-            half = np.exp(0.5j * dt * np.outer(v, Ks[lo:lo + k]))
-            full = np.exp(1j * dt * np.outer(v, Ks[lo:lo + k]))
-            solve = ldl.solver(2 * k)
+        def snapshot(step, right, phase):
+            snap = out[snap_lookup[step]][lo:lo + k]
+            np.multiply(right.T, phase.T, out=snap[:, h:])
+            np.conjugate(snap[:, h:][:, ::-1], out=snap[:, :h])
 
-            def snapshot(step, right, phase):
-                snap = out[snap_lookup[step]][lo:lo + k]
-                np.multiply(right.T, phase.T, out=snap[:, h:])
-                np.conjugate(snap[:, h:][:, ::-1], out=snap[:, :h])
-
-            if 0 in snap_lookup:
-                snapshot(0, chunk, np.ones(1))
-            G, y = np.zeros((2, ldl.rows, k), dtype=complex)
-            np.multiply(half, chunk, out=G[:h])
-            G[:h] /= w
-            half *= w
-            for step in range(1, n_steps + 1):
-                solve(G.view(float), y.view(float))
-                y.imag[:z.size] += z * y.imag[0]
-                G, y = np.subtract(y, G, out=y), G
-                if step in snap_lookup:
-                    snapshot(step, G[:h], half)
-                if step < n_steps:
-                    G[:h] *= full
-
-    # the caller takes a share too: each worker thread keeps a malloc arena
-    with ThreadPoolExecutor(max_workers=max(1, parts - 1)) as pool:
-        shares = pool.map(march, range(1, parts))
-        march(0)
-        list(shares)
+        if 0 in snap_lookup:
+            snapshot(0, chunk, np.ones(1))
+        G, y = np.zeros((2, ldl.rows, k), dtype=complex)
+        np.multiply(half, chunk, out=G[:h])
+        G[:h] /= w
+        half *= w
+        for step in range(1, n_steps + 1):
+            solve(G.view(float), y.view(float))
+            y.imag[:z.size] += z * y.imag[0]
+            G, y = np.subtract(y, G, out=y), G
+            if step in snap_lookup:
+                snapshot(step, G[:h], half)
+            if step < n_steps:
+                G[:h] *= full
 
 
 def _check_step(F, Ks, p_grid, Q, dt, scale, guard_tol):
@@ -443,11 +437,13 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
     """Evolve every stored wavenumber, returning one state per output time.
 
     output_times must be integer multiples of dt (default: t_final only).
-    The modes march in fixed chunks that threads > 1 shares out among the
-    caller and its workers, so results are bitwise identical for any thread
-    count; threads < 1 raises ValueError. Only the P > 0 half is marched, so an
-    initial state whose symmetry_residual exceeds 1e-12 raises
-    SymmetryError; the returned states are exactly symmetric.
+    A chunk of rows that are all zero (the empty Nyquist row of
+    initial_state, alone in its chunk) is not marched. One march runs on
+    one core; run independent marches concurrently instead
+    (see kernels.run_jobs). threads is checked (below 1 raises ValueError)
+    and otherwise unused. Only the P > 0 half is marched, so an initial
+    state whose symmetry_residual exceeds 1e-12 raises SymmetryError; the
+    returned states are exactly symmetric.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -474,7 +470,7 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
     _check_step(*run, np.linalg.norm(F, axis=1), guard_tol)
     # one array per snapshot, so a kept state does not pin the others
     out = [np.empty((params.n_modes, params.n_p), dtype=complex) for _ in snap_steps]
-    _evolve_block(*run, n_steps, snap_steps, out, threads)
+    _evolve_block(*run, n_steps, snap_steps, out)
     return [KineticState(params, state0.time + s * dt, m) for s, m in zip(snap_steps, out)]
 
 

@@ -1,18 +1,21 @@
 """Quantitative acceptance checks for the whole package.
 
 Each criterion is a self-contained measurement with a hard tolerance.
-Expensive kinetic runs are cached on a shared context so criteria that
-probe the same parameter set (the T = 0.5 profile feeds the peak check,
-the valley check, and the flux-at-maximum check) pay for one evolution.
+Kinetic runs are declared up front in PLAN and shared on a context, so
+criteria that probe the same run (the T = 0.5 profile feeds the peak
+check, the valley check, and the flux-at-maximum check) pay for one
+evolution, and the context marches the selected criteria's runs as
+independent jobs, several at a time.
 """
 
 from dataclasses import dataclass, field
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dirac, fick, qwalk, roup
-from .kernels import Grid1D, quad
+from .kernels import Grid1D, quad, run_jobs
 
 
 @dataclass
@@ -29,29 +32,61 @@ class CriterionResult:
         return f"criterion {self.number:2d} {self.name:<24s} {verdict}"
 
 
-class RunContext:
-    """Caches kinetic evolutions and reconstructions across criteria."""
+class _Run(NamedTuple):
+    """One kinetic run: evolve_all from the standard initial state to t_final."""
 
-    def __init__(self, threads: int = 4):
+    Q: float
+    t_final: float
+    dt: float
+    times: tuple  # output times, ascending
+    n_x: int = 512
+    n_p: int = 2048
+
+
+def _march(Q, t_final, dt, times, n_x, n_p):
+    """The states of one run by output time."""
+    params = roup.RoupParams.standard(Q, t_final, n_x=n_x, n_p=n_p)
+    return dict(zip(times, roup.evolve_all(params, t_final, dt=dt, output_times=list(times))))
+
+
+class RunContext:
+    """Marches the kinetic runs of the given criteria and caches states and profiles.
+
+    The first states() call marches every run PLAN lists for ``numbers``
+    (default: all criteria), up to ``threads`` at a time, and records the
+    wall time as plan_s. A run outside the plan is marched when asked for.
+    """
+
+    def __init__(self, threads: int = 4, numbers=None):
         self.threads = threads
+        self.plan = list(dict.fromkeys(
+            run for number, runs in PLAN.items()
+            if numbers is None or number in numbers for run in runs))
+        self.plan_s = None
         self._states: dict = {}
         self._profiles: dict = {}
 
-    def states(self, Q, t_final, dt, times, n_x=512, n_p=2048):
-        key = (float(Q), float(t_final), float(dt), tuple(times), n_x, n_p)
-        if key not in self._states:
-            params = roup.RoupParams.standard(Q, t_final, n_x=n_x, n_p=n_p)
-            out = roup.evolve_all(params, t_final, dt=dt,
-                                  output_times=list(times), threads=self.threads)
-            self._states[key] = dict(zip(times, out))
-        return self._states[key]
+    def march_plan(self):
+        """March the planned runs not yet cached, once; plan_s is its wall time."""
+        if self.plan_s is None:
+            started = time.perf_counter()
+            todo = [run for run in self.plan if run not in self._states]
+            steps_x_cells = [round(r.t_final / r.dt) * (r.n_x // 2 + 1) * r.n_p for r in todo]
+            self._states.update(zip(todo, run_jobs(_march, todo, self.threads, steps_x_cells)))
+            self.plan_s = time.perf_counter() - started
 
-    def profile(self, Q, t_final, dt, t, refine=8, n_x=512, n_p=2048, times=None):
-        times = tuple(times) if times is not None else (t,)
-        key = (float(Q), float(t_final), float(dt), times, n_x, n_p, float(t), refine)
+    def states(self, run):
+        self.march_plan()
+        if run not in self._states:
+            self._states[run] = _march(*run)
+        return self._states[run]
+
+    def profile(self, run, t=None, refine=8):
+        """Density of a run at time t (default its t_final)."""
+        t = run.t_final if t is None else t
+        key = (run, t, refine)
         if key not in self._profiles:
-            state = self.states(Q, t_final, dt, times, n_x=n_x, n_p=n_p)[t]
-            self._profiles[key] = roup.reconstruct_density(state, refine=refine)
+            self._profiles[key] = roup.reconstruct_density(self.states(run)[t], refine=refine)
         return self._profiles[key]
 
 
@@ -107,16 +142,14 @@ def _crit_juttner_stationarity(ctx):
     return drift < 1e-6, {"relative_l1_drift": drift, "tolerance": 1e-6}
 
 
-_PEAK_RUN = dict(Q=1.0, t_final=0.75, dt=2.5e-4, times=(0.25, 0.5, 0.75))
+_PEAK_RUN = _Run(1.0, 0.75, 2.5e-4, (0.25, 0.5, 0.75))
 
 
 def _crit_propagation_peak(ctx):
     started = time.perf_counter()
     peaks = {}
-    for t in _PEAK_RUN["times"]:
-        profile = ctx.profile(_PEAK_RUN["Q"], _PEAK_RUN["t_final"], _PEAK_RUN["dt"],
-                              t, refine=8, times=_PEAK_RUN["times"])
-        peaks[t] = roup.peak_location(profile)[0]
+    for t in _PEAK_RUN.times:
+        peaks[t] = roup.peak_location(ctx.profile(_PEAK_RUN, t))[0]
     elapsed = time.perf_counter() - started
     anchor = peaks[0.5]
     ok = (abs(anchor - 0.948) <= 0.015
@@ -128,12 +161,14 @@ def _crit_propagation_peak(ctx):
                 "runtime_budget_s": 300.0}
 
 
+_SHORT_RUN = _Run(1.0, 0.05, 1e-4, (0.05,))
+
+
 def _crit_short_time_heuristic(ctx):
     # the heuristic formula is not normalized (its 1/2pi prefactor is not
     # the free-streaming Juttner constant), so the distance is taken
     # between unit-mass shapes
-    t = 0.05
-    profile = ctx.profile(1.0, t, 1e-4, t, refine=8)
+    profile = ctx.profile(_SHORT_RUN)
     xi, nu = roup.rescaled_profile(profile)
     d_xi = xi[1] - xi[0]
     heur = fick.heuristic_rescaled(xi, 1.0)
@@ -162,11 +197,12 @@ def _gaussian_l1(profile):
     return float(np.sum(np.abs(nu - gauss)) * d_xi / mass)
 
 
+_VALLEY_RUNS = (_Run(1.0, 2.0, 1e-3, (2.0,)), _Run(1.0, 10.0, 5e-3, (10.0,)))
+
+
 def _crit_valley_to_gaussian(ctx):
-    early = ctx.profile(_PEAK_RUN["Q"], _PEAK_RUN["t_final"], _PEAK_RUN["dt"],
-                        0.5, refine=8, times=_PEAK_RUN["times"])
-    mid = ctx.profile(1.0, 2.0, 1e-3, 2.0, refine=8)
-    late = ctx.profile(1.0, 10.0, 5e-3, 10.0, refine=8)
+    early = ctx.profile(_PEAK_RUN, 0.5)
+    mid, late = (ctx.profile(run) for run in _VALLEY_RUNS)
     nu0 = {0.5: _nu_at_zero(early), 2.0: _nu_at_zero(mid), 10.0: _nu_at_zero(late)}
     increasing = nu0[0.5] < nu0[2.0] < nu0[10.0]
     valley = nu0[0.5] < roup.peak_location(early)[1]
@@ -178,24 +214,21 @@ def _crit_valley_to_gaussian(ctx):
                 "gaussian_l1": {"T=2": d_mid, "T=10": d_late}}
 
 
-def _continuity_level(ctx, n_x, dt, refine):
-    t_mid = 0.5
-    times = (t_mid - dt, t_mid, t_mid + dt)
-    profiles = [ctx.profile(1.0, t_mid + dt, dt, t, refine=refine,
-                            n_x=n_x, n_p=1024, times=times) for t in times]
-    return roup.continuity_residual(profiles)
+# base and refined levels: three output times dt apart around T = 0.5
+_CONTINUITY_RUNS = tuple(_Run(1.0, 0.5 + dt, dt, (0.5 - dt, 0.5, 0.5 + dt), n_x, 1024)
+                         for n_x, dt in ((256, 2.5e-4), (512, 1.25e-4)))
 
 
 def _crit_continuity(ctx):
-    base = _continuity_level(ctx, 256, 2.5e-4, 16)
-    fine = _continuity_level(ctx, 512, 1.25e-4, 16)
+    base, fine = (roup.continuity_residual([ctx.profile(run, t, refine=16) for t in run.times])
+                  for run in _CONTINUITY_RUNS)
     ok = base < 1e-2 and fine <= 0.5 * base
     return ok, {"base_residual": base, "refined_residual": fine,
                 "ratio": fine / base, "tolerance": 1e-2,
                 "required_ratio": 0.5}
 
 
-_FICK_RUNS = {1.0: 5e-4, 4.0: 2e-3, 10.0: 5e-3}
+_FICK_RUNS = {t: _Run(1.0, t, dt, (t,)) for t, dt in ((1.0, 5e-4), (4.0, 2e-3), (10.0, 5e-3))}
 
 
 def _crit_generalized_fick(ctx):
@@ -207,8 +240,8 @@ def _crit_generalized_fick(ctx):
     details = {}
     residuals_ok = True
     ratios = {}
-    for t, dt in _FICK_RUNS.items():
-        profile = ctx.profile(1.0, t, dt, t, refine=4)
+    for t, run in _FICK_RUNS.items():
+        profile = ctx.profile(run, refine=4)
         metric = fick.metric_from_density(profile)
         res = fick.generalized_fick_residual(profile, metric)
         xi = profile.x_grid.points / (profile.Q * t)
@@ -228,12 +261,15 @@ def _crit_generalized_fick(ctx):
         "growth_flattens_with_time": ratios[1.0] > ratios[4.0] > ratios[10.0]}
 
 
+_GALILEAN_RUN = _Run(8.0, 10.0, 5e-3, (10.0,))
+
+
 def _crit_galilean_limit(ctx):
     reference = fick.galilean_ou_profile(10.0)
     metric = fick.metric_from_density(reference)
     h = metric.h[metric.valid]
     flat = float(np.max(np.abs(h - np.mean(h))) / np.mean(h))
-    profile = ctx.profile(8.0, 10.0, 5e-3, 10.0, refine=4)
+    profile = ctx.profile(_GALILEAN_RUN, refine=4)
     x = profile.x_grid.points
     s = fick.galilean_ou_variance(10.0)
     gauss = np.exp(-x * x / (2.0 * s)) / np.sqrt(2.0 * np.pi * s)
@@ -245,8 +281,7 @@ def _crit_galilean_limit(ctx):
 
 
 def _crit_simple_fick_rejection(ctx):
-    profile = ctx.profile(_PEAK_RUN["Q"], _PEAK_RUN["t_final"], _PEAK_RUN["dt"],
-                          0.5, refine=8, times=_PEAK_RUN["times"])
+    profile = ctx.profile(_PEAK_RUN, 0.5)
     report = fick.simple_fick_rejection(profile)
     ratios = [p["abs_J_over_max"] for p in report["peaks"]]
     ok = (report["simple_fick_rejected"] is True
@@ -272,6 +307,11 @@ CRITERIA = [
 
 GROUPS = tuple(sorted({group for _, _, group, _ in CRITERIA}))
 
+# the kinetic runs each criterion reads through RunContext.states
+PLAN = {5: (_PEAK_RUN,), 6: (_SHORT_RUN,), 7: (_PEAK_RUN, *_VALLEY_RUNS),
+        8: _CONTINUITY_RUNS, 9: tuple(_FICK_RUNS.values()), 10: (_GALILEAN_RUN,),
+        11: (_PEAK_RUN,)}
+
 
 def run_criterion(number: int, ctx: RunContext | None = None) -> CriterionResult:
     for num, name, group, fn in CRITERIA:
@@ -280,7 +320,7 @@ def run_criterion(number: int, ctx: RunContext | None = None) -> CriterionResult
     else:
         raise ValueError(f"no criterion numbered {number}")
     if ctx is None:
-        ctx = RunContext()
+        ctx = RunContext(numbers=[number])
     started = time.perf_counter()
     try:
         passed, details = fn(ctx)
@@ -291,15 +331,17 @@ def run_criterion(number: int, ctx: RunContext | None = None) -> CriterionResult
                            time.perf_counter() - started, details)
 
 
-def run_all(only: str | None = None, threads: int = 4) -> list[CriterionResult]:
+def run_all(only: str | None = None, threads: int = 4):
+    """(results, plan_s): the criteria of group ``only`` (default all), after their run plan.
+
+    plan_s is the wall time of marching the plan, up to ``threads`` runs
+    at a time; each result's runtime excludes it.
+    """
     if only is not None and only not in GROUPS:
         raise ValueError(f"unknown group {only!r}; choose from {GROUPS}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    ctx = RunContext(threads=threads)
-    results = []
-    for num, name, group, _ in CRITERIA:
-        if only is not None and group != only:
-            continue
-        results.append(run_criterion(num, ctx))
-    return results
+    numbers = [num for num, _, group, _ in CRITERIA if only in (None, group)]
+    ctx = RunContext(threads, numbers)
+    ctx.march_plan()
+    return [run_criterion(num, ctx) for num in numbers], ctx.plan_s

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing its verdict line.
 
-Kinetic runs are shared through a module-scoped cache, so the expensive
-evolutions happen once. Expect a few minutes of wall time; run with -v to
-see one line per criterion as it completes.
+Kinetic runs are shared through a module-scoped context, so the expensive
+evolutions happen once, several at a time. Expect a minute or more of wall
+time; run with -v to see one line per criterion as it completes.
 """
 
 import pytest
@@ -14,8 +14,12 @@ _NAMES = {number: name for number, name, _, _ in verify.CRITERIA}
 
 
 @pytest.fixture(scope="module")
-def ctx():
-    return verify.RunContext(threads=4)
+def ctx(request):
+    # the first criterion that needs a kinetic run marches the runs of
+    # every criterion this session selected, up to four at a time
+    numbers = [item.callspec.params["number"] for item in request.session.items
+               if item.module is request.module]
+    return verify.RunContext(threads=4, numbers=numbers)
 
 
 @pytest.mark.parametrize(

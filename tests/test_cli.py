@@ -145,6 +145,10 @@ def test_out_of_range_number_exits_2(tmp_path, capsys, argv):
     ("heuristic", "n_xi = 2\n"),
     ("heuristic", "xi_max = 0\n"),
     ("verify", "only = bogus\n"),
+    ("roup", "n_x = 15\n"),
+    ("roup", "n_p = 6\n"),
+    ("metric", "n_x = 6\n"),
+    ("metric", "n_p = 2049\n"),
 ])
 def test_out_of_range_ini_value_exits_2(tmp_path, capsys, section, text):
     cfg = tmp_path / "bad.ini"
@@ -152,6 +156,7 @@ def test_out_of_range_ini_value_exits_2(tmp_path, capsys, section, text):
     code = cli.main([section, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert _error_name(capsys) == "ConfigError"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv, ini", [
@@ -351,6 +356,79 @@ def test_metric_outputs_and_rejection(tmp_path):
     assert np.all(rows["g"][inside] > 0)
 
 
+# ------------------------------------------------------------ concurrent runs
+
+_POOL_GRID = "n_x = 64\nn_p = 256\nrefine = 2\ndt = 0.01\n"
+
+
+def _pool_profiles(workers):
+    opts = {"n_x": 64, "n_p": 256, "refine": 2, "dt": 0.01, "threads": workers}
+    runs = [(1.0, 0.1), (1.0, 0.4), (2.0, 0.2), (1.0, 0.3)]
+    return [(p.density.tobytes(), p.current.tobytes(), dt)
+            for p, dt in cli._profiles(runs, opts)]
+
+
+def test_profiles_bitwise_equal_for_1_2_4_workers(pools):
+    serial = _pool_profiles(1)
+    assert _pool_profiles(2) == serial
+    assert _pool_profiles(4) == serial
+    assert [size for size, _ in pools.started] == [2, 4]
+    # the 40-step run first, then 30, 20 and 10
+    assert [job[:2] for job in pools.started[0][1]] == [
+        (1.0, 0.4), (1.0, 0.3), (2.0, 0.2), (1.0, 0.1)]
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_profiles_equal_under_every_start_method(pools, method):
+    serial = _pool_profiles(1)
+    pools.method = method
+    assert _pool_profiles(2) == serial
+    assert [size for size, _ in pools.started] == [2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["roup", "--Q", "1", "--times", "0.1,0.2,0.3"],
+    ["roup", "--T", "0.2", "--Qs", "1,2,4"],
+    ["metric", "--Q", "1", "--times", "0.5,1"],
+], ids=["roup-times", "roup-Qs", "metric"])
+def test_kinetic_outputs_identical_for_1_2_4_workers(tmp_path, pools, argv):
+    cfg = tmp_path / "pool.ini"
+    cfg.write_text(f"[{argv[0]}]\n{_POOL_GRID}")
+    outputs = []
+    for workers in ("1", "2", "4"):
+        out = tmp_path / f"w{workers}"
+        assert cli.main(argv + ["--config", str(cfg), "--threads", workers,
+                                "--out", str(out)]) == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        # the manifest records threads, and so its hash
+        manifest = json.loads(files.pop("manifest.json"))
+        assert manifest["parameters"].pop("threads") == int(workers)
+        del manifest["config_sha256"]
+        outputs.append((files, manifest))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+    assert len(pools.started) == 2
+
+
+def test_one_run_or_one_thread_starts_no_pool(tmp_path, no_pool):
+    cfg = tmp_path / "pool.ini"
+    cfg.write_text(f"[roup]\n{_POOL_GRID}")
+    for argv in (["--times", "0.5", "--threads", "4"], ["--times", "0.1,0.2", "--threads", "1"]):
+        assert cli.main(["roup", "--config", str(cfg), *argv,
+                         "--out", str(tmp_path / "o")]) == 0
+
+
+def test_step_size_error_in_a_pooled_worker_exits_3(tmp_path, capsys, pools):
+    cfg = tmp_path / "coarse.ini"
+    cfg.write_text("[roup]\nn_x = 64\nn_p = 256\nrefine = 1\ndt = 0.5\n")
+    code = cli.main(["roup", "--config", str(cfg), "--times", "0.5,1", "--threads", "2",
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert _error_name(capsys) == "StepSizeError"
+    assert [size for size, _ in pools.started] == [2]
+    assert not (tmp_path / "o").exists()
+
+
 def test_heuristic_manifest_peak(tmp_path):
     out = tmp_path / "h"
     assert cli.main(["heuristic", "--Q", "1", "--out", str(out)]) == 0
@@ -441,17 +519,45 @@ def test_degenerate_metric_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_failed_criterion_exits_4(tmp_path, monkeypatch):
     failed = verify.CriterionResult(1, "walk-probability", "walk", False, 0.0)
-    monkeypatch.setattr(verify, "run_all", lambda only, threads: [failed])
+    monkeypatch.setattr(verify, "run_all", lambda only, threads: ([failed], 0.0))
     code = cli.main(["verify", "--only", "walk", "--out", str(tmp_path / "v")])
     assert code == 4
 
 
-def test_verify_group_report(tmp_path):
+def test_run_context_marches_the_plan_once_on_first_use(monkeypatch):
+    calls = []
+
+    def jobs(fn, runs, workers, costs):
+        calls.append((runs, workers, costs))
+        return [fn(*run) for run in runs]
+
+    monkeypatch.setattr(verify, "run_jobs", jobs)
+    monkeypatch.setattr(verify, "_march", lambda *run: {t: run for t in run[3]})
+    ctx = verify.RunContext(threads=3, numbers=[7, 11])
+    assert ctx.plan == [verify._PEAK_RUN, *verify._VALLEY_RUNS]
+    assert ctx.plan_s is None
+    assert ctx.states(verify._VALLEY_RUNS[1]) == {10.0: verify._VALLEY_RUNS[1]}
+    assert ctx.states(verify._PEAK_RUN)[0.5] == verify._PEAK_RUN
+    # steps times cells: 3000, 2000 and 2000 steps of 257 x 2048 cells
+    assert calls == [(ctx.plan, 3, [n * 257 * 2048 for n in (3000, 2000, 2000)])]
+    assert ctx.plan_s >= 0.0
+    # a run outside the plan is marched when asked for
+    extra = verify._Run(1.0, 0.1, 1e-3, (0.1,))
+    assert ctx.states(extra) == {0.1: extra}
+    assert len(calls) == 1
+
+
+def test_verify_group_report(tmp_path, capsys):
     out = tmp_path / "v"
     code = cli.main(["verify", "--only", "walk", "--out", str(out)])
     assert code == 0
     report = json.loads((out / "verify_report.json").read_text())
     assert report["all_passed"] is True
+    # the walk group marches no kinetic run
+    assert 0.0 <= report["plan_s"] < 0.1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("kinetic run plan") and lines[0].endswith("s")
+    assert len(lines) == 4
     numbers = [c["number"] for c in report["criteria"]]
     assert numbers == [1, 2, 3]
     assert all(c["passed"] for c in report["criteria"])

@@ -1,4 +1,8 @@
-"""The package and its kinetic, walk and Dirac runs load no scipy module."""
+"""The package and its kinetic, walk and Dirac runs load no scipy module.
+
+Importing the package and its CLI loads no process-pool module either:
+kernels.run_jobs imports concurrent.futures only when it starts a pool.
+"""
 
 import json
 import os
@@ -14,6 +18,9 @@ import numpy as np
 import relwalk, relwalk.cli
 for info in pkgutil.iter_modules(relwalk.__path__):
     __import__("relwalk." + info.name)
+pool = sorted(name for name in sys.modules
+              if name.split(".")[0] in ("concurrent", "multiprocessing"))
+assert pool == [], pool
 from relwalk import dirac, fick, qwalk, roup
 
 params = roup.RoupParams.standard(1.0, 0.5, n_x=32, n_p=64)

@@ -14,6 +14,7 @@ from relwalk.kernels import (
     dft_forward,
     dft_inverse,
     quad,
+    run_jobs,
     tridiag_solve,
     wavenumbers,
 )
@@ -397,3 +398,30 @@ def test_every_stepper_rejects_fractional_step_counts():
     for call in callers:
         with pytest.raises(ValueError, match="not an integer number of steps"):
             call()
+
+
+# ---------------------------------------------------------------- run pool
+
+
+def test_run_jobs_takes_costliest_first_and_returns_in_job_order(pools):
+    jobs = [(2, k) for k in range(5)]
+    assert run_jobs(pow, jobs, 2, [1, 5, 3, 5, 2]) == [1, 2, 4, 8, 16]
+    # ties keep their job order
+    assert pools.started == [(2, [(2, 1), (2, 3), (2, 2), (2, 4), (2, 0)])]
+
+
+def test_run_jobs_pool_is_capped_by_jobs_and_cores(pools):
+    run_jobs(pow, [(2, k) for k in range(3)], 8, [1] * 3)
+    run_jobs(pow, [(2, k) for k in range(6)], 8, [1] * 6)
+    assert [size for size, _ in pools.started] == [3, 4]
+
+
+def test_run_jobs_starts_no_pool_for_one_job_or_one_worker(no_pool):
+    assert run_jobs(pow, [(2, 3)], 4, [1]) == [8]
+    assert run_jobs(pow, [(2, 1), (2, 2)], 1, [1, 2]) == [2, 4]
+    assert run_jobs(pow, [], 4, []) == []
+
+
+def test_run_jobs_raises_a_job_error_here(pools):
+    with pytest.raises(ValueError, match="math domain error"):
+        run_jobs(math.sqrt, [(4.0,), (-1.0,), (9.0,)], 2, [1, 1, 1])

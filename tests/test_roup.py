@@ -206,21 +206,32 @@ def test_evolve_all_zero_mode_is_stationary():
     assert np.max(np.abs(state.modes[0] - expected)) < 1e-12
 
 
-def test_evolve_all_threads_match_serial_bitwise():
-    params = _small_params(n_x=64, n_p=256)
-    a = roup.evolve_all(params, 0.2, dt=1e-3)[0]
-    b = roup.evolve_all(params, 0.2, dt=1e-3, threads=3)[0]
-    assert np.array_equal(a.modes, b.modes)
-
-
-def test_evolve_all_threads_match_serial_bitwise_across_chunks():
+def test_evolve_all_skips_the_empty_nyquist_chunk_bitwise():
     params = _small_params(n_x=64, n_p=2048, t_final=0.05)
-    # 33 modes march as chunks of 16, 16 and 1
-    assert params.n_modes > 2 * (roup._CHUNK_CELLS // (params.n_p // 2))
-    serial = roup.evolve_all(params, 0.05, dt=1e-3)[0]
-    for threads in (2, 3):
-        state = roup.evolve_all(params, 0.05, dt=1e-3, threads=threads)[0]
-        assert np.array_equal(state.modes, serial.modes)
+    # 33 modes march as chunks of 16 and 16; the third chunk is the empty
+    # Nyquist row alone, which is not marched and stays zero
+    assert params.n_modes == 2 * (roup._CHUNK_CELLS // (params.n_p // 2)) + 1
+    skipped = roup.evolve_all(params, 0.05, dt=1e-3, output_times=[0.0, 0.05])
+    # a nonzero last row marches every chunk; rows never mix across
+    # chunks, so the other rows come out bitwise the same
+    initial = roup.initial_state(params)
+    initial.modes[-1] = initial.modes[0]
+    marched = roup.evolve_all(params, 0.05, dt=1e-3, output_times=[0.0, 0.05],
+                              initial=initial)
+    for a, b in zip(skipped, marched, strict=True):
+        assert a.modes[:-1].tobytes() == b.modes[:-1].tobytes()
+        assert not a.modes[-1].any()
+    assert marched[-1].modes[-1].any()
+    assert roup.symmetry_residual(skipped[-1]) == 0.0
+
+
+def test_zero_row_sharing_a_chunk_marches_to_zero():
+    # 5 modes on 32 momenta are one chunk: the Nyquist row is marched with
+    # the others and comes out zero, as the skipped chunk above is written
+    params = _small_params(n_x=8, n_p=64)
+    state = roup.evolve_all(params, 0.5, dt=0.5 / 200)[0]
+    assert np.array_equal(state.modes[-1], np.zeros(params.n_p))
+    assert state.modes[-2].any()
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -257,12 +268,10 @@ def test_evolve_all_matches_textbook_strang():
     params = _small_params(n_x=32, n_p=64, t_final=0.1)
     dt = 2e-3
     reference = _textbook_strang(params, dt, 50, (25, 50))
-    for threads in (1, 3):
-        states = roup.evolve_all(params, 0.1, dt=dt, output_times=[0.05, 0.1],
-                                 threads=threads)
-        for state, ref in zip(states, reference, strict=True):
-            err = np.max(np.abs(state.modes - ref)) / np.max(np.abs(ref))
-            assert err <= 1e-12
+    states = roup.evolve_all(params, 0.1, dt=dt, output_times=[0.05, 0.1])
+    for state, ref in zip(states, reference, strict=True):
+        err = np.max(np.abs(state.modes - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-12
 
 
 def test_evolve_mode_matches_full_grid_on_asymmetric_data():
