@@ -297,22 +297,13 @@ def _cmd_converge(params, out):
     return 0
 
 
-def _run_profile(Q, t, dt, opts):
-    """One kinetic run of a study, marched and reconstructed."""
-    run = roup.RoupParams.standard(Q, t, n_x=opts["n_x"], n_p=opts["n_p"])
-    return roup.reconstruct_density(roup.evolve_all(run, t, dt=dt)[0], refine=opts["refine"])
-
-
 def _profiles(runs, opts):
-    """(profile, dt) of each (Q, T) in runs, up to opts["threads"] runs marched at once.
-
-    Workers send back the profile, not the state. The runs of one study
-    share their grid, so the step count ranks their cost.
-    """
-    dts = [opts["dt"] if opts["dt"] is not None else roup.default_dt(t) for _, t in runs]
-    jobs = [(q, t, dt, opts) for (q, t), dt in zip(runs, dts)]
-    steps = [count_steps(t, dt) for _, t, dt, _ in jobs]
-    return list(zip(run_jobs(_run_profile, jobs, opts["threads"], steps), dts))
+    """(profile, dt) of each (Q, T) in runs, up to opts["threads"] runs marched at once."""
+    keys = [roup.Run(q, t, opts["dt"] if opts["dt"] is not None else roup.default_dt(t), (t,),
+                     opts["n_x"], opts["n_p"], opts["refine"]) for q, t in runs]
+    profiles = run_jobs(roup.march_run, [(run,) for run in keys], opts["threads"],
+                        [run.cost for run in keys])
+    return [(found[run.t_final], run.dt) for found, run in zip(profiles, keys)]
 
 
 def _cmd_roup(params, out):

@@ -36,10 +36,8 @@ __all__ = [
     "l2_distance",
     "l2_norm",
     "lattice",
-    "mass_matrix",
     "measure_dispersion",
     "solve_dirac",
-    "walk_to_field",
     "write_density_csv",
 ]
 
@@ -59,7 +57,8 @@ def l2_norm(field: SpinorField) -> float:
     return float(np.sqrt(np.sum(dens) * field.grid.spacing))
 
 
-def l2_distance(a: SpinorField, b: SpinorField) -> float:
+def l2_distance(a, b) -> float:
+    """L2 distance of two fields; a qwalk.WalkState has the grid and rails it reads."""
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
     dens = np.abs(a.psi_minus - b.psi_minus) ** 2 + np.abs(a.psi_plus - b.psi_plus) ** 2
@@ -83,25 +82,6 @@ def lattice(length: float, eps: float, center: float = 0.0) -> Grid1D:
     if abs(count - round(count)) > 1e-9:
         raise ValueError(f"length {length} is not a multiple of epsilon {eps}")
     return Grid1D.periodic(length, int(round(count)), center)
-
-
-def walk_to_field(state: qwalk.WalkState) -> SpinorField:
-    return SpinorField(
-        psi_minus=np.array(state.psi_minus),
-        psi_plus=np.array(state.psi_plus),
-        grid=state.grid,
-        time=state.step_index * state.dt,
-    )
-
-
-def mass_matrix(theta_bar: float, zeta0: float) -> np.ndarray:
-    """diag(m_minus, m_plus) with m_pm = theta_bar * exp(pm i mu), mu = pi/2 + zeta0.
-
-    Both masses are real and equal (up to a sign) exactly when zeta0 is an
-    odd multiple of pi/2.
-    """
-    mu = np.pi / 2.0 + zeta0
-    return np.diag([theta_bar * np.exp(-1j * mu), theta_bar * np.exp(1j * mu)])
 
 
 @dataclass(frozen=True)
@@ -155,11 +135,6 @@ def _coupling_matrix(coeffs, t_mid, x, s):
     return e11, e12, e21, e22
 
 
-def _apply_coupling(matrix, psi_minus, psi_plus):
-    e11, e12, e21, e22 = matrix
-    return e11 * psi_minus + e12 * psi_plus, e21 * psi_minus + e22 * psi_plus
-
-
 def solve_dirac(coeffs: DiracCoefficients, initial: SpinorField, t_final: float,
                 dt: float, callback: Callable | None = None) -> SpinorField:
     """March the coupled rails to t_final on the grid of ``initial``.
@@ -182,10 +157,10 @@ def solve_dirac(coeffs: DiracCoefficients, initial: SpinorField, t_final: float,
     for _ in range(n_steps):
         # both half couplings freeze the coefficients at the midpoint
         coupling = _coupling_matrix(coeffs, t + half, x, half)
-        psi_minus, psi_plus = _apply_coupling(coupling, psi_minus, psi_plus)
-        psi_minus = qwalk._next_site(psi_minus)  # left mover gathers from X + dt
-        psi_plus = qwalk._prev_site(psi_plus)  # right mover gathers from X - dt
-        psi_minus, psi_plus = _apply_coupling(coupling, psi_minus, psi_plus)
+        psi_minus, psi_plus = qwalk._mix(coupling, psi_minus, psi_plus)
+        # the left mover gathers from X + dt, the right mover from X - dt
+        psi_minus, psi_plus = qwalk._mix(
+            coupling, qwalk._next_site(psi_minus), qwalk._prev_site(psi_plus))
         t += dt
         if callback is not None:
             callback(t, psi_minus, psi_plus)
@@ -250,7 +225,7 @@ def convergence_study(jet: qwalk.JetSpec, packet: Callable, t_final: float,
     prev = None
     for eps in eps_list:
         initial = packet(lattice(length, eps, center))
-        walked = walk_to_field(qwalk.run_walk(jet, eps, t_final, initial))
+        walked = qwalk.run_walk(jet, eps, t_final, initial)
         reference = solve_dirac(DiracCoefficients.from_jet(jet), initial, t_final, eps)
         err = l2_distance(walked, reference)
         order = None

@@ -1,4 +1,4 @@
-"""Shared kernels: 1D grids, quadrature, DFT pair, tridiagonal solves, step counts, run pool.
+"""Shared kernels: 1D grids, quadrature, tridiagonal solves, step counts, run pool.
 
 Conventions used throughout the package:
 
@@ -27,9 +27,6 @@ __all__ = [
     "Grid1D",
     "quad",
     "cumquad",
-    "wavenumbers",
-    "dft_forward",
-    "dft_inverse",
     "tridiag_solve",
     "BlockedLDL",
     "count_steps",
@@ -124,34 +121,6 @@ def cumquad(values, grid: Grid1D, from_lower: bool = True) -> np.ndarray:
     else:
         out[..., :-1] = np.cumsum(panels[..., ::-1], axis=-1)[..., ::-1]
     return out
-
-
-def wavenumbers(x_grid: Grid1D) -> np.ndarray:
-    """Conjugate wavenumbers K_j = 2*pi*j/L in FFT order, L = count * spacing."""
-    return 2.0 * np.pi * np.fft.fftfreq(x_grid.count, d=x_grid.spacing)
-
-
-def dft_forward(values, x_grid: Grid1D) -> np.ndarray:
-    """Modes F_hat(K_j) = (2*pi)**-0.5 * sum F(X_m) exp(+i K_j X_m) dX, FFT order."""
-    values = _check_length(values, x_grid)
-    m = x_grid.count
-    k = wavenumbers(x_grid)
-    raw = np.fft.ifft(values, axis=-1) * m  # sum with exp(+2*pi*i*j*m/M) kernel
-    scale = x_grid.spacing / np.sqrt(2.0 * np.pi)
-    return raw * (scale * np.exp(1j * k * x_grid.lower))
-
-
-def dft_inverse(modes, x_grid: Grid1D) -> np.ndarray:
-    """Inverse of :func:`dft_forward`; exact round trip to rounding error."""
-    modes = np.asarray(modes)
-    if modes.shape[-1] != x_grid.count:
-        raise ValueError(
-            f"mode count {modes.shape[-1]} does not match grid count {x_grid.count}"
-        )
-    k = wavenumbers(x_grid)
-    twisted = modes * np.exp(-1j * k * x_grid.lower)
-    scale = np.sqrt(2.0 * np.pi) / x_grid.period
-    return scale * np.fft.fft(twisted, axis=-1)
 
 
 _BLOCK = 16  # rows per diagonal block of BlockedLDL

@@ -161,20 +161,21 @@ def _prev_site(rail: np.ndarray) -> np.ndarray:
     return np.concatenate((rail[-1:], rail[:-1]))
 
 
+def _mix(u, psi_minus, psi_plus):
+    """The pointwise 2x2 matrix u = (a, b, c, d) applied to the rails.
+
+    The local half of a walk step (the coin) and of a Dirac step (the
+    coupling); the other half is the shift of the rails.
+    """
+    a, b, c, d = u
+    return a * psi_minus + b * psi_plus, c * psi_minus + d * psi_plus
+
+
 def step_walk(state: WalkState, angle_field: Callable) -> WalkState:
     """Advance one step: gather from neighbours, then apply the local coin."""
-    angles = angle_field(state.step_index, state.site_indices())
-    a, b, c, d = _coin_entries(angles)
-    left = _next_site(state.psi_minus)
-    right = _prev_site(state.psi_plus)
-    return WalkState(
-        psi_minus=a * left + b * right,
-        psi_plus=c * left + d * right,
-        step_index=state.step_index + 1,
-        dt=state.dt,
-        dx=state.dx,
-        grid=state.grid,
-    )
+    coin = _coin_entries(angle_field(state.step_index, state.site_indices()))
+    psi_minus, psi_plus = _mix(coin, _next_site(state.psi_minus), _prev_site(state.psi_plus))
+    return WalkState(psi_minus, psi_plus, state.step_index + 1, state.dt, state.dx, state.grid)
 
 
 def run_walk(jet: JetSpec, epsilon: float, t_final: float, initial) -> WalkState:

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +70,7 @@ __all__ = [
     "DensityProfile",
     "KineticState",
     "RoupParams",
+    "Run",
     "apply_collision",
     "continuity_residual",
     "default_dt",
@@ -78,6 +80,7 @@ __all__ = [
     "initial_state",
     "juttner",
     "juttner_normalization",
+    "march_run",
     "peak_location",
     "reconstruct_density",
     "rescaled_profile",
@@ -106,6 +109,10 @@ _RAPIDITY_NODES = 257
 
 # equilibrium exponent at the momentum cutoff of RoupParams.standard
 _TAIL = 32.0
+
+# largest first-step doubling error, relative to each row's norm, that the
+# step-size guard of evolve_all and evolve_mode accepts
+_GUARD_TOL = 0.05
 
 
 def gamma_factor(p, Q: float):
@@ -375,16 +382,16 @@ def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out):
                 G[:h] *= full
 
 
-def _check_step(F, Ks, p_grid, Q, dt, scale, guard_tol):
-    """StepSizeError when one step's doubling error, row i over scale[i], exceeds guard_tol."""
+def _check_step(F, Ks, p_grid, Q, dt, scale):
+    """StepSizeError when one step's doubling error, row i over scale[i], exceeds _GUARD_TOL."""
     coarse, fine = np.empty((2, 1) + F.shape, dtype=complex)
     _evolve_block(F, Ks, p_grid, Q, dt, 1, [1], coarse)
     _evolve_block(F, Ks, p_grid, Q, dt / 2.0, 2, [2], fine)
     num = np.linalg.norm(coarse[0] - fine[0], axis=1)
     err = float(np.max(num / np.where(scale > 0.0, scale, 1.0)))
-    if err > guard_tol:
+    if err > _GUARD_TOL:
         raise StepSizeError(
-            f"first-step doubling error {err:.3e} exceeds {guard_tol}; reduce dt")
+            f"first-step doubling error {err:.3e} exceeds {_GUARD_TOL}; reduce dt")
 
 
 @dataclass
@@ -412,7 +419,7 @@ def initial_state(params: RoupParams) -> KineticState:
 
 
 def evolve_mode(f0: np.ndarray, K: float, p_grid: Grid1D, Q: float,
-                t_final: float, dt: float, guard_tol: float = 0.05) -> np.ndarray:
+                t_final: float, dt: float) -> np.ndarray:
     """Single-wavenumber evolution; raises StepSizeError when dt is too coarse.
 
     f0 need not be flip-symmetric: it splits as S + A with S and iA both
@@ -424,7 +431,7 @@ def evolve_mode(f0: np.ndarray, K: float, p_grid: Grid1D, Q: float,
     flipped = np.conj(f[::-1])
     F = np.stack([0.5 * (f + flipped), 0.5j * (f - flipped)])
     Ks = np.array([K, K], dtype=float)
-    _check_step(F, Ks, p_grid, Q, dt, np.full(2, np.linalg.norm(f)), guard_tol)
+    _check_step(F, Ks, p_grid, Q, dt, np.full(2, np.linalg.norm(f)))
     out = np.empty((1, 2, p_grid.count), dtype=complex)
     _evolve_block(F, Ks, p_grid, Q, dt, n_steps, [n_steps], out)
     return out[0, 0] - 1j * out[0, 1]
@@ -432,18 +439,17 @@ def evolve_mode(f0: np.ndarray, K: float, p_grid: Grid1D, Q: float,
 
 def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
                output_times=None, threads: int = 1,
-               initial: KineticState | None = None,
-               guard_tol: float = 0.05) -> list[KineticState]:
+               initial: KineticState | None = None) -> list[KineticState]:
     """Evolve every stored wavenumber, returning one state per output time.
 
     output_times must be integer multiples of dt (default: t_final only).
     A chunk of rows that are all zero (the empty Nyquist row of
     initial_state, alone in its chunk) is not marched. One march runs on
-    one core; run independent marches concurrently instead
-    (see kernels.run_jobs). threads is checked (below 1 raises ValueError)
-    and otherwise unused. Only the P > 0 half is marched, so an initial
-    state whose symmetry_residual exceeds 1e-12 raises SymmetryError; the
-    returned states are exactly symmetric.
+    one core; march_run is the job that marches independent runs
+    concurrently through kernels.run_jobs. threads is checked (below 1
+    raises ValueError) and otherwise unused. Only the P > 0 half is
+    marched, so an initial state whose symmetry_residual exceeds 1e-12
+    raises SymmetryError; the returned states are exactly symmetric.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -467,7 +473,7 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
             "only the P > 0 half is marched")
     F = np.asarray(state0.modes, dtype=complex)  # (n_modes, n_p), never written
     run = (F, params.mode_wavenumbers, params.p_grid, params.Q, dt)
-    _check_step(*run, np.linalg.norm(F, axis=1), guard_tol)
+    _check_step(*run, np.linalg.norm(F, axis=1))
     # one array per snapshot, so a kept state does not pin the others
     out = [np.empty((params.n_modes, params.n_p), dtype=complex) for _ in snap_steps]
     _evolve_block(*run, n_steps, snap_steps, out)
@@ -535,6 +541,34 @@ def reconstruct_density(state: KineticState, refine: int = 1) -> DensityProfile:
     if imag_j > 1e-8 * np.max(np.abs(current)) + 1e-14 * scale_n:
         raise SymmetryError("reconstructed current is not real")
     return DensityProfile(x_grid, state.time, params.Q, density, current)
+
+
+class Run(NamedTuple):
+    """One evolve_all run from the standard initial state, read at ``refine``."""
+
+    Q: float
+    t_final: float
+    dt: float
+    times: tuple  # output times, ascending
+    n_x: int = 512
+    n_p: int = 2048
+    refine: int = 8
+
+    @property
+    def cost(self) -> int:
+        """Steps times cells, the run's share of a pool's work."""
+        return count_steps(self.t_final, self.dt) * (self.n_x // 2 + 1) * self.n_p
+
+
+def march_run(run: Run) -> dict:
+    """{t: DensityProfile} of a run; the pool job of every kinetic study.
+
+    A worker returns the profiles, never the states, which are far larger.
+    """
+    params = RoupParams.standard(run.Q, run.t_final, n_x=run.n_x, n_p=run.n_p)
+    states = evolve_all(params, run.t_final, dt=run.dt, output_times=list(run.times))
+    return {t: reconstruct_density(state, refine=run.refine)
+            for t, state in zip(run.times, states)}
 
 
 def rescaled_profile(profile: DensityProfile):

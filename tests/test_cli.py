@@ -8,6 +8,7 @@ import pytest
 
 from relwalk import cli, roup, verify
 from relwalk.errors import ConfigError
+from relwalk.kernels import Grid1D
 
 
 # ------------------------------------------------------- expression compiler
@@ -373,9 +374,11 @@ def test_profiles_bitwise_equal_for_1_2_4_workers(pools):
     assert _pool_profiles(2) == serial
     assert _pool_profiles(4) == serial
     assert [size for size, _ in pools.started] == [2, 4]
-    # the 40-step run first, then 30, 20 and 10
-    assert [job[:2] for job in pools.started[0][1]] == [
-        (1.0, 0.4), (1.0, 0.3), (2.0, 0.2), (1.0, 0.1)]
+    # one (Run,) job per run: the 40-step run first, then 30, 20 and 10
+    assert [(run.Q, run.t_final, run.times, run.refine)
+            for run, in pools.started[0][1]] == [
+        (1.0, 0.4, (0.4,), 2), (1.0, 0.3, (0.3,), 2), (2.0, 0.2, (0.2,), 2),
+        (1.0, 0.1, (0.1,), 2)]
 
 
 @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
@@ -532,19 +535,58 @@ def test_run_context_marches_the_plan_once_on_first_use(monkeypatch):
         return [fn(*run) for run in runs]
 
     monkeypatch.setattr(verify, "run_jobs", jobs)
-    monkeypatch.setattr(verify, "_march", lambda *run: {t: run for t in run[3]})
+    monkeypatch.setattr(roup, "march_run", lambda run: {t: run for t in run.times})
     ctx = verify.RunContext(threads=3, numbers=[7, 11])
     assert ctx.plan == [verify._PEAK_RUN, *verify._VALLEY_RUNS]
     assert ctx.plan_s is None
-    assert ctx.states(verify._VALLEY_RUNS[1]) == {10.0: verify._VALLEY_RUNS[1]}
-    assert ctx.states(verify._PEAK_RUN)[0.5] == verify._PEAK_RUN
+    assert ctx.profile(verify._VALLEY_RUNS[1]) == verify._VALLEY_RUNS[1]
+    assert ctx.profile(verify._PEAK_RUN, 0.5) == verify._PEAK_RUN
     # steps times cells: 3000, 2000 and 2000 steps of 257 x 2048 cells
-    assert calls == [(ctx.plan, 3, [n * 257 * 2048 for n in (3000, 2000, 2000)])]
+    assert calls == [([(run,) for run in ctx.plan], 3,
+                      [n * 257 * 2048 for n in (3000, 2000, 2000)])]
     assert ctx.plan_s >= 0.0
     # a run outside the plan is marched when asked for
-    extra = verify._Run(1.0, 0.1, 1e-3, (0.1,))
-    assert ctx.states(extra) == {0.1: extra}
+    extra = roup.Run(1.0, 0.1, 1e-3, (0.1,))
+    assert ctx.profile(extra) == extra
     assert len(calls) == 1
+
+
+def test_run_context_workers_return_profiles(monkeypatch, pools):
+    small = (roup.Run(1.0, 0.2, 0.01, (0.1, 0.2), 32, 128, 2),
+             roup.Run(2.0, 0.3, 0.01, (0.3,), 32, 128, 4))
+    monkeypatch.setattr(verify, "PLAN", {5: small})
+    ctx = verify.RunContext(threads=2)
+    ctx.march_plan()
+    assert [size for size, _ in pools.started] == [2]
+    for run in small:
+        for t, expected in roup.march_run(run).items():
+            profile = ctx.profile(run, t)
+            # a profile, not a KineticState, crossed the pool
+            assert isinstance(profile, roup.DensityProfile)
+            assert profile.x_grid.count == 32 * run.refine
+            assert profile.density.tobytes() == expected.density.tobytes()
+            assert profile.current.tobytes() == expected.current.tobytes()
+
+
+def _front_profile(t):
+    # twin peaks at xi = +-0.948, where criterion 5 looks for them
+    x_grid = Grid1D.periodic(3.0 * t, 512)
+    x = x_grid.points
+    density = sum(np.exp(-((x - s * 0.948 * t) / (0.05 * t)) ** 2) for s in (-1.0, 1.0))
+    return roup.DensityProfile(x_grid, t, 1.0, density, np.zeros_like(x))
+
+
+@pytest.mark.parametrize("plan_s, passed", [(1.0, True), (400.0, False)])
+def test_propagation_peak_budget_counts_the_plan(monkeypatch, plan_s, passed):
+    monkeypatch.setattr(roup, "march_run",
+                        lambda run: {t: _front_profile(t) for t in run.times})
+    ctx = verify.RunContext(threads=1, numbers=[5])
+    ctx.march_plan()
+    ctx.plan_s = plan_s  # as if marching the plan had taken that long
+    result = verify.run_criterion(5, ctx)
+    assert result.passed is passed
+    assert result.details["plan_s"] == plan_s
+    assert 0.0 <= result.details["runtime_s"] < 1.0
 
 
 def test_verify_group_report(tmp_path, capsys):

@@ -28,22 +28,6 @@ def _reflect(values):
     return np.roll(values[::-1], 1)
 
 
-def test_mass_matrix_known_angles():
-    m = dirac.mass_matrix(0.7, -np.pi / 2.0)
-    assert np.allclose(m, np.diag([0.7, 0.7]), atol=1e-15)
-    m = dirac.mass_matrix(0.7, np.pi / 2.0)
-    assert np.allclose(m, np.diag([-0.7, -0.7]), atol=1e-15)
-    m = dirac.mass_matrix(0.7, 0.0)
-    assert np.allclose(m, np.diag([-0.7j, 0.7j]), atol=1e-15)
-
-
-def test_mass_matrix_modulus():
-    for zeta0 in np.linspace(-3.0, 3.0, 11):
-        m = dirac.mass_matrix(1.3, zeta0)
-        assert np.allclose(np.abs(np.diag(m)), 1.3)
-        assert np.isclose(m[0, 0] * m[1, 1], 1.3**2)  # product of the pair is real
-
-
 def test_gaussian_packet_normalized():
     grid = Grid1D.periodic(16.0, 200)
     f = dirac.gaussian_packet(grid, center=1.0, width=0.5, momentum=2.0)

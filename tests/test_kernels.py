@@ -11,12 +11,9 @@ from relwalk.kernels import (
     _ldl_factor,
     count_steps,
     cumquad,
-    dft_forward,
-    dft_inverse,
     quad,
     run_jobs,
     tridiag_solve,
-    wavenumbers,
 )
 
 
@@ -137,65 +134,6 @@ def test_cumquad_odd_count_agrees_with_quad_at_second_order():
 def test_cumquad_zeros():
     g = Grid1D(0.0, 1.0, 11)
     assert np.all(cumquad(np.zeros(11), g) == 0.0)
-
-
-# ---------------------------------------------------------------- DFT pair
-
-
-def test_dft_round_trip_random():
-    rng = np.random.default_rng(11)
-    g = Grid1D.periodic(10.0, 64)
-    vals = rng.normal(size=64) + 1j * rng.normal(size=64)
-    back = dft_inverse(dft_forward(vals, g), g)
-    assert np.max(np.abs(back - vals)) < 1e-12
-
-
-def test_dft_forward_of_constant_hits_zero_mode():
-    g = Grid1D.periodic(8.0, 32)
-    modes = dft_forward(np.ones(32), g)
-    # F_hat(0) = L / sqrt(2 pi); all other modes vanish
-    assert modes[0] == pytest.approx(8.0 / np.sqrt(2.0 * np.pi), abs=1e-12)
-    assert np.max(np.abs(modes[1:])) < 1e-12
-
-
-def test_dft_forward_matches_direct_sum():
-    # direct O(M**2) evaluation of the defining sum is the oracle
-    rng = np.random.default_rng(23)
-    g = Grid1D.periodic(6.0, 16)
-    vals = rng.normal(size=16) + 1j * rng.normal(size=16)
-    k = wavenumbers(g)
-    x = g.points
-    direct = np.array(
-        [np.sum(vals * np.exp(1j * kj * x)) * g.spacing / np.sqrt(2 * np.pi) for kj in k]
-    )
-    assert np.max(np.abs(dft_forward(vals, g) - direct)) < 1e-12
-
-
-def test_dft_plane_wave_lands_on_single_mode():
-    # with the exp(+iKX) forward kernel a signal exp(+i*k0*X) fills mode K = -k0
-    g = Grid1D.periodic(2.0 * np.pi, 32)
-    vals = np.exp(1j * 3.0 * g.points)
-    modes = dft_forward(vals, g)
-    k = wavenumbers(g)
-    j = int(np.argmin(np.abs(k + 3.0)))
-    mask = np.ones(32, dtype=bool)
-    mask[j] = False
-    assert abs(modes[j]) > 1.0
-    assert np.max(np.abs(modes[mask])) < 1e-12
-
-
-def test_dft_inverse_rejects_wrong_length():
-    g = Grid1D.periodic(4.0, 16)
-    with pytest.raises(ValueError):
-        dft_inverse(np.ones(8), g)
-
-
-def test_hermitian_modes_give_real_signal():
-    rng = np.random.default_rng(5)
-    g = Grid1D.periodic(5.0, 32)
-    vals = rng.normal(size=32)
-    back = dft_inverse(dft_forward(vals, g), g)
-    assert np.max(np.abs(back.imag)) < 1e-13
 
 
 # ---------------------------------------------------------------- tridiag

@@ -4,7 +4,7 @@ from scipy.integrate import quad as scipy_quad
 
 from relwalk import roup
 from relwalk.errors import StepSizeError, SymmetryError, TailTruncationError
-from relwalk.kernels import Grid1D, dft_inverse, quad
+from relwalk.kernels import Grid1D, quad
 
 
 def _small_params(Q=1.0, t_final=0.5, n_x=128, n_p=512):
@@ -382,7 +382,9 @@ def _reference_reconstruction(state, refine):
         full[:m] = half[:m]
         full[n_fine - m + 1:] = np.conj(half[1:m][::-1])
         full[m] = full[n_fine - m] = half[m].real * (1.0 if refine == 1 else 0.5)
-        out.append(dft_inverse(full, x_grid).real)
+        k = 2.0 * np.pi * np.fft.fftfreq(n_fine, d=x_grid.spacing)
+        twisted = full * np.exp(-1j * k * x_grid.lower)
+        out.append((np.sqrt(2.0 * np.pi) / x_grid.period * np.fft.fft(twisted)).real)
     return out
 
 
@@ -453,3 +455,17 @@ def test_profile_csv_roundtrip(tmp_path):
     assert data.shape == (64,)
     assert np.allclose(data["N"], profile.density)
     assert np.allclose(data["xi"], profile.x_grid.points / (params.Q * 0.2))
+
+
+def test_march_run_is_evolve_all_then_reconstruct_bitwise():
+    run = roup.Run(2.0, 0.3, 1e-2, (0.1, 0.2, 0.3), n_x=32, n_p=128, refine=4)
+    profiles = roup.march_run(run)
+    assert list(profiles) == [0.1, 0.2, 0.3]
+    params = roup.RoupParams.standard(2.0, 0.3, n_x=32, n_p=128)
+    states = roup.evolve_all(params, 0.3, dt=1e-2, output_times=[0.1, 0.2, 0.3])
+    for state, (t, profile) in zip(states, profiles.items()):
+        expected = roup.reconstruct_density(state, refine=4)
+        assert profile.time == expected.time and profile.x_grid == expected.x_grid
+        assert profile.density.tobytes() == expected.density.tobytes()
+        assert profile.current.tobytes() == expected.current.tobytes()
+    assert run.cost == 30 * 17 * 128  # steps times cells
