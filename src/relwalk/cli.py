@@ -83,8 +83,15 @@ def compile_expression(text: str):
     code = compile(tree, "<angle-field>", "eval")
 
     def field(T, X):
-        return eval(code, {"__builtins__": {}},
-                    {"T": T, "X": X, "sin": np.sin, "cos": np.cos, "pi": np.pi})
+        try:
+            with np.errstate(all="ignore"):  # a non-finite value is caught below
+                value = eval(code, {"__builtins__": {}},
+                             {"T": T, "X": X, "sin": np.sin, "cos": np.cos, "pi": np.pi})
+        except ArithmeticError as exc:
+            raise ConfigError(f"expression {text!r} fails at T={T}: {exc}") from None
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"expression {text!r} is not finite at T={T}")
+        return value
 
     return field
 
@@ -108,8 +115,11 @@ _NONNEGATIVE = _parser("a number >= 0", float, lambda v: 0.0 <= v < math.inf)
 _INTEGER = _parser("an integer", int)
 _EVEN = _parser("an even integer >= 8", int, lambda v: v >= 8 and v % 2 == 0)
 _COUNT = _parser("an integer >= 1", int, lambda v: v >= 1)
-_POSITIVES = _parser("comma-separated numbers > 0", lambda text: [
-    _POSITIVE(part) for part in text.split(",") if part.strip()], bool)
+# a value's %g text names its output file, so no two may print alike
+_POSITIVES = _parser(
+    "comma-separated numbers > 0, distinct to 6 significant digits",
+    lambda text: [_POSITIVE(part) for part in text.split(",") if part.strip()],
+    lambda values: values and len({f"{v:g}" for v in values}) == len(values))
 # an angle field is checked by compiling it and recorded as its text
 _EXPRESSION = _parser("an expression in T and X",
                       lambda text: compile_expression(text) and text)
@@ -362,14 +372,15 @@ def _cmd_heuristic(params, out):
 
 def _cmd_verify(params, out):
     """Acceptance criteria, all or one group (only); exit 4 if any fails."""
-    results, plan_s = verify_mod.run_all(only=params["only"], threads=params["threads"])
-    print(f"{'kinetic run plan':<43s}{plan_s:.1f}s")
+    results, plan_s, plan_runs = verify_mod.run_all(params["only"], params["threads"])
+    print(f"{f'kinetic run plan: {plan_runs} runs':<43s}{plan_s:.1f}s")
     for result in results:
         print(f"{result.line()}  {result.runtime:.1f}s")
     ensure_dir(out)
     payload = {
         "all_passed": all(r.passed for r in results),
         "plan_s": plan_s,
+        "plan_runs": plan_runs,
         "criteria": [
             {"number": r.number, "name": r.name, "group": r.group,
              "passed": r.passed, "runtime_s": r.runtime, "details": r.details}

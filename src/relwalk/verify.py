@@ -1,11 +1,11 @@
 """Quantitative acceptance checks for the whole package.
 
 Each criterion is a self-contained measurement with a hard tolerance.
-Kinetic runs are declared up front in PLAN and shared on a context, so
-criteria that probe the same run (the T = 0.5 profile feeds the peak
-check, the valley check, and the flux-at-maximum check) pay for one
-evolution, and the context marches the selected criteria's runs as
-independent jobs, several at a time.
+Its CRITERIA row lists the kinetic runs it reads. A context marches the
+union of the selected rows' runs once, when it is built, as independent
+jobs several at a time, so criteria that probe the same run (the T = 0.5
+profile feeds the peak check, the valley check, and the flux-at-maximum
+check) pay for one evolution.
 """
 
 from dataclasses import dataclass, field
@@ -32,36 +32,25 @@ class CriterionResult:
 
 
 class RunContext:
-    """Marches the kinetic runs of the given criteria and caches their profiles.
+    """The kinetic runs of the given criteria, marched once when built.
 
-    The first profile() call marches every run PLAN lists for ``numbers``
-    (default: all criteria), up to ``threads`` at a time in worker
-    processes that return profiles, and records the wall time as plan_s.
-    A run outside the plan is marched here when asked for.
+    Every run the CRITERIA rows of ``numbers`` (default: all) list is
+    marched, up to ``threads`` at a time in worker processes that return
+    profiles; plan_s is the wall time of that march.
     """
 
     def __init__(self, threads: int = 4, numbers=None):
-        self.threads = threads
         self.plan = list(dict.fromkeys(
-            run for number, runs in PLAN.items()
+            run for number, _, _, _, runs in CRITERIA
             if numbers is None or number in numbers for run in runs))
-        self.plan_s = None
-        self._profiles: dict = {}
-
-    def march_plan(self):
-        """March the planned runs, once; plan_s is its wall time."""
-        if self.plan_s is None:
-            started = time.perf_counter()
-            self._profiles.update(zip(self.plan, run_jobs(
-                roup.march_run, [(run,) for run in self.plan], self.threads,
-                [run.cost for run in self.plan])))
-            self.plan_s = time.perf_counter() - started
+        started = time.perf_counter()
+        self._profiles = dict(zip(self.plan, run_jobs(
+            roup.march_run, [(run,) for run in self.plan], threads,
+            [run.cost for run in self.plan])))
+        self.plan_s = time.perf_counter() - started
 
     def profile(self, run, t=None):
-        """Density of a run at time t (default its t_final), at the run's refine."""
-        self.march_plan()
-        if run not in self._profiles:
-            self._profiles[run] = roup.march_run(run)
+        """Density of a planned run at time t (default its t_final), at its refine."""
         return self._profiles[run][run.t_final if t is None else t]
 
 
@@ -121,9 +110,6 @@ _PEAK_RUN = roup.Run(1.0, 0.75, 2.5e-4, (0.25, 0.5, 0.75))
 
 
 def _crit_propagation_peak(ctx):
-    # the budget covers the march: the plan's if it held the run, else
-    # the one marched here
-    ctx.march_plan()
     started = time.perf_counter()
     peaks = {}
     for t in _PEAK_RUN.times:
@@ -175,7 +161,10 @@ def _gaussian_l1(profile):
     return float(np.sum(np.abs(nu - gauss)) * d_xi / mass)
 
 
-_VALLEY_RUNS = (roup.Run(1.0, 2.0, 1e-3, (2.0,)), roup.Run(1.0, 10.0, 5e-3, (10.0,)))
+_FICK_RUNS = {t: roup.Run(1.0, t, dt, (t,), refine=4)
+              for t, dt in ((1.0, 5e-4), (4.0, 2e-3), (10.0, 5e-3))}
+# the T = 10 profile is criterion 9's run, so both read one march
+_VALLEY_RUNS = (roup.Run(1.0, 2.0, 1e-3, (2.0,)), _FICK_RUNS[10.0])
 
 
 def _crit_valley_to_gaussian(ctx):
@@ -204,10 +193,6 @@ def _crit_continuity(ctx):
     return ok, {"base_residual": base, "refined_residual": fine,
                 "ratio": fine / base, "tolerance": 1e-2,
                 "required_ratio": 0.5}
-
-
-_FICK_RUNS = {t: roup.Run(1.0, t, dt, (t,), refine=4)
-              for t, dt in ((1.0, 5e-4), (4.0, 2e-3), (10.0, 5e-3))}
 
 
 def _crit_generalized_fick(ctx):
@@ -270,30 +255,26 @@ def _crit_simple_fick_rejection(ctx):
                 "peaks_found": len(report["peaks"])}
 
 
+# number, name, group, check, and the kinetic runs it reads through ctx.profile
 CRITERIA = [
-    (1, "walk-probability", "walk", _crit_walk_probability),
-    (2, "continuum-convergence", "walk", _crit_continuum_convergence),
-    (3, "dirac-dispersion", "walk", _crit_dirac_dispersion),
-    (4, "juttner-stationarity", "roup", _crit_juttner_stationarity),
-    (5, "propagation-peak", "roup", _crit_propagation_peak),
-    (6, "short-time-heuristic", "roup", _crit_short_time_heuristic),
-    (7, "valley-to-gaussian", "roup", _crit_valley_to_gaussian),
-    (8, "continuity", "roup", _crit_continuity),
-    (9, "generalized-fick", "fick", _crit_generalized_fick),
-    (10, "galilean-limit", "fick", _crit_galilean_limit),
-    (11, "simple-fick-rejection", "fick", _crit_simple_fick_rejection),
+    (1, "walk-probability", "walk", _crit_walk_probability, ()),
+    (2, "continuum-convergence", "walk", _crit_continuum_convergence, ()),
+    (3, "dirac-dispersion", "walk", _crit_dirac_dispersion, ()),
+    (4, "juttner-stationarity", "roup", _crit_juttner_stationarity, ()),
+    (5, "propagation-peak", "roup", _crit_propagation_peak, (_PEAK_RUN,)),
+    (6, "short-time-heuristic", "roup", _crit_short_time_heuristic, (_SHORT_RUN,)),
+    (7, "valley-to-gaussian", "roup", _crit_valley_to_gaussian, (_PEAK_RUN, *_VALLEY_RUNS)),
+    (8, "continuity", "roup", _crit_continuity, _CONTINUITY_RUNS),
+    (9, "generalized-fick", "fick", _crit_generalized_fick, tuple(_FICK_RUNS.values())),
+    (10, "galilean-limit", "fick", _crit_galilean_limit, (_GALILEAN_RUN,)),
+    (11, "simple-fick-rejection", "fick", _crit_simple_fick_rejection, (_PEAK_RUN,)),
 ]
 
-GROUPS = tuple(sorted({group for _, _, group, _ in CRITERIA}))
-
-# the kinetic runs each criterion reads through RunContext.profile
-PLAN = {5: (_PEAK_RUN,), 6: (_SHORT_RUN,), 7: (_PEAK_RUN, *_VALLEY_RUNS),
-        8: _CONTINUITY_RUNS, 9: tuple(_FICK_RUNS.values()), 10: (_GALILEAN_RUN,),
-        11: (_PEAK_RUN,)}
+GROUPS = tuple(sorted({group for _, _, group, _, _ in CRITERIA}))
 
 
 def run_criterion(number: int, ctx: RunContext | None = None) -> CriterionResult:
-    for num, name, group, fn in CRITERIA:
+    for num, name, group, fn, _ in CRITERIA:
         if num == number:
             break
     else:
@@ -311,16 +292,16 @@ def run_criterion(number: int, ctx: RunContext | None = None) -> CriterionResult
 
 
 def run_all(only: str | None = None, threads: int = 4):
-    """(results, plan_s): the criteria of group ``only`` (default all), after their run plan.
+    """(results, plan_s, plan_runs): the criteria of group ``only`` (default all).
 
-    plan_s is the wall time of marching the plan, up to ``threads`` runs
-    at a time; each result's runtime excludes it.
+    Their runs are marched first, plan_runs distinct marches up to
+    ``threads`` at a time in plan_s of wall time; each result's runtime
+    excludes it.
     """
     if only is not None and only not in GROUPS:
         raise ValueError(f"unknown group {only!r}; choose from {GROUPS}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    numbers = [num for num, _, group, _ in CRITERIA if only in (None, group)]
+    numbers = [num for num, _, group, _, _ in CRITERIA if only in (None, group)]
     ctx = RunContext(threads, numbers)
-    ctx.march_plan()
-    return [run_criterion(num, ctx) for num in numbers], ctx.plan_s
+    return [run_criterion(num, ctx) for num in numbers], ctx.plan_s, len(ctx.plan)

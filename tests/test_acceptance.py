@@ -1,22 +1,23 @@
 """Acceptance gate: one test per criterion, each printing its verdict line.
 
-Kinetic runs are shared through a module-scoped context, so the expensive
-evolutions happen once, several at a time. Expect a minute or more of wall
-time; run with -v to see one line per criterion as it completes.
+Kinetic runs are shared through a module-scoped context, which marches
+each distinct run the selected criteria read once, up front, several at a
+time (9 runs for the whole gate). Expect about half a minute of wall time
+on two cores; run with -v to see one line per criterion as it completes.
 """
 
 import pytest
 
 from relwalk import verify
 
-_NUMBERS = [number for number, _, _, _ in verify.CRITERIA]
-_NAMES = {number: name for number, name, _, _ in verify.CRITERIA}
+_NUMBERS = [number for number, _, _, _, _ in verify.CRITERIA]
+_NAMES = {number: name for number, name, _, _, _ in verify.CRITERIA}
 
 
 @pytest.fixture(scope="module")
 def ctx(request):
-    # the first criterion that needs a kinetic run marches the runs of
-    # every criterion this session selected, up to four at a time
+    # building the context marches the runs of every criterion this
+    # session selected, up to four at a time, before the first test
     numbers = [item.callspec.params["number"] for item in request.session.items
                if item.module is request.module]
     return verify.RunContext(threads=4, numbers=numbers)

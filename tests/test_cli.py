@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ def test_expression_rejects_unsafe(text):
 def test_expression_rejects_syntax_error():
     with pytest.raises(ConfigError):
         cli.compile_expression("3 +")
+
+
+@pytest.mark.parametrize("text, t", [
+    ("1/T", 0.0), ("1/X", 1.0), ("1e400", 1.0), ("sin(1e400)", 1.0), ("T**400", 1e3),
+])
+def test_expression_that_fails_or_is_not_finite_is_config_error(text, t):
+    field = cli.compile_expression(text)
+    with pytest.raises(ConfigError, match=re.escape(repr(text))):
+        field(t, np.arange(-2.0, 3.0))
 
 
 # ------------------------------------------------------------ config errors
@@ -127,6 +137,11 @@ def _error_name(capsys):
     ["metric", "--Q", "0"],
     ["heuristic", "--Q", "nan"],
     ["heuristic", "--Q", "inf"],
+    # a value's %g text names its output file, so a repeat would overwrite one
+    ["roup", "--times", "0.1,0.1000001"],
+    ["roup", "--Qs", "2,2.0", "--T", "0.5"],
+    ["metric", "--times", "0.1,0.1"],
+    ["converge", "--eps", "0.1,0.1"],
 ], ids=" ".join)
 def test_out_of_range_number_exits_2(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -150,6 +165,13 @@ def test_out_of_range_number_exits_2(tmp_path, capsys, argv):
     ("roup", "n_p = 6\n"),
     ("metric", "n_x = 6\n"),
     ("metric", "n_p = 2049\n"),
+    # angle fields that fail or are not finite where the run evaluates them
+    ("walk", "theta_bar = 1/T\n"),
+    ("converge", "theta_bar = 1/T\n"),
+    ("walk", "theta_bar = 1/X\n"),
+    ("dirac", "theta_bar = 1/X\n"),
+    ("converge", "theta_bar = 1/X\n"),
+    ("dirac", "theta_bar = 1e400\n"),
 ])
 def test_out_of_range_ini_value_exits_2(tmp_path, capsys, section, text):
     cfg = tmp_path / "bad.ini"
@@ -522,12 +544,12 @@ def test_degenerate_metric_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_failed_criterion_exits_4(tmp_path, monkeypatch):
     failed = verify.CriterionResult(1, "walk-probability", "walk", False, 0.0)
-    monkeypatch.setattr(verify, "run_all", lambda only, threads: ([failed], 0.0))
+    monkeypatch.setattr(verify, "run_all", lambda only, threads: ([failed], 0.0, 0))
     code = cli.main(["verify", "--only", "walk", "--out", str(tmp_path / "v")])
     assert code == 4
 
 
-def test_run_context_marches_the_plan_once_on_first_use(monkeypatch):
+def test_run_context_marches_its_plan_when_built(monkeypatch):
     calls = []
 
     def jobs(fn, runs, workers, costs):
@@ -538,25 +560,28 @@ def test_run_context_marches_the_plan_once_on_first_use(monkeypatch):
     monkeypatch.setattr(roup, "march_run", lambda run: {t: run for t in run.times})
     ctx = verify.RunContext(threads=3, numbers=[7, 11])
     assert ctx.plan == [verify._PEAK_RUN, *verify._VALLEY_RUNS]
-    assert ctx.plan_s is None
-    assert ctx.profile(verify._VALLEY_RUNS[1]) == verify._VALLEY_RUNS[1]
-    assert ctx.profile(verify._PEAK_RUN, 0.5) == verify._PEAK_RUN
     # steps times cells: 3000, 2000 and 2000 steps of 257 x 2048 cells
     assert calls == [([(run,) for run in ctx.plan], 3,
                       [n * 257 * 2048 for n in (3000, 2000, 2000)])]
     assert ctx.plan_s >= 0.0
-    # a run outside the plan is marched when asked for
-    extra = roup.Run(1.0, 0.1, 1e-3, (0.1,))
-    assert ctx.profile(extra) == extra
+    assert ctx.profile(verify._VALLEY_RUNS[1]) == verify._VALLEY_RUNS[1]
+    assert ctx.profile(verify._PEAK_RUN, 0.5) == verify._PEAK_RUN
     assert len(calls) == 1
+
+
+def test_full_gate_plan_marches_each_run_once(monkeypatch):
+    monkeypatch.setattr(verify, "run_jobs", lambda fn, jobs, workers, costs: [{}] * len(jobs))
+    plan = verify.RunContext(threads=1).plan
+    assert len(plan) == 9
+    # refine and output times only change what is read from a march
+    assert len({(run.Q, run.t_final, run.dt, run.n_x, run.n_p) for run in plan}) == 9
 
 
 def test_run_context_workers_return_profiles(monkeypatch, pools):
     small = (roup.Run(1.0, 0.2, 0.01, (0.1, 0.2), 32, 128, 2),
              roup.Run(2.0, 0.3, 0.01, (0.3,), 32, 128, 4))
-    monkeypatch.setattr(verify, "PLAN", {5: small})
+    monkeypatch.setattr(verify, "CRITERIA", [(5, "propagation-peak", "roup", None, small)])
     ctx = verify.RunContext(threads=2)
-    ctx.march_plan()
     assert [size for size, _ in pools.started] == [2]
     for run in small:
         for t, expected in roup.march_run(run).items():
@@ -581,12 +606,27 @@ def test_propagation_peak_budget_counts_the_plan(monkeypatch, plan_s, passed):
     monkeypatch.setattr(roup, "march_run",
                         lambda run: {t: _front_profile(t) for t in run.times})
     ctx = verify.RunContext(threads=1, numbers=[5])
-    ctx.march_plan()
     ctx.plan_s = plan_s  # as if marching the plan had taken that long
     result = verify.run_criterion(5, ctx)
     assert result.passed is passed
     assert result.details["plan_s"] == plan_s
     assert 0.0 <= result.details["runtime_s"] < 1.0
+
+
+def _ring_profiles(run):
+    # profiles of one ring per run, with an outward current, that every check can read
+    x_grid = Grid1D.periodic(3.0 * max(run.Q, 1.0) * run.t_final, run.n_x * run.refine)
+    x = x_grid.points
+    return {t: roup.DensityProfile(x_grid, t, run.Q, np.exp(-(x / t) ** 2),
+                                   x * np.exp(-(x / t) ** 2)) for t in run.times}
+
+
+@pytest.mark.parametrize("number", [n for n, _, _, _, runs in verify.CRITERIA if runs])
+def test_criterion_reads_only_the_runs_its_row_lists(monkeypatch, number):
+    # a profile outside the plan would be a KeyError; each check runs to its end
+    monkeypatch.setattr(roup, "march_run", _ring_profiles)
+    result = verify.run_criterion(number, verify.RunContext(threads=1, numbers=[number]))
+    assert "error" not in result.details, result.details["error"]
 
 
 def test_verify_group_report(tmp_path, capsys):
@@ -596,9 +636,10 @@ def test_verify_group_report(tmp_path, capsys):
     report = json.loads((out / "verify_report.json").read_text())
     assert report["all_passed"] is True
     # the walk group marches no kinetic run
+    assert report["plan_runs"] == 0
     assert 0.0 <= report["plan_s"] < 0.1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("kinetic run plan") and lines[0].endswith("s")
+    assert lines[0].startswith("kinetic run plan: 0 runs") and lines[0].endswith("s")
     assert len(lines) == 4
     numbers = [c["number"] for c in report["criteria"]]
     assert numbers == [1, 2, 3]
