@@ -136,7 +136,7 @@ class Opt(NamedTuple):
 
 
 _ANGLES = ("theta_bar", "xi_bar", "alpha_bar", "zeta_bar")
-_JET_PRESETS = {"zero": qwalk.JetSpec.zero(zeta0=-np.pi / 2.0),
+_JET_PRESETS = {"zero": qwalk.JetSpec(zeta0=-np.pi / 2.0),
                 "benchmark": qwalk.JetSpec.benchmark()}
 # the jet is a preset or inline angle fields, recorded as the manifest's "jet"
 _PRESET = _parser(f"one of {', '.join(_JET_PRESETS)}", str, _JET_PRESETS.__contains__)
@@ -337,20 +337,20 @@ def _cmd_roup(params, out):
 def _cmd_metric(params, out):
     """Diffusion metric, generalized Fick residual and simple-Fick rejection."""
     profiles = _profiles([(params["Q"], t) for t in params["times"]], params)
+    # every result before the directory, so a failure writes nothing
+    metrics = [fick.metric_from_density(profile) for profile, _ in profiles]
+    reports = [fick.simple_fick_rejection(profile) for profile, _ in profiles]
+    residuals = {f"T={t:g}": fick.generalized_fick_residual(profile, metric)
+                 for t, (profile, _), metric in zip(params["times"], profiles, metrics)}
     ensure_dir(out)
     outputs = []
-    residuals = {}
     dts = {}
-    for t, (profile, dt) in zip(params["times"], profiles):
+    for t, (_, dt), metric, report in zip(params["times"], profiles, metrics, reports):
         dts[f"T={t:g}"] = dt
-        metric = fick.metric_from_density(profile)
-        name = f"metric_T{t:g}.csv"
+        name, rname = f"metric_T{t:g}.csv", f"fick_rejection_T{t:g}.json"
         fick.write_metric_csv(metric, f"{out}/{name}")
-        outputs.append(name)
-        rname = f"fick_rejection_T{t:g}.json"
-        write_json(f"{out}/{rname}", fick.simple_fick_rejection(profile))
-        outputs.append(rname)
-        residuals[f"T={t:g}"] = fick.generalized_fick_residual(profile, metric)
+        write_json(f"{out}/{rname}", report)
+        outputs += [name, rname]
     _write_manifest(out, "metric", params, outputs,
                     {"dt_used": dts, "fick_residuals": residuals})
     return 0

@@ -39,13 +39,11 @@ def heuristic_density(t, x, Q):
     """
     if t <= 0.0:
         raise ValueError("heuristic density needs t > 0")
-    v = np.atleast_1d(np.asarray(x, dtype=float)) / t
+    v = np.asarray(x, dtype=float) / t
     out = np.zeros(v.shape)
     inside = np.abs(v) < Q
     gamma = 1.0 / np.sqrt(1.0 - (v[inside] / Q) ** 2)
     out[inside] = gamma ** 3 * np.exp(-Q * Q * gamma) / (2.0 * np.pi * t)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out[0])
     return out
 
 
@@ -113,17 +111,13 @@ def metric_from_density(profile: DensityProfile) -> MetricField:
     x = profile.x_grid.points
     n = np.clip(np.asarray(profile.density, dtype=float), 0.0, None)
     j = np.asarray(profile.current, dtype=float)
-    integrand = n * j
-    if np.isfinite(profile.Q):
-        # zero contributions outside the cone so cumquad starts the
-        # integrals at -QT and QT regardless of grid padding
-        integrand = np.where(np.abs(x) <= profile.Q * profile.time, integrand, 0.0)
+    # zero contributions outside the cone so cumquad starts the integrals
+    # at -QT and QT regardless of grid padding; infinite Q keeps every point
+    integrand = np.where(np.abs(x) <= profile.Q * profile.time, n * j, 0.0)
     big_i = np.where(x > 0.0,
                      2.0 * kernels.cumquad(integrand, profile.x_grid, from_lower=False),
                      -2.0 * kernels.cumquad(integrand, profile.x_grid))
-    valid = n >= N_FLOOR_RATIO * n.max()
-    if np.isfinite(profile.Q):
-        valid &= np.abs(x) < profile.Q * profile.time
+    valid = (n >= N_FLOOR_RATIO * n.max()) & (np.abs(x) < profile.Q * profile.time)
     scale = max(float(np.max(big_i[valid], initial=0.0)), 0.0)
     worst = float(np.min(big_i[valid], initial=0.0))
     if worst < -1e-6 * scale:
@@ -141,17 +135,20 @@ def metric_from_density(profile: DensityProfile) -> MetricField:
 
 
 def _central_valid_slice(metric: MetricField, density) -> slice:
-    """Largest contiguous valid run containing the density maximum."""
+    """Contiguous valid run containing the density maximum, else the longest.
+
+    DegenerateMetricError unless that run has the 2 points a gradient needs.
+    """
     idx = np.flatnonzero(metric.valid)
     if idx.size == 0:
         raise DegenerateMetricError("no valid points in metric field")
     runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
     peak = int(np.argmax(density))
-    for run in runs:
-        if run[0] <= peak <= run[-1]:
-            return slice(int(run[0]), int(run[-1]) + 1)
-    longest = max(runs, key=len)
-    return slice(int(longest[0]), int(longest[-1]) + 1)
+    run = next((r for r in runs if r[0] <= peak <= r[-1]), max(runs, key=len))
+    if run.size < 2:
+        raise DegenerateMetricError(
+            "the central valid run of the metric is one point; a gradient needs 2")
+    return slice(int(run[0]), int(run[-1]) + 1)
 
 
 def generalized_fick_residual(profile: DensityProfile, metric: MetricField) -> float:
@@ -190,8 +187,8 @@ def galilean_ou_chi(t):
     return float(chi) if chi.ndim == 0 else chi
 
 
-def galilean_ou_profile(t, n_x: int = 512) -> DensityProfile:
-    """Gaussian reference profile of the infinite-Q process.
+def galilean_ou_profile(t) -> DensityProfile:
+    """Gaussian reference profile of the infinite-Q process on 512 points.
 
     The ring spans 8 standard deviations of the Gaussian on each side,
     which keeps the boundary density below 1e-13 of the peak.
@@ -200,7 +197,7 @@ def galilean_ou_profile(t, n_x: int = 512) -> DensityProfile:
         raise ValueError("reference profile needs t > 0")
     s = galilean_ou_variance(t)
     sd = np.sqrt(s)
-    grid = kernels.Grid1D.periodic(16.0 * sd, n_x)
+    grid = kernels.Grid1D.periodic(16.0 * sd, 512)
     x = grid.points
     density = np.exp(-x * x / (2.0 * s)) / np.sqrt(2.0 * np.pi * s)
     # J = -chi dN/dX

@@ -94,10 +94,6 @@ class JetSpec:
     zeta_bar: Callable = lambda T, X: 0.0
 
     @classmethod
-    def zero(cls, p: int = 0, zeta0: float = 0.0) -> "JetSpec":
-        return cls(p=p, zeta0=zeta0)
-
-    @classmethod
     def benchmark(cls) -> "JetSpec":
         """Jet of the convergence studies: p = 0, zeta0 = -pi/2, theta_bar =
         0.3 cos X, xi_bar = 0.2, alpha_bar = 0.1 sin T, zeta_bar = 0."""

@@ -38,8 +38,8 @@ F(K, -P) = conj F(K, P), and both the phase and the collision step keep it,
 so the marcher keeps only the P > 0 half (see _evolve_block). Snapshots are
 full (n_modes, n_p) states like :class:`KineticState`, their P < 0 half
 written as the mirror image, so they are symmetric exactly. evolve_all
-therefore takes only symmetric initial states; evolve_mode splits
-arbitrary data into two symmetric parts.
+marches the symmetric initial_state; evolve_mode splits arbitrary data
+into two symmetric parts.
 
 The Juttner normalization is a trapezoid rule in rapidity (see
 juttner_normalization) rather than a Bessel function, so like the
@@ -96,10 +96,6 @@ _MIN_TAIL = 27.63
 # the marcher's symmetric frame divides by weights that fall to about
 # exp(-tail/2); past this exponent they underflow to zero
 _MAX_TAIL = 2.0 * np.log(1.0 / np.finfo(float).tiny)
-
-# largest symmetry_residual evolve_all accepts in an initial state; the
-# states initial_state builds measure about 2e-15
-_SYMMETRY_TOL = 1e-12
 
 # cells per marched chunk: it stays in L2, its products too small for BLAS threads
 _CHUNK_CELLS = 16384
@@ -189,21 +185,19 @@ class RoupParams:
             )
 
     @classmethod
-    def standard(cls, Q: float, t_final: float, n_x: int = 512, n_p: int = 2048,
-                 length: float | None = None) -> "RoupParams":
+    def standard(cls, Q: float, t_final: float, n_x: int = 512,
+                 n_p: int = 2048) -> "RoupParams":
         """Cutoff at the tail exponent _TAIL, ring from the causal cone.
 
-        length defaults to three times the light-cone radius: speeds stay
-        below Q, so the density stays within |X| < Q*t_final, and a ring
-        of 3*max(Q, 1)*t_final leaves at least Q*t_final of empty ring
+        The ring is three times the light-cone radius: speeds stay below
+        Q, so the density stays within |X| < Q*t_final, and a ring of
+        3*max(Q, 1)*t_final leaves at least Q*t_final of empty ring
         between the cone and its periodic image.
         """
         if t_final <= 0.0:
             raise ValueError("t_final must be positive")
         p_max = Q * np.sqrt((1.0 + _TAIL / (Q * Q)) ** 2 - 1.0)
-        if length is None:
-            length = 3.0 * max(Q, 1.0) * t_final
-        return cls(Q=Q, p_max=p_max, n_p=n_p, length=length, n_x=n_x)
+        return cls(Q=Q, p_max=p_max, n_p=n_p, length=3.0 * max(Q, 1.0) * t_final, n_x=n_x)
 
     @property
     def p_grid(self) -> Grid1D:
@@ -438,9 +432,8 @@ def evolve_mode(f0: np.ndarray, K: float, p_grid: Grid1D, Q: float,
 
 
 def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
-               output_times=None, threads: int = 1,
-               initial: KineticState | None = None) -> list[KineticState]:
-    """Evolve every stored wavenumber, returning one state per output time.
+               output_times=None, threads: int = 1) -> list[KineticState]:
+    """Evolve initial_state(params), returning one state per output time.
 
     output_times must be integer multiples of dt (default: t_final only).
     A chunk of rows that are all zero (the empty Nyquist row of
@@ -448,8 +441,7 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
     one core; march_run is the job that marches independent runs
     concurrently through kernels.run_jobs. threads is checked (below 1
     raises ValueError) and otherwise unused. Only the P > 0 half is
-    marched, so an initial state whose symmetry_residual exceeds 1e-12
-    raises SymmetryError; the returned states are exactly symmetric.
+    marched, and the returned states are exactly symmetric.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -463,21 +455,13 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
     if len(set(snap_steps)) != len(snap_steps):
         raise ValueError("output times collide on the step grid")
 
-    state0 = initial if initial is not None else initial_state(params)
-    if state0.params != params:
-        raise ValueError("initial state was built for different parameters")
-    asym = symmetry_residual(state0)
-    if asym > _SYMMETRY_TOL:
-        raise SymmetryError(
-            f"initial state breaks the momentum-flip symmetry at {asym:.3e}; "
-            "only the P > 0 half is marched")
-    F = np.asarray(state0.modes, dtype=complex)  # (n_modes, n_p), never written
+    F = initial_state(params).modes  # (n_modes, n_p), never written
     run = (F, params.mode_wavenumbers, params.p_grid, params.Q, dt)
     _check_step(*run, np.linalg.norm(F, axis=1))
     # one array per snapshot, so a kept state does not pin the others
     out = [np.empty((params.n_modes, params.n_p), dtype=complex) for _ in snap_steps]
     _evolve_block(*run, n_steps, snap_steps, out)
-    return [KineticState(params, state0.time + s * dt, m) for s, m in zip(snap_steps, out)]
+    return [KineticState(params, s * dt, m) for s, m in zip(snap_steps, out)]
 
 
 def symmetry_residual(state: KineticState) -> float:

@@ -273,14 +273,13 @@ CRITERIA = [
 GROUPS = tuple(sorted({group for _, _, group, _, _ in CRITERIA}))
 
 
-def run_criterion(number: int, ctx: RunContext | None = None) -> CriterionResult:
+def run_criterion(number: int, ctx: RunContext) -> CriterionResult:
+    """Criterion ``number`` checked against the runs ``ctx`` marched."""
     for num, name, group, fn, _ in CRITERIA:
         if num == number:
             break
     else:
         raise ValueError(f"no criterion numbered {number}")
-    if ctx is None:
-        ctx = RunContext(numbers=[number])
     started = time.perf_counter()
     try:
         passed, details = fn(ctx)

@@ -172,6 +172,10 @@ def test_out_of_range_number_exits_2(tmp_path, capsys, argv):
     ("dirac", "theta_bar = 1/X\n"),
     ("converge", "theta_bar = 1/X\n"),
     ("dirac", "theta_bar = 1e400\n"),
+    # 2 w^2 underflows to 0, so the packet's centre sample is 0/0
+    ("walk", "packet_width = 1e-200\n"),
+    ("dirac", "packet_width = 1e-200\n"),
+    ("converge", "packet_width = 1e-200\n"),
 ])
 def test_out_of_range_ini_value_exits_2(tmp_path, capsys, section, text):
     cfg = tmp_path / "bad.ini"
@@ -311,6 +315,18 @@ def test_dirac_density_csv(tmp_path):
     total = rows["density_total"]
     assert np.all(total >= 0)
     assert np.sum(total) * 0.1 == pytest.approx(1.0, abs=1e-6)
+
+
+def test_converge_with_a_zero_jet_reports_nan_orders(tmp_path):
+    # with every angle field 0 the walk and the Dirac scheme agree exactly
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text("[converge]\ntheta_bar = 0\n")
+    out = tmp_path / "c"
+    assert cli.main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = np.genfromtxt(out / "convergence.csv", delimiter=",", names=True)
+    assert rows.shape == (3,)
+    assert np.all(rows["l2_error"] == 0.0)
+    assert np.all(np.isnan(rows["order"]))
 
 
 # ------------------------------------------------------------ kinetic family
@@ -540,6 +556,19 @@ def test_degenerate_metric_exits_3(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == 3
     assert _error_name(capsys) == "DegenerateMetricError"
+    assert not (tmp_path / "o").exists()
+
+
+def test_one_point_central_metric_run_exits_3_and_writes_nothing(tmp_path, capsys):
+    # at Q = 0.05 only two x-indices around the centre are valid and they
+    # are not adjacent, so the central run is one point: no gradient
+    cfg = tmp_path / "coarse.ini"
+    cfg.write_text("[metric]\nn_x = 64\nn_p = 128\nrefine = 1\ndt = 0.01\n")
+    code = cli.main(["metric", "--config", str(cfg), "--Q", "0.05", "--times", "0.5",
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert _error_name(capsys) == "DegenerateMetricError"
+    assert not (tmp_path / "o").exists()
 
 
 def test_failed_criterion_exits_4(tmp_path, monkeypatch):

@@ -229,7 +229,7 @@ def test_step_matches_rolled_matrix_exponential():
 
 
 def test_zero_jet_walk_matches_transport_exactly():
-    jet = qwalk.JetSpec.zero()
+    jet = qwalk.JetSpec()
     rows = dirac.convergence_study(
         jet,
         lambda grid: dirac.gaussian_packet(grid, width=1.0),
@@ -257,7 +257,7 @@ def test_convergence_study_first_order():
 def test_convergence_study_rejects_bad_length():
     with pytest.raises(ValueError):
         dirac.convergence_study(
-            qwalk.JetSpec.zero(), dirac.gaussian_packet, 1.0, [0.3], 16.0
+            qwalk.JetSpec(), dirac.gaussian_packet, 1.0, [0.3], 16.0
         )
 
 

@@ -19,7 +19,6 @@ def test_heuristic_even_and_compactly_supported():
     vals = fick.heuristic_density(t, x, q)
     assert np.allclose(vals, vals[::-1])
     assert np.all(vals[np.abs(x) >= q * t] == 0.0)
-    assert isinstance(fick.heuristic_density(t, 0.03, q), float)
     with pytest.raises(ValueError):
         fick.heuristic_density(0.0, 0.0, q)
 
@@ -192,7 +191,7 @@ def test_fick_residual_small_on_ou_reference():
 def test_fick_residual_validation():
     profile = fick.galilean_ou_profile(1.0)
     metric = fick.metric_from_density(profile)
-    other = fick.galilean_ou_profile(1.0, n_x=256)
+    other = fick.galilean_ou_profile(2.0)
     with pytest.raises(ValueError):
         fick.generalized_fick_residual(other, metric)
     quiet = roup.DensityProfile(profile.x_grid, profile.time, profile.Q,
@@ -238,12 +237,12 @@ def test_rejection_twin_peak_profile():
 
 
 def test_metric_csv_roundtrip(tmp_path):
-    profile = fick.galilean_ou_profile(1.0, n_x=64)
+    profile = fick.galilean_ou_profile(1.0)
     metric = fick.metric_from_density(profile)
     path = tmp_path / "metric.csv"
     fick.write_metric_csv(metric, path)
     data = np.genfromtxt(path, delimiter=",", names=True)
-    assert data.shape == (64,)
+    assert data.shape == (512,)
     got = data["h"]
     assert np.allclose(got[metric.valid], metric.h[metric.valid])
     assert np.all(np.isnan(got[~metric.valid]))

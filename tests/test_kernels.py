@@ -322,7 +322,7 @@ def test_every_stepper_rejects_fractional_step_counts():
     dt = 0.1
     t_final = 50.1 * dt
     packet = dirac.gaussian_packet(Grid1D.periodic(16.0, 160))
-    jet = qwalk.JetSpec.zero()
+    jet = qwalk.JetSpec()
     params = roup.RoupParams.standard(1.0, t_final, n_x=16, n_p=64)
     f0 = roup.juttner(params.p_grid.points, 1.0)
     callers = [

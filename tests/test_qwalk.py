@@ -243,7 +243,7 @@ def test_zero_jet_transports_exactly():
     eps = 0.1
     grid = Grid1D.periodic(16.0, 160)
     packet = _gaussian_packet(grid, width=1.0, k0=1.0)
-    out = run_walk(JetSpec.zero(), eps, 1.0, packet)
+    out = run_walk(JetSpec(), eps, 1.0, packet)
     # ten steps: left rail moved 10 cells toward lower x, right rail opposite
     assert np.allclose(out.psi_minus, np.roll(packet.psi_minus, -10), atol=1e-15)
     assert np.allclose(out.psi_plus, np.roll(packet.psi_plus, 10), atol=1e-15)
@@ -271,17 +271,17 @@ def test_run_walk_validates_grid_and_steps():
     grid = Grid1D.periodic(16.0, 160)
     packet = _gaussian_packet(grid)
     with pytest.raises(ValueError):
-        run_walk(JetSpec.zero(), 0.2, 1.0, packet)  # spacing mismatch
+        run_walk(JetSpec(), 0.2, 1.0, packet)  # spacing mismatch
     with pytest.raises(ValueError):
-        run_walk(JetSpec.zero(), 0.1, 1.05, packet)  # fractional steps
+        run_walk(JetSpec(), 0.1, 1.05, packet)  # fractional steps
     with pytest.raises(ValueError):
-        run_walk(JetSpec.zero(), 0.0, 1.0, packet)  # cannot step at zero scale
+        run_walk(JetSpec(), 0.0, 1.0, packet)  # cannot step at zero scale
 
 
 def test_walk_csv_round_trip(tmp_path):
     grid = Grid1D.periodic(8.0, 16)
     packet = _gaussian_packet(grid)
-    out = run_walk(JetSpec.zero(), 0.5, 1.0, packet)
+    out = run_walk(JetSpec(), 0.5, 1.0, packet)
     path = tmp_path / "walk.csv"
     write_walk_csv(out, path)
     rows = np.genfromtxt(path, delimiter=",", names=True)

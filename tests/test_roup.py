@@ -206,7 +206,7 @@ def test_evolve_all_zero_mode_is_stationary():
     assert np.max(np.abs(state.modes[0] - expected)) < 1e-12
 
 
-def test_evolve_all_skips_the_empty_nyquist_chunk_bitwise():
+def test_evolve_all_skips_the_empty_nyquist_chunk_bitwise(monkeypatch):
     params = _small_params(n_x=64, n_p=2048, t_final=0.05)
     # 33 modes march as chunks of 16 and 16; the third chunk is the empty
     # Nyquist row alone, which is not marched and stays zero
@@ -216,8 +216,8 @@ def test_evolve_all_skips_the_empty_nyquist_chunk_bitwise():
     # chunks, so the other rows come out bitwise the same
     initial = roup.initial_state(params)
     initial.modes[-1] = initial.modes[0]
-    marched = roup.evolve_all(params, 0.05, dt=1e-3, output_times=[0.0, 0.05],
-                              initial=initial)
+    monkeypatch.setattr(roup, "initial_state", lambda _: initial)
+    marched = roup.evolve_all(params, 0.05, dt=1e-3, output_times=[0.0, 0.05])
     for a, b in zip(skipped, marched, strict=True):
         assert a.modes[:-1].tobytes() == b.modes[:-1].tobytes()
         assert not a.modes[-1].any()
@@ -288,14 +288,6 @@ def test_evolve_mode_matches_full_grid_on_asymmetric_data():
         assert np.max(np.abs(f - ref)) / np.max(np.abs(ref)) <= 1e-12
 
 
-def test_evolve_all_rejects_asymmetric_initial():
-    params = _small_params(n_x=64, n_p=256)
-    state = roup.initial_state(params)
-    state.modes[1] = roup.juttner(params.p_grid.points - 1.0, params.Q)
-    with pytest.raises(SymmetryError):
-        roup.evolve_all(params, 0.1, dt=1e-3, initial=state)
-
-
 def test_evolve_all_output_time_grid():
     params = _small_params(n_x=64, n_p=256)
     states = roup.evolve_all(params, 0.2, dt=1e-3, output_times=[0.1, 0.2])
@@ -304,13 +296,6 @@ def test_evolve_all_output_time_grid():
         roup.evolve_all(params, 0.2, dt=1e-3, output_times=[0.25])
     with pytest.raises(ValueError):
         roup.evolve_all(params, 0.2, dt=1e-3, output_times=[0.0501])
-
-
-def test_evolve_all_rejects_foreign_initial():
-    params = _small_params(n_x=64, n_p=256)
-    other = _small_params(n_x=128, n_p=256)
-    with pytest.raises(ValueError):
-        roup.evolve_all(params, 0.1, dt=1e-3, initial=roup.initial_state(other))
 
 
 def test_initial_reconstruction_is_a_band_limited_delta():
