@@ -69,8 +69,9 @@ def gaussian_packet(grid: Grid1D, center: float = 0.0, width: float = 1.0,
                     momentum: float = 0.0) -> SpinorField:
     """Smooth wave packet on equal rails, unit L2 norm."""
     x = grid.points
-    env = np.exp(-((x - center) ** 2) / (2.0 * width**2)) * np.exp(1j * momentum * x)
-    n = l2_norm(SpinorField(env, env, grid))
+    with np.errstate(all="ignore"):  # a width too small to sample is caught below
+        env = np.exp(-((x - center) ** 2) / (2.0 * width**2)) * np.exp(1j * momentum * x)
+        n = l2_norm(SpinorField(env, env, grid))
     if not 0.0 < n < np.inf:
         raise ValueError(f"cannot normalize a packet of norm {n}")
     return SpinorField(env / n, env / n, grid, 0.0)

@@ -35,11 +35,17 @@ stored momentum-major and marched one after another.
 
 Real, P-even initial data makes every mode obey the momentum-flip symmetry
 F(K, -P) = conj F(K, P), and both the phase and the collision step keep it,
-so the marcher keeps only the P > 0 half (see _evolve_block). Snapshots are
+so the marcher keeps only the P > 0 half (see _Strang). Snapshots are
 full (n_modes, n_p) states like :class:`KineticState`, their P < 0 half
 written as the mirror image, so they are symmetric exactly. evolve_all
 marches the symmetric initial_state; evolve_mode splits arbitrary data
 into two symmetric parts.
+
+Memory: a march holds its snapshots plus O(_CHUNK_CELLS) scratch.
+evolve_all builds the initial rows one chunk at a time, and its step
+guard and march work chunk by chunk, so nothing else of full grid size
+is allocated; symmetry_residual and reconstruct_density read a state in
+row blocks of _CHUNK_CELLS cells.
 
 The Juttner normalization is a trapezoid rule in rapidity (see
 juttner_normalization) rather than a Bessel function, so like the
@@ -279,12 +285,18 @@ def default_dt(t_final: float) -> float:
     return t_final / 2000
 
 
-def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out):
-    """March mode rows F (n, n_p) n_steps, snapshot i into out[i].
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive slices of rows, each of at most _CHUNK_CELLS cells (one row at least)."""
+    size = max(1, _CHUNK_CELLS // n_cols)
+    return [slice(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
 
-    Only the P > 0 half G = F[:, n_p/2:] is marched: rows must obey the
-    momentum-flip symmetry F(K, -P) = conj F(K, P), which the step
-    preserves, and each snapshot gets its P < 0 half written as
+
+class _Strang:
+    """Strang steps of size dt on one momentum grid, factored once for every chunk.
+
+    Only the P > 0 half G = F[:, n_p/2:] of mode rows F is marched: rows
+    must obey the momentum-flip symmetry F(K, -P) = conj F(K, P), which
+    the step preserves, and each snapshot gets its P < 0 half written as
     conj(G[:, ::-1]), so outputs are exactly symmetric. n_p is even, so
     the grid mirrors about the face at P = 0 and the node just below it
     holds conj(G[:, 0]). Folding that neighbour into row 0 of the P > 0
@@ -314,55 +326,54 @@ def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out):
     = 2 (I - aL)^-1 - I with a = dt/2: the solve takes the bands of
     (I - aL)/2, which returns 2 (I - aL)^-1 G exactly (a power-of-two
     scaling), and the step ends with one subtraction.
-
-    The rows march one after another in fixed chunks of
-    _CHUNK_CELLS // (n_p/2) modes, each stored momentum-major as G.T,
-    (rows, k) complex and C-ordered with zero padding rows, so its float
-    view is the (rows, 2k) real right-hand side of the real matrix. A
-    chunk whose rows are all zero stays zero without a march; skipping it
-    leaves the other chunks, and so the results, bitwise unchanged.
     """
-    h = p_grid.count // 2
-    lower, diag, upper = _collision_bands(p_grid, Q)
-    a = 0.5 * dt
-    m = -0.5 * a * lower[h - 1]
-    sub, mid, sup = -0.5 * a * lower[h:], 0.5 - 0.5 * a * diag[h:], -0.5 * a * upper[h:]
-    mid[0] += m
-    # the symmetric frame; sub and sup are negative, and so is off
-    w = np.concatenate(([1.0], np.cumprod(np.sqrt(sub / sup))))[:, None]
-    off = -np.sqrt(sub * sup)
-    ldl = BlockedLDL(mid, off)
-    e0 = np.zeros((ldl.rows, 1))
-    e0[0] = 1.0
-    z = np.empty_like(e0)
-    ldl.solver(1)(e0, z)
-    z = z[:, 0]
-    gamma = 2.0 * m / (1.0 - 2.0 * m * z[0])
-    z = gamma * z[: np.nonzero(np.abs(z) >= 1e-18 * abs(z[0]))[0][-1] + 1, None]
-    # the inverse transform kernel is exp(-iKX), so d/dX acts as -iK on the
-    # modes and the streaming phase rotates the opposite way
-    v = velocity(p_grid.points[h:], Q)
-    snap_lookup = {s: i for i, s in enumerate(snap_steps)}
-    size = max(1, _CHUNK_CELLS // h)
-    for lo in range(0, F.shape[0], size):
-        chunk = F[lo:lo + size, h:].T
+
+    def __init__(self, p_grid: Grid1D, Q: float, dt: float):
+        self.p_grid, self.Q, self.dt = p_grid, Q, dt
+        self.h = h = p_grid.count // 2
+        lower, diag, upper = _collision_bands(p_grid, Q)
+        a = 0.5 * dt
+        m = -0.5 * a * lower[h - 1]
+        sub, mid, sup = -0.5 * a * lower[h:], 0.5 - 0.5 * a * diag[h:], -0.5 * a * upper[h:]
+        mid[0] += m
+        # the symmetric frame; sub and sup are negative, and so is off
+        self.w = np.concatenate(([1.0], np.cumprod(np.sqrt(sub / sup))))[:, None]
+        off = -np.sqrt(sub * sup)
+        self.ldl = ldl = BlockedLDL(mid, off)
+        e0 = np.zeros((ldl.rows, 1))
+        e0[0] = 1.0
+        z = np.empty_like(e0)
+        ldl.solver(1)(e0, z)
+        z = z[:, 0]
+        gamma = 2.0 * m / (1.0 - 2.0 * m * z[0])
+        self.z = gamma * z[: np.nonzero(np.abs(z) >= 1e-18 * abs(z[0]))[0][-1] + 1, None]
+        # the inverse transform kernel is exp(-iKX), so d/dX acts as -iK on the
+        # modes and the streaming phase rotates the opposite way
+        self.v = velocity(p_grid.points[h:], Q)
+
+    def march(self, rows, Ks, n_steps, snap_steps, out):
+        """March mode rows (k, n_p) at wavenumbers Ks n_steps, snapshot i into out[i].
+
+        The P > 0 half is stored momentum-major as G.T, (ldl.rows, k)
+        complex and C-ordered with zero padding rows, so its float view is
+        the (ldl.rows, 2k) real right-hand side of the real matrix.
+        """
+        h, dt, w, z = self.h, self.dt, self.w, self.z
+        chunk = rows[:, h:].T
         k = chunk.shape[1]
-        if not chunk.any():  # a linear step keeps zero rows zero
-            for snap in out:
-                snap[lo:lo + k] = 0.0
-            continue
-        half = np.exp(0.5j * dt * np.outer(v, Ks[lo:lo + k]))
-        full = np.exp(1j * dt * np.outer(v, Ks[lo:lo + k]))
-        solve = ldl.solver(2 * k)
+        half = np.exp(0.5j * dt * np.outer(self.v, Ks))
+        full = np.exp(1j * dt * np.outer(self.v, Ks))
+        solve = self.ldl.solver(2 * k)
+        snap_lookup = {s: i for i, s in enumerate(snap_steps)}
 
         def snapshot(step, right, phase):
-            snap = out[snap_lookup[step]][lo:lo + k]
+            snap = out[snap_lookup[step]]
             np.multiply(right.T, phase.T, out=snap[:, h:])
             np.conjugate(snap[:, h:][:, ::-1], out=snap[:, :h])
 
         if 0 in snap_lookup:
             snapshot(0, chunk, np.ones(1))
-        G, y = np.zeros((2, ldl.rows, k), dtype=complex)
+        G, y = np.zeros((2, self.ldl.rows, k), dtype=complex)
         np.multiply(half, chunk, out=G[:h])
         G[:h] /= w
         half *= w
@@ -376,13 +387,43 @@ def _evolve_block(F, Ks, p_grid, Q, dt, n_steps, snap_steps, out):
                 G[:h] *= full
 
 
-def _check_step(F, Ks, p_grid, Q, dt, scale):
-    """StepSizeError when one step's doubling error, row i over scale[i], exceeds _GUARD_TOL."""
-    coarse, fine = np.empty((2, 1) + F.shape, dtype=complex)
-    _evolve_block(F, Ks, p_grid, Q, dt, 1, [1], coarse)
-    _evolve_block(F, Ks, p_grid, Q, dt / 2.0, 2, [2], fine)
-    num = np.linalg.norm(coarse[0] - fine[0], axis=1)
-    err = float(np.max(num / np.where(scale > 0.0, scale, 1.0)))
+def _evolve_block(rows, Ks, strang, n_steps, snap_steps, out):
+    """March the rows at wavenumbers Ks n_steps with strang, snapshot i into out[i].
+
+    rows(block) returns the (rows in block, n_p) mode rows of a slice
+    (an array's __getitem__ will do), and is asked for one chunk at a
+    time: the fixed chunks of _row_blocks(Ks.size, n_p/2) march one after
+    another. A chunk whose rows are all zero stays zero without a march;
+    skipping it leaves the other chunks, and so the results, bitwise
+    unchanged.
+    """
+    for block in _row_blocks(Ks.size, strang.h):
+        chunk = rows(block)
+        snaps = [snap[block] for snap in out]
+        if chunk.any():
+            strang.march(chunk, Ks[block], n_steps, snap_steps, snaps)
+        else:  # a linear step keeps zero rows zero
+            for snap in snaps:
+                snap[...] = 0.0
+
+
+def _check_step(rows, Ks, strang, scale=None):
+    """StepSizeError when one step's doubling error exceeds _GUARD_TOL.
+
+    Row i's error is measured against scale[i], by default its own norm.
+    One complete pass over the chunks of _evolve_block, taken before any
+    march: strang's step against two steps of half its size.
+    """
+    fine = _Strang(strang.p_grid, strang.Q, 0.5 * strang.dt)
+    err = 0.0
+    for block in _row_blocks(Ks.size, strang.h):
+        chunk = rows(block)
+        coarse, halved = np.empty((2, 1) + chunk.shape, dtype=complex)
+        strang.march(chunk, Ks[block], 1, [1], coarse)
+        fine.march(chunk, Ks[block], 2, [2], halved)
+        num = np.linalg.norm(coarse[0] - halved[0], axis=1)
+        norm = np.linalg.norm(chunk, axis=1) if scale is None else scale[block]
+        err = max(err, float(np.max(num / np.where(norm > 0.0, norm, 1.0))))
     if err > _GUARD_TOL:
         raise StepSizeError(
             f"first-step doubling error {err:.3e} exceeds {_GUARD_TOL}; reduce dt")
@@ -406,10 +447,22 @@ def initial_state(params: RoupParams) -> KineticState:
     pairing by construction; leaving it empty costs one part in n_x of
     the comb height and keeps every stored mode physical.
     """
-    f_eq = juttner(params.p_grid.points, params.Q)
-    modes = np.tile(f_eq / np.sqrt(2.0 * np.pi), (params.n_modes, 1)).astype(complex)
-    modes[-1] = 0.0
-    return KineticState(params, 0.0, modes)
+    return KineticState(params, 0.0, _initial_rows(params)(slice(0, params.n_modes)))
+
+
+def _initial_rows(params: RoupParams):
+    """rows(block): the rows of initial_state(params).modes in a slice, built on demand."""
+    row = juttner(params.p_grid.points, params.Q) / np.sqrt(2.0 * np.pi)
+    nyquist = params.n_modes - 1
+
+    def rows(block):
+        lo, hi, _ = block.indices(params.n_modes)
+        out = np.empty((hi - lo, params.n_p), dtype=complex)
+        out[:] = row
+        out[nyquist - lo:] = 0.0
+        return out
+
+    return rows
 
 
 def evolve_mode(f0: np.ndarray, K: float, p_grid: Grid1D, Q: float,
@@ -425,9 +478,10 @@ def evolve_mode(f0: np.ndarray, K: float, p_grid: Grid1D, Q: float,
     flipped = np.conj(f[::-1])
     F = np.stack([0.5 * (f + flipped), 0.5j * (f - flipped)])
     Ks = np.array([K, K], dtype=float)
-    _check_step(F, Ks, p_grid, Q, dt, np.full(2, np.linalg.norm(f)))
+    strang = _Strang(p_grid, Q, dt)
+    _check_step(F.__getitem__, Ks, strang, np.full(2, np.linalg.norm(f)))
     out = np.empty((1, 2, p_grid.count), dtype=complex)
-    _evolve_block(F, Ks, p_grid, Q, dt, n_steps, [n_steps], out)
+    _evolve_block(F.__getitem__, Ks, strang, n_steps, [n_steps], out)
     return out[0, 0] - 1j * out[0, 1]
 
 
@@ -436,8 +490,13 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
     """Evolve initial_state(params), returning one state per output time.
 
     output_times must be integer multiples of dt (default: t_final only).
-    A chunk of rows that are all zero (the empty Nyquist row of
-    initial_state, alone in its chunk) is not marched. One march runs on
+    The march holds the returned snapshots plus O(_CHUNK_CELLS) scratch:
+    each chunk's initial rows are built from the Juttner row as it is
+    checked or marched, never the whole initial_state. The step guard is
+    one complete pass over the chunks, so a dt too coarse raises
+    StepSizeError before any chunk is marched. A chunk of rows that are
+    all zero (the empty Nyquist row of initial_state, alone in its
+    chunk) is not marched. One march runs on
     one core; march_run is the job that marches independent runs
     concurrently through kernels.run_jobs. threads is checked (below 1
     raises ValueError) and otherwise unused. Only the P > 0 half is
@@ -455,12 +514,13 @@ def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
     if len(set(snap_steps)) != len(snap_steps):
         raise ValueError("output times collide on the step grid")
 
-    F = initial_state(params).modes  # (n_modes, n_p), never written
-    run = (F, params.mode_wavenumbers, params.p_grid, params.Q, dt)
-    _check_step(*run, np.linalg.norm(F, axis=1))
+    rows = _initial_rows(params)
+    Ks = params.mode_wavenumbers
+    strang = _Strang(params.p_grid, params.Q, dt)
+    _check_step(rows, Ks, strang)
     # one array per snapshot, so a kept state does not pin the others
     out = [np.empty((params.n_modes, params.n_p), dtype=complex) for _ in snap_steps]
-    _evolve_block(*run, n_steps, snap_steps, out)
+    _evolve_block(rows, Ks, strang, n_steps, snap_steps, out)
     return [KineticState(params, s * dt, m) for s, m in zip(snap_steps, out)]
 
 
@@ -473,8 +533,11 @@ def symmetry_residual(state: KineticState) -> float:
     modes from dominating the ratio.
     """
     modes = state.modes
-    diff = np.linalg.norm(modes[:, ::-1] - np.conj(modes), axis=1)
-    norms = np.linalg.norm(modes, axis=1)
+    diff, norms = np.empty((2, modes.shape[0]))
+    for block in _row_blocks(*modes.shape):
+        rows = modes[block]
+        diff[block] = np.linalg.norm(rows[:, ::-1] - np.conj(rows), axis=1)
+        norms[block] = np.linalg.norm(rows, axis=1)
     floor = 1e-3 * np.max(norms) if np.max(norms) > 0.0 else 1.0
     return float(np.max(diff / np.maximum(norms, floor)))
 
@@ -512,7 +575,10 @@ def reconstruct_density(state: KineticState, refine: int = 1) -> DensityProfile:
     p_grid = params.p_grid
     v = velocity(p_grid.points, params.Q)
     x_grid = Grid1D.periodic(params.length, params.n_x * refine)
-    half = np.stack((quad(state.modes, p_grid), quad(state.modes * v, p_grid)))
+    half = np.empty((2, params.n_modes), dtype=complex)
+    for block in _row_blocks(params.n_modes, params.n_p):
+        rows = state.modes[block]
+        half[:, block] = quad(rows, p_grid), quad(rows * v, p_grid)
     half *= np.exp(-1j * params.mode_wavenumbers * x_grid.lower)
     if refine > 1:
         half[:, -1] *= 0.5

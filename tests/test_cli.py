@@ -182,7 +182,9 @@ def test_out_of_range_ini_value_exits_2(tmp_path, capsys, section, text):
     cfg.write_text(f"[{section}]\n{text}")
     code = cli.main([section, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert _error_name(capsys) == "ConfigError"
+    # the JSON error is all of stderr: no numpy warning ahead of it
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
     assert not (tmp_path / "o").exists()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -214,9 +216,9 @@ def test_evolve_all_skips_the_empty_nyquist_chunk_bitwise(monkeypatch):
     skipped = roup.evolve_all(params, 0.05, dt=1e-3, output_times=[0.0, 0.05])
     # a nonzero last row marches every chunk; rows never mix across
     # chunks, so the other rows come out bitwise the same
-    initial = roup.initial_state(params)
-    initial.modes[-1] = initial.modes[0]
-    monkeypatch.setattr(roup, "initial_state", lambda _: initial)
+    initial = roup.initial_state(params).modes
+    initial[-1] = initial[0]
+    monkeypatch.setattr(roup, "_initial_rows", lambda _: initial.__getitem__)
     marched = roup.evolve_all(params, 0.05, dt=1e-3, output_times=[0.0, 0.05])
     for a, b in zip(skipped, marched, strict=True):
         assert a.modes[:-1].tobytes() == b.modes[:-1].tobytes()
@@ -232,6 +234,91 @@ def test_zero_row_sharing_a_chunk_marches_to_zero():
     state = roup.evolve_all(params, 0.5, dt=0.5 / 200)[0]
     assert np.array_equal(state.modes[-1], np.zeros(params.n_p))
     assert state.modes[-2].any()
+
+
+def test_initial_state_is_the_tiled_juttner_row_bitwise():
+    params = _small_params(n_x=64, n_p=256)
+    row = roup.juttner(params.p_grid.points, params.Q) / np.sqrt(2.0 * np.pi)
+    expected = np.tile(row, (params.n_modes, 1)).astype(complex)
+    expected[-1] = 0.0
+    assert roup.initial_state(params).modes.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n_x, n_p", [(130, 256), (70, 2048)])
+def test_streamed_march_matches_the_materialized_initial_state_bitwise(n_x, n_p):
+    # 66 modes on 128 momenta are one chunk, its empty Nyquist row marched
+    # with the others; 36 modes on 1024 march as chunks of 16, 16 and 4,
+    # the last one mixed. Built chunk by chunk, the initial rows must march
+    # exactly as the rows of the whole initial state do.
+    params = _small_params(n_x=n_x, n_p=n_p, t_final=0.05)
+    dt = 1e-3
+    streamed = roup.evolve_all(params, 0.05, dt=dt, output_times=[0.0, 0.02, 0.05])
+    F = roup.initial_state(params).modes
+    out = np.empty((3,) + F.shape, dtype=complex)
+    roup._evolve_block(F.__getitem__, params.mode_wavenumbers,
+                       roup._Strang(params.p_grid, params.Q, dt), 50, [0, 20, 50], out)
+    for state, expected in zip(streamed, out, strict=True):
+        assert np.array_equal(state.modes, expected)
+        assert state.modes.tobytes() == expected.tobytes()
+
+
+def test_evolve_all_guard_checks_every_chunk_before_any_march(monkeypatch):
+    # 33 modes on 1024 momenta are chunks of 16, 16 and the empty Nyquist
+    # row; dt = 0.5 is far too coarse for the fastest modes
+    params = _small_params(n_x=64, n_p=2048, t_final=10.0)
+    steps = []
+    march = roup._Strang.march
+
+    def recording(self, rows, Ks, n_steps, snap_steps, out):
+        steps.append(n_steps)
+        march(self, rows, Ks, n_steps, snap_steps, out)
+
+    monkeypatch.setattr(roup._Strang, "march", recording)
+    with pytest.raises(StepSizeError):
+        roup.evolve_all(params, 10.0, dt=0.5)
+    # one step and two half steps per chunk, and no 20-step march
+    assert steps == [1, 2] * 3
+
+
+def _traced_peak(fn):
+    """(fn(), the peak of traced allocations during the call above its start, in bytes)."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+# one complex array of _CHUNK_CELLS cells, the unit of a march's scratch
+_CHUNK_BYTES = 16 * roup._CHUNK_CELLS
+
+
+def test_evolve_all_holds_its_snapshots_plus_chunk_scratch():
+    # the initial rows, the guard's two results and the march's work arrays
+    # are each at most two chunks (about 9.3 chunks at the peak); one state
+    # here is 8 chunks, and a full-size initial state with full-size guard
+    # results peaked 24 chunks above the snapshots
+    params = _small_params(n_x=256, n_p=1024, t_final=0.02)
+    states, peak = _traced_peak(
+        lambda: roup.evolve_all(params, 0.02, dt=2e-3, output_times=[0.01, 0.02]))
+    snapshots = sum(state.modes.nbytes for state in states)
+    assert peak <= snapshots + 12 * _CHUNK_BYTES
+
+
+@pytest.mark.parametrize("read", [
+    roup.symmetry_residual,
+    lambda state: roup.reconstruct_density(state, refine=8),
+], ids=["symmetry_residual", "reconstruct_density"])
+def test_state_read_outs_work_in_row_blocks(read):
+    # one standard-grid state is 32 chunks; row blocks keep each read-out
+    # under 4 (about 2.5-2.8 measured), where whole-state temporaries took 65
+    state = roup.initial_state(roup.RoupParams.standard(1.0, 0.5))
+    assert _traced_peak(lambda: read(state))[1] <= 4 * _CHUNK_BYTES
 
 
 @pytest.mark.parametrize("threads", [0, -3])
