@@ -124,15 +124,19 @@ def cumquad(values, grid: Grid1D, from_lower: bool = True) -> np.ndarray:
 
 
 _BLOCK = 16  # rows per diagonal block of BlockedLDL
+_SLOTS = 2  # carry slots after each block in BlockedLDL's padded layout
+
+# terms below this are cut from BlockedLDL's carry matrices: subnormals slow
+# every product, and they could only matter against 1e150 larger edges
+_TINY = np.sqrt(np.finfo(float).tiny)
 
 
 def _chain(f):
-    """c[j, k] = prod f[k+1..j-1] for k < j, else 0; terms below sqrt(tiny) are cut:
-    subnormals slow every product, and they could only matter against 1e150 larger edges."""
+    """c[j, k] = prod f[k+1..j-1] for k < j, else 0, with terms below _TINY cut."""
     rank = np.arange(f.size)
     c = np.cumprod(np.where(rank[:, None] > rank, f[:, None], 1.0), axis=0)
     c = np.tril(np.roll(c, 1, axis=0), -1)
-    c[np.abs(c) < np.sqrt(np.finfo(float).tiny)] = 0.0
+    c[np.abs(c) < _TINY] = 0.0
     return c
 
 
@@ -163,7 +167,7 @@ def _ldl_factor(diag, off):
 
 
 class BlockedLDL:
-    """A real symmetric positive-definite tridiagonal A = L D L^T, factored for many solves.
+    """A real symmetric positive-definite tridiagonal A = L D L^T, factored for many steps.
 
     diag has length n and off, the sub- and superdiagonal, n - 1. After
     _ldl_factor the system is padded with identity rows to ``rows``, a
@@ -171,16 +175,26 @@ class BlockedLDL:
     x_j = M_j (b_j - e s e_0 - g r e_15), with M_j the explicit inverse of
     (L D L^T)_jj, e and g the couplings of L and D L^T across the block
     edges, s the last entry of L^-1 b in block j - 1 and r the first of x
-    in block j + 1. Each carry is a triangular (nb, nb) matrix of products
-    of edge factors applied to one edge row per block, so a solve is four
-    matrix products and has no loop over rows or blocks. Raises
-    SingularSystemError unless every pivot is positive.
+    in block j + 1. Both carries are linear in two edge rows of every
+    block, (L_jj^-1 b_j)[15] and (M_j b_j)[0], through one precomposed
+    (2 nb, 2 nb) matrix of products of edge factors.
+
+    Vectors live in the padded block layout of shape ``shape`` = (nb, 18):
+    each block's 16 rows, then two carry slots for -e s and -g r (see
+    pad). A step takes (A^-1 - I) b, the Crank-Nicolson step when A is
+    half the implicit matrix, in three matrix products and with no loop
+    over rows or blocks: the edge rows, the carries, and the augmented
+    [M_j - I | M_j e_0 | M_j e_15] on each padded block, which adds the
+    carries and subtracts b on the way. Raises SingularSystemError unless
+    every pivot is positive.
     """
 
     def __init__(self, diag, off):
         d, e = _ldl_factor(diag, off)
+        self.n = d.size
         nb = -(-d.size // _BLOCK)
         self.rows = nb * _BLOCK
+        self.shape = (nb, _BLOCK + _SLOTS)
         d = np.concatenate((d, np.ones(self.rows - d.size))).reshape(nb, _BLOCK)
         # e[j, 15] couples block j to block j + 1, and is zero after the last real row
         e = np.concatenate((e, np.zeros(self.rows - e.size))).reshape(nb, _BLOCK)
@@ -189,39 +203,55 @@ class BlockedLDL:
         for i in range(1, _BLOCK):
             l_inv[:, i, :i] = -e[:, i - 1, None] * l_inv[:, i - 1, :i]
         u_inv = np.swapaxes(l_inv, 1, 2) / d[:, None, :]
-        self._inv = u_inv @ l_inv
+        inv = u_inv @ l_inv
         # s chains from c = (L_jj^-1 b_j)[15], s_j = c_j - e s_{j-1} l_inv[15, 0];
         # r from u = (M_j b_j)[0] - M_j[0, 0] e s_{j-1}, r_j = u_j - g r_{j+1} u_inv[0, 15]
-        self._edges = np.stack((l_inv[:, -1], self._inv[:, 0]), axis=1)
+        self._edges = np.stack((l_inv[:, -1], inv[:, 0]), axis=1)
         e_in = np.concatenate(([0.0], e[:-1, -1]))
         g_out = d[:, -1] * e[:, -1]
-        self._s_in = -e_in[:, None] * _chain(-e_in * l_inv[:, -1, 0])
-        self._r_in = -g_out[:, None] * _chain(-g_out[::-1] * u_inv[::-1, 0, -1])[::-1, ::-1]
+        s_in = -e_in[:, None] * _chain(-e_in * l_inv[:, -1, 0])
+        r_in = -g_out[:, None] * _chain(-g_out[::-1] * u_inv[::-1, 0, -1])[::-1, ::-1]
+        # slot pair j is (S c)_j and (R (u + M[0, 0] S c))_j, edge pair j' is (c, u)_j'
+        carries = np.zeros((nb, _SLOTS, nb, 2))
+        carries[:, 0, :, 0] = s_in
+        carries[:, 1, :, 0] = r_in @ (inv[:, 0, :1] * s_in)
+        carries[:, 1, :, 1] = r_in
+        carries[np.abs(carries) < _TINY] = 0.0
+        self._carries = carries.reshape(nb * _SLOTS, 2 * nb)
+        self._step = np.concatenate((inv - np.eye(_BLOCK), inv[:, :, ::_BLOCK - 1]), axis=2)
 
-    def solver(self, cols):
-        """solve(rhs, out): out = A^-1 rhs for C-ordered real (rows, cols) arrays.
+    def pad(self, values):
+        """Rows (at most n, ...) as a new array in the padded layout, zero in slots and below."""
+        values = np.asarray(values)
+        rows = np.zeros((self.rows,) + values.shape[1:], dtype=values.dtype)
+        rows[:len(values)] = values
+        out = np.zeros(self.shape + values.shape[1:], dtype=values.dtype)
+        out[:, :_BLOCK] = rows.reshape((-1, _BLOCK) + values.shape[1:])
+        return out
 
-        rhs has zero padding rows and is not written; each solver owns its
-        scratch buffers, so threads share one factorization.
+    def unpad(self, padded):
+        """The n real rows of a padded array, as a new (n, ...) array."""
+        return padded[:, :_BLOCK].reshape((self.rows,) + padded.shape[2:])[:self.n]
+
+    def stepper(self, cols):
+        """step(b, out): out = (A^-1 - I) b for real (nb, 18, cols) arrays in the padded layout.
+
+        b has zero padding rows. The step writes the carry slots of b (its
+        rows are kept) and every row of out, but not out's slots.
         """
-        nb = self.rows // _BLOCK
-        edges, carries = np.empty((2, nb, 2, cols))
-        work = np.empty((nb, _BLOCK, cols))
+        nb = self.shape[0]
+        edges = np.empty((nb, 2, cols))
+        carries = np.empty((nb * _SLOTS, cols))
 
-        def solve(rhs, out):
-            if not (rhs.flags.c_contiguous and out.flags.c_contiguous):
-                raise ValueError("rhs and out must be C-ordered")
-            b = rhs.reshape(nb, _BLOCK, cols)
-            np.matmul(self._edges, b, out=edges)
-            np.matmul(self._s_in, edges[:, 0], out=carries[:, 0])
-            np.multiply(self._inv[:, :1, 0], carries[:, 0], out=edges[:, 0])
-            np.add(edges[:, 0], edges[:, 1], out=edges[:, 0])
-            np.matmul(self._r_in, edges[:, 0], out=carries[:, 1])
-            np.copyto(work, b)
-            work[:, ::_BLOCK - 1] += carries
-            np.matmul(self._inv, work, out=out.reshape(nb, _BLOCK, cols))
+        def step(b, out):
+            np.matmul(self._edges, b[:, :_BLOCK], out=edges)
+            # one contiguous product and a small copy beat a product
+            # broadcast over blocks straight into the strided slots
+            np.matmul(self._carries, edges.reshape(2 * nb, cols), out=carries)
+            b[:, _BLOCK:] = carries.reshape(nb, _SLOTS, cols)
+            np.matmul(self._step, b, out=out[:, :_BLOCK])
 
-        return solve
+        return step
 
 
 def tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
@@ -235,8 +265,8 @@ def tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
     (the transpose of a C-ordered (k, n) stack) is copied without a
     transpose. Each column is solved independently, so the result does not
     depend on how the columns are blocked. Raises SingularSystemError on a
-    zero pivot. Many solves with one symmetric positive-definite A are
-    cheaper through BlockedLDL.
+    zero pivot. Many Crank-Nicolson steps with one symmetric
+    positive-definite A are cheaper through BlockedLDL.
     """
     sub, diag, sup, rhs = map(np.asarray, (sub, diag, sup, rhs))
     n = diag.shape[0]

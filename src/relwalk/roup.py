@@ -28,10 +28,11 @@ tridiagonal shared by all modes. Adjacent half phases of consecutive steps
 are folded into one full phase, and the Crank-Nicolson step is taken as
 2 (I - aL)^-1 - I. The modes are marched in the symmetric frame, divided
 by the similarity weights (a real diagonal that commutes with the phases),
-so a step is one phase multiply, one L D L^T solve of a symmetric
-positive-definite tridiagonal (blocked into small matrix products, see
-kernels.BlockedLDL) and one subtraction, over fixed chunks of modes
-stored momentum-major and marched one after another.
+so a step is one phase multiply and one Crank-Nicolson step of a
+symmetric positive-definite tridiagonal factored as L D L^T (three matrix
+products on a padded block layout, see kernels.BlockedLDL), over fixed
+chunks of modes stored momentum-major and marched one after another.
+Each chunk builds its phase tables once, from cos and sin.
 
 Real, P-even initial data makes every mode obey the momentum-flip symmetry
 F(K, -P) = conj F(K, P), and both the phase and the collision step keep it,
@@ -67,7 +68,7 @@ import numpy as np
 
 from . import _io
 from .errors import StepSizeError, SymmetryError, TailTruncationError
-from .kernels import BlockedLDL, Grid1D, count_steps, quad
+from .kernels import _BLOCK, BlockedLDL, Grid1D, count_steps, quad
 # not called here: perfbench/tracing.py swaps this binding to time the solve,
 # so it stays until the tracer counts steps inside the marcher
 from .kernels import tridiag_solve  # noqa: F401
@@ -302,8 +303,8 @@ class _Strang:
     holds conj(G[:, 0]). Folding that neighbour into row 0 of the P > 0
     block of the collision matrix is a reflection: even (diagonal plus
     the dropped coupling m) for the real part, odd (diagonal minus m) for
-    the imaginary part. One solve takes the even matrix, and a
-    Sherman-Morrison rank-1 update y.imag += gamma y.imag[0] z, with
+    the imaginary part. One step takes the even matrix, and a
+    Sherman-Morrison rank-1 update x.imag += gamma x.imag[0] z, with
     z = M_even^-1 e_0 and gamma = 2m / (1 - 2m z_0), turns its imaginary
     part into the odd solve; z decays fast and is cut where it falls
     below 1e-18 z_0.
@@ -315,17 +316,17 @@ class _Strang:
     eigenvalues of M, at least 1/2 because those of the detailed-balance
     generator L are real and non-positive, so it is positive definite and
     BlockedLDL factors it once. The marched state is W^-1 G: w divides
-    the opening half phase and multiplies each snapshot's half phase.
-    Since w_0 = 1, e_0, m and gamma carry over, and the rank-1 update
-    uses z = S^-1 e_0, one more solve with the same factorization.
+    the opening rows and multiplies each snapshot. Since w_0 = 1, e_0, m
+    and gamma carry over, and the rank-1 update uses z = S^-1 e_0, one
+    more step with the same factorization.
 
     Strang steps H C H, with H the exact half phase exp(i dt v K / 2) and C
     the Crank-Nicolson collision step, chain as H C P C P ... C H with the
     full phase P = exp(i dt v K) between solves; half phases are applied
     only at the start and into each snapshot. C is (I - aL)^-1 (I + aL)
-    = 2 (I - aL)^-1 - I with a = dt/2: the solve takes the bands of
-    (I - aL)/2, which returns 2 (I - aL)^-1 G exactly (a power-of-two
-    scaling), and the step ends with one subtraction.
+    = 2 (I - aL)^-1 - I with a = dt/2: BlockedLDL factors the bands of
+    (I - aL)/2, so its step (A^-1 - I) G is C G, with no subtraction
+    pass, and the rank-1 update reads x.imag[0] as y.imag[0] + G.imag[0].
     """
 
     def __init__(self, p_grid: Grid1D, Q: float, dt: float):
@@ -340,51 +341,78 @@ class _Strang:
         self.w = np.concatenate(([1.0], np.cumprod(np.sqrt(sub / sup))))[:, None]
         off = -np.sqrt(sub * sup)
         self.ldl = ldl = BlockedLDL(mid, off)
-        e0 = np.zeros((ldl.rows, 1))
-        e0[0] = 1.0
-        z = np.empty_like(e0)
-        ldl.solver(1)(e0, z)
-        z = z[:, 0]
+        e0 = ldl.pad(np.eye(h, 1))
+        z = np.zeros_like(e0)
+        ldl.stepper(1)(e0, z)
+        z = ldl.unpad(z)[:, 0]
+        z[0] += 1.0
         gamma = 2.0 * m / (1.0 - 2.0 * m * z[0])
-        self.z = gamma * z[: np.nonzero(np.abs(z) >= 1e-18 * abs(z[0]))[0][-1] + 1, None]
+        keep = np.nonzero(np.abs(z) >= 1e-18 * abs(z[0]))[0][-1] + 1
+        self.z = ldl.pad(gamma * z[:keep, None])[:-(-keep // _BLOCK)]
         # the inverse transform kernel is exp(-iKX), so d/dX acts as -iK on the
         # modes and the streaming phase rotates the opposite way
-        self.v = velocity(p_grid.points[h:], Q)
+        self.v = ldl.pad(velocity(p_grid.points[h:], Q)[:, None])
 
-    def march(self, rows, Ks, n_steps, snap_steps, out):
+    def phase(self, Ks, fraction):
+        """exp(i fraction dt v K) for wavenumbers Ks, in the padded layout (1 in the slots).
+
+        cos and sin into the real and imaginary parts give
+        np.exp(1j * fraction * dt * np.outer(v, Ks)) (bit for bit with
+        numpy 2.4 on x86-64 Linux) without its complex temporaries. A chunk's
+        tables are built for it alone and never cached: a cache would hold
+        tables for every chunk.
+        """
+        table = np.empty(self.v.shape[:2] + Ks.shape, dtype=complex)
+        theta = table.real
+        np.multiply(self.v, Ks, out=theta)
+        theta *= fraction * self.dt
+        np.sin(theta, out=table.imag)
+        np.cos(theta, out=theta)
+        return table
+
+    def march(self, rows, Ks, n_steps, snap_steps, out, half, full):
         """March mode rows (k, n_p) at wavenumbers Ks n_steps, snapshot i into out[i].
 
-        The P > 0 half is stored momentum-major as G.T, (ldl.rows, k)
-        complex and C-ordered with zero padding rows, so its float view is
-        the (ldl.rows, 2k) real right-hand side of the real matrix.
+        half and full are phase(Ks, 0.5) and phase(Ks, 1.0), only read;
+        full is used between steps, so a one-step march may pass None.
+        The P > 0 half G.T is stored momentum-major in the solver's padded
+        layout, (nb, 18, k) complex with zero padding rows, so its float
+        view is the (nb, 18, 2k) real right-hand side of the real matrix.
         """
-        h, dt, w, z = self.h, self.dt, self.w, self.z
-        chunk = rows[:, h:].T
-        k = chunk.shape[1]
-        half = np.exp(0.5j * dt * np.outer(self.v, Ks))
-        full = np.exp(1j * dt * np.outer(self.v, Ks))
-        solve = self.ldl.solver(2 * k)
+        h, w, z = self.h, self.w, self.z
+        k = Ks.size
+        step = self.ldl.stepper(2 * k)
         snap_lookup = {s: i for i, s in enumerate(snap_steps)}
+        G, y = np.zeros((2,) + half.shape, dtype=complex)
 
-        def snapshot(step, right, phase):
-            snap = out[snap_lookup[step]]
-            np.multiply(right.T, phase.T, out=snap[:, h:])
+        def staged(free):
+            # the memory of the work array not in use, as momentum-major
+            # rows (ldl.rows, k) and as their (nb, 16, k) blocks
+            flat = free.reshape(-1)[:self.ldl.rows * k]
+            return flat.reshape(-1, k), flat.reshape(-1, _BLOCK, k)
+
+        def snapshot(s, right):
+            snap = out[snap_lookup[s]]
+            np.copyto(snap[:, h:].T, right)
             np.conjugate(snap[:, h:][:, ::-1], out=snap[:, :h])
 
         if 0 in snap_lookup:
-            snapshot(0, chunk, np.ones(1))
-        G, y = np.zeros((2, self.ldl.rows, k), dtype=complex)
-        np.multiply(half, chunk, out=G[:h])
-        G[:h] /= w
-        half *= w
-        for step in range(1, n_steps + 1):
-            solve(G.view(float), y.view(float))
-            y.imag[:z.size] += z * y.imag[0]
-            G, y = np.subtract(y, G, out=y), G
-            if step in snap_lookup:
-                snapshot(step, G[:h], half)
-            if step < n_steps:
-                G[:h] *= full
+            snapshot(0, rows[:, h:].T)
+        stage, blocks = staged(y)
+        np.divide(rows[:, h:].T, w, out=stage[:h])
+        stage[h:] = 0.0
+        np.multiply(half[:, :_BLOCK], blocks, out=G[:, :_BLOCK])
+        for s in range(1, n_steps + 1):
+            step(G.view(float), y.view(float))
+            y[:len(z)].imag += z * (y[0, 0].imag + G[0, 0].imag)
+            G, y = y, G
+            if s in snap_lookup:
+                stage, blocks = staged(y)
+                np.multiply(G[:, :_BLOCK], half[:, :_BLOCK], out=blocks)
+                stage[:h] *= w
+                snapshot(s, stage[:h])
+            if s < n_steps:
+                G *= full
 
 
 def _evolve_block(rows, Ks, strang, n_steps, snap_steps, out):
@@ -393,15 +421,17 @@ def _evolve_block(rows, Ks, strang, n_steps, snap_steps, out):
     rows(block) returns the (rows in block, n_p) mode rows of a slice
     (an array's __getitem__ will do), and is asked for one chunk at a
     time: the fixed chunks of _row_blocks(Ks.size, n_p/2) march one after
-    another. A chunk whose rows are all zero stays zero without a march;
-    skipping it leaves the other chunks, and so the results, bitwise
-    unchanged.
+    another, each with its two phase tables built for it alone. A chunk
+    whose rows are all zero stays zero without a march; skipping it
+    leaves the other chunks, and so the results, bitwise unchanged.
     """
     for block in _row_blocks(Ks.size, strang.h):
         chunk = rows(block)
         snaps = [snap[block] for snap in out]
         if chunk.any():
-            strang.march(chunk, Ks[block], n_steps, snap_steps, snaps)
+            K = Ks[block]
+            strang.march(chunk, K, n_steps, snap_steps, snaps,
+                         strang.phase(K, 0.5), strang.phase(K, 1.0))
         else:  # a linear step keeps zero rows zero
             for snap in snaps:
                 snap[...] = 0.0
@@ -412,15 +442,19 @@ def _check_step(rows, Ks, strang, scale=None):
 
     Row i's error is measured against scale[i], by default its own norm.
     One complete pass over the chunks of _evolve_block, taken before any
-    march: strang's step against two steps of half its size.
+    march: strang's step against two steps of half its size. Each chunk
+    builds two phase tables: the half step's full phase is strang's half
+    phase, bit for bit, and the one step needs no full phase.
     """
     fine = _Strang(strang.p_grid, strang.Q, 0.5 * strang.dt)
     err = 0.0
     for block in _row_blocks(Ks.size, strang.h):
         chunk = rows(block)
+        K = Ks[block]
         coarse, halved = np.empty((2, 1) + chunk.shape, dtype=complex)
-        strang.march(chunk, Ks[block], 1, [1], coarse)
-        fine.march(chunk, Ks[block], 2, [2], halved)
+        half = strang.phase(K, 0.5)
+        strang.march(chunk, K, 1, [1], coarse, half, None)
+        fine.march(chunk, K, 2, [2], halved, fine.phase(K, 0.5), half)
         num = np.linalg.norm(coarse[0] - halved[0], axis=1)
         norm = np.linalg.norm(chunk, axis=1) if scale is None else scale[block]
         err = max(err, float(np.max(num / np.where(norm > 0.0, norm, 1.0))))
@@ -599,7 +633,7 @@ class Run(NamedTuple):
     Q: float
     t_final: float
     dt: float
-    times: tuple  # output times, ascending
+    times: tuple  # output times
     n_x: int = 512
     n_p: int = 2048
     refine: int = 8
@@ -614,11 +648,12 @@ def march_run(run: Run) -> dict:
     """{t: DensityProfile} of a run; the pool job of every kinetic study.
 
     A worker returns the profiles, never the states, which are far larger.
+    The keys are run.times in ascending order, the order of the states.
     """
     params = RoupParams.standard(run.Q, run.t_final, n_x=run.n_x, n_p=run.n_p)
     states = evolve_all(params, run.t_final, dt=run.dt, output_times=list(run.times))
     return {t: reconstruct_density(state, refine=run.refine)
-            for t, state in zip(run.times, states)}
+            for t, state in zip(sorted(run.times), states)}
 
 
 def rescaled_profile(profile: DensityProfile):

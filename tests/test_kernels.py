@@ -218,17 +218,21 @@ def _check_blocked_ldl(diag, off, rng):
     ldl = BlockedLDL(diag, off)
     n = diag.size
     assert ldl.rows % 16 == 0 and n <= ldl.rows < n + 16
+    assert ldl.shape == (ldl.rows // 16, 18)
     dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
     for cols in (1, 32):
-        rhs = np.zeros((ldl.rows, cols))
-        rhs[:n] = rng.normal(size=(n, cols))
-        saved = rhs.copy()
-        out = np.full_like(rhs, np.nan)
-        ldl.solver(cols)(rhs, out)
-        assert np.array_equal(rhs, saved)
-        assert np.all(out[n:] == 0.0)
-        reference = np.linalg.solve(dense, rhs[:n])
-        assert np.max(np.abs(out[:n] - reference)) <= 1e-13 * np.max(np.abs(reference))
+        rhs = rng.normal(size=(n, cols))
+        b = ldl.pad(rhs)
+        assert b.shape == ldl.shape + (cols,) and np.array_equal(ldl.unpad(b), rhs)
+        out = np.full_like(b, np.nan)
+        ldl.stepper(cols)(b, out)
+        # the rows of b are kept; its carry slots are scratch
+        assert np.array_equal(ldl.unpad(b), rhs)
+        assert np.all(out[:, :16].reshape(ldl.rows, cols)[n:] == 0.0)
+        # the step is (A^-1 - I) b
+        reference = np.linalg.solve(dense, rhs)
+        err = np.max(np.abs(ldl.unpad(out) + rhs - reference))
+        assert err <= 1e-13 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("n", [3, 15, 16, 17, 1024])

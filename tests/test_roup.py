@@ -269,15 +269,56 @@ def test_evolve_all_guard_checks_every_chunk_before_any_march(monkeypatch):
     steps = []
     march = roup._Strang.march
 
-    def recording(self, rows, Ks, n_steps, snap_steps, out):
+    def recording(self, rows, Ks, n_steps, *args):
         steps.append(n_steps)
-        march(self, rows, Ks, n_steps, snap_steps, out)
+        march(self, rows, Ks, n_steps, *args)
 
     monkeypatch.setattr(roup._Strang, "march", recording)
     with pytest.raises(StepSizeError):
         roup.evolve_all(params, 10.0, dt=0.5)
     # one step and two half steps per chunk, and no 20-step march
     assert steps == [1, 2] * 3
+
+
+def test_evolve_all_builds_two_phase_tables_per_chunk_in_guard_and_march(monkeypatch):
+    # 32 modes on 1024 momenta are two chunks of 16, the Nyquist row in the
+    # second; the guard shares one table between its two marches
+    params = _small_params(n_x=62, n_p=2048, t_final=0.05)
+    built = []
+    phase = roup._Strang.phase
+
+    def counting(self, Ks, fraction):
+        built.append(fraction)
+        return phase(self, Ks, fraction)
+
+    monkeypatch.setattr(roup._Strang, "phase", counting)
+    roup.evolve_all(params, 0.05, dt=1e-3)
+    assert len(built) == (2 + 2) * 2
+
+
+def test_phase_tables_are_the_complex_exponential():
+    # bit for bit with numpy 2.4 on x86-64 Linux; within an ulp anywhere
+    params = roup.RoupParams.standard(1.0, 0.5)
+    strang = roup._Strang(params.p_grid, params.Q, 1e-3)
+    Ks = params.mode_wavenumbers
+    v = strang.ldl.unpad(strang.v)[:, 0]
+    for fraction, scale in ((0.5, 0.5j), (1.0, 1j)):
+        table = strang.phase(Ks, fraction)
+        expected = np.exp(scale * 1e-3 * np.outer(v, Ks))
+        assert np.max(np.abs(strang.ldl.unpad(table) - expected)) <= 2e-16
+        assert np.all(table[:, 16:] == 1.0)
+
+
+@pytest.mark.parametrize("cells", [8192, 32768])
+def test_evolve_all_is_bitwise_independent_of_the_chunk_size(monkeypatch, cells):
+    # the standard grid's 257 modes march as chunks of 8, 16 or 32 rows and
+    # the empty Nyquist row alone; every column of a product is its own
+    params = roup.RoupParams.standard(1.0, 0.5)
+    march = lambda: roup.evolve_all(params, 0.01, dt=1e-3, output_times=[0.005, 0.01])
+    reference = march()
+    monkeypatch.setattr(roup, "_CHUNK_CELLS", cells)
+    for state, expected in zip(march(), reference, strict=True):
+        assert state.modes.tobytes() == expected.modes.tobytes()
 
 
 def _traced_peak(fn):
@@ -541,3 +582,13 @@ def test_march_run_is_evolve_all_then_reconstruct_bitwise():
         assert profile.density.tobytes() == expected.density.tobytes()
         assert profile.current.tobytes() == expected.current.tobytes()
     assert run.cost == 30 * 17 * 128  # steps times cells
+
+
+def test_march_run_keys_each_profile_by_its_own_time():
+    # evolve_all returns its states in ascending time, whatever order the run lists
+    shuffled = roup.march_run(roup.Run(1.0, 0.2, 0.01, (0.2, 0.1), 64, 128, 2))
+    ascending = roup.march_run(roup.Run(1.0, 0.2, 0.01, (0.1, 0.2), 64, 128, 2))
+    assert list(shuffled) == [0.1, 0.2]
+    for t, profile in shuffled.items():
+        assert profile.time == pytest.approx(t)
+        assert profile.density.tobytes() == ascending[t].density.tobytes()
