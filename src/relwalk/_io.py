@@ -15,14 +15,10 @@ import numpy as np
 _CELL = "%.17g"
 
 
-def format_number(value) -> str:
-    return _CELL % float(value)
-
-
 def write_csv(path, header, columns) -> None:
     """Write columns (equal-length sequences) under a comma-separated header.
 
-    Each cell reads as format_number(cell); whole rows are formatted at
+    Each cell reads as _CELL % float(cell); whole rows are formatted at
     once from float lists, which writes the same bytes faster.
     """
     columns = [np.asarray(c, dtype=float).tolist() for c in columns]

@@ -125,10 +125,18 @@ def cumquad(values, grid: Grid1D, from_lower: bool = True) -> np.ndarray:
 
 _BLOCK = 16  # rows per diagonal block of BlockedLDL
 _SLOTS = 2  # carry slots after each block in BlockedLDL's padded layout
+_TILE = 4  # blocks per row tile of BlockedLDL's banded carry product
 
-# terms below this are cut from BlockedLDL's carry matrices: subnormals slow
-# every product, and they could only matter against 1e150 larger edges
+# terms below this are cut from BlockedLDL's edge-factor chains and carries:
+# subnormals slow every product, and they could only matter against 1e150
+# larger edges
 _TINY = np.sqrt(np.finfo(float).tiny)
+
+# BlockedLDL cuts the carry block pairs whose largest coefficient is below
+# this times the largest carry: A^-1 decays exponentially away from its
+# diagonal, so a narrow band is left, and each cut term is eps below one
+# rounding of the largest coefficient's term
+_CUT = np.finfo(float).eps ** 2
 
 
 def _chain(f):
@@ -176,14 +184,20 @@ class BlockedLDL:
     (L D L^T)_jj, e and g the couplings of L and D L^T across the block
     edges, s the last entry of L^-1 b in block j - 1 and r the first of x
     in block j + 1. Both carries are linear in two edge rows of every
-    block, (L_jj^-1 b_j)[15] and (M_j b_j)[0], through one precomposed
-    (2 nb, 2 nb) matrix of products of edge factors.
+    block, (L_jj^-1 b_j)[15] and (M_j b_j)[0], through precomposed
+    products of edge factors. Like A^-1 these decay exponentially away
+    from the diagonal, so only the block pairs at most B apart are kept
+    (see _CUT), packed as row tiles of S = _TILE blocks: tile t maps the
+    edge pairs of blocks tS - B .. tS + S - 1 + B to the slots of blocks
+    tS .. tS + S - 1. Where tiles would not halve the stored coefficients,
+    one tile holds all of them (S = nb, B = 0).
 
     Vectors live in the padded block layout of shape ``shape`` = (nb, 18):
     each block's 16 rows, then two carry slots for -e s and -g r (see
     pad). A step takes (A^-1 - I) b, the Crank-Nicolson step when A is
     half the implicit matrix, in three matrix products and with no loop
-    over rows or blocks: the edge rows, the carries, and the augmented
+    over rows or blocks: the edge rows, the carries of every tile in one
+    batched product, and the augmented
     [M_j - I | M_j e_0 | M_j e_15] on each padded block, which adds the
     carries and subtracts b on the way. Raises SingularSystemError unless
     every pivot is positive.
@@ -217,7 +231,24 @@ class BlockedLDL:
         carries[:, 1, :, 0] = r_in @ (inv[:, 0, :1] * s_in)
         carries[:, 1, :, 1] = r_in
         carries[np.abs(carries) < _TINY] = 0.0
-        self._carries = carries.reshape(nb * _SLOTS, 2 * nb)
+        # cut the far block pairs, then pack the band: tile t's rows are the
+        # slot pairs of blocks tS + i, its columns the edge pairs of blocks
+        # tS - B + i', a window of W = S + 2B blocks
+        size = np.abs(carries).max(axis=(1, 3))
+        kept = size >= _CUT * size.max()
+        carries *= kept[:, None, :, None]
+        rows, cols = np.nonzero(kept)
+        band, tile = int(np.abs(rows - cols).max()), _TILE
+        tiles = -(-nb // tile)
+        if 2 * tiles * tile * (tile + 2 * band) > nb * nb:
+            band, tile, tiles = 0, nb, 1  # tiles would not halve the matrix
+        self._band, self._tile = band, tile
+        padded = np.zeros((tiles * tile, _SLOTS, tiles * tile + 2 * band, 2))
+        padded[:nb, :, band:band + nb] = carries
+        first = tile * np.arange(tiles)[:, None]
+        rows, cols = first + np.arange(tile), first + np.arange(tile + 2 * band)
+        self._tiles = padded[rows[:, :, None], :, cols[:, None, :]].transpose(
+            0, 1, 3, 2, 4).reshape(tiles, _SLOTS * tile, -1)
         self._step = np.concatenate((inv - np.eye(_BLOCK), inv[:, :, ::_BLOCK - 1]), axis=2)
 
     def pad(self, values):
@@ -239,16 +270,23 @@ class BlockedLDL:
         b has zero padding rows. The step writes the carry slots of b (its
         rows are kept) and every row of out, but not out's slots.
         """
-        nb = self.shape[0]
-        edges = np.empty((nb, 2, cols))
-        carries = np.empty((nb * _SLOTS, cols))
+        nb, band, tile = self.shape[0], self._band, self._tile
+        tiles, _, width = self._tiles.shape
+        # edge pairs of blocks -B .. tiles S + B - 1, zero but for blocks 0 .. nb - 1,
+        # and tile t's window of them, starting at block tS - B, as a view
+        edges = np.zeros((tiles * tile + 2 * band, 2, cols))
+        windows = np.lib.stride_tricks.as_strided(
+            edges, (tiles, width, cols), (tile * edges.strides[0],) + edges.strides[1:],
+            writeable=False)
+        carries = np.empty((tiles, _SLOTS * tile, cols))
+        written, slots = edges[band:band + nb], carries.reshape(-1, _SLOTS, cols)[:nb]
 
         def step(b, out):
-            np.matmul(self._edges, b[:, :_BLOCK], out=edges)
-            # one contiguous product and a small copy beat a product
-            # broadcast over blocks straight into the strided slots
-            np.matmul(self._carries, edges.reshape(2 * nb, cols), out=carries)
-            b[:, _BLOCK:] = carries.reshape(nb, _SLOTS, cols)
+            np.matmul(self._edges, b[:, :_BLOCK], out=written)
+            # contiguous products and a small copy beat a product broadcast
+            # over blocks straight into the strided slots
+            np.matmul(self._tiles, windows, out=carries)
+            b[:, _BLOCK:] = slots
             np.matmul(self._step, b, out=out[:, :_BLOCK])
 
         return step

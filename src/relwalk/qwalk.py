@@ -26,7 +26,6 @@ __all__ = [
     "CoinAngles",
     "JetSpec",
     "WalkState",
-    "build_coin",
     "random_smooth_angle_field",
     "realize_jet",
     "run_walk",
@@ -68,12 +67,6 @@ def _coin_entries(angles: CoinAngles):
     c = -ps * e_zeta.conj()
     d = pc * e_xi.conj()
     return a, b, c, d
-
-
-def build_coin(angles: CoinAngles) -> np.ndarray:
-    """2x2 unitary coin for scalar angles."""
-    a, b, c, d = _coin_entries(angles)
-    return np.array([[a, b], [c, d]], dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,9 @@ are folded into one full phase, and the Crank-Nicolson step is taken as
 by the similarity weights (a real diagonal that commutes with the phases),
 so a step is one phase multiply and one Crank-Nicolson step of a
 symmetric positive-definite tridiagonal factored as L D L^T (three matrix
-products on a padded block layout, see kernels.BlockedLDL), over fixed
-chunks of modes stored momentum-major and marched one after another.
+products on a padded block layout, the middle one over a band of block
+carries, see kernels.BlockedLDL), over fixed chunks of modes stored
+momentum-major and marched one after another.
 Each chunk builds its phase tables once, from cos and sin.
 
 Real, P-even initial data makes every mode obey the momentum-flip symmetry
@@ -78,7 +79,6 @@ __all__ = [
     "KineticState",
     "RoupParams",
     "Run",
-    "apply_collision",
     "continuity_residual",
     "default_dt",
     "evolve_all",
@@ -268,19 +268,6 @@ def _collision_bands(p_grid: Grid1D, Q: float):
     return lower, diag, upper
 
 
-def apply_collision(values: np.ndarray, p_grid: Grid1D, Q: float) -> np.ndarray:
-    """L acting on samples over p_grid; batched over leading axes of values."""
-    lower, diag, upper = _collision_bands(p_grid, Q)
-    values = np.asarray(values)
-    if values.shape[-1] != p_grid.count:
-        raise ValueError("last axis must match the momentum grid")
-    moved = np.moveaxis(values, -1, 0)
-    out = diag.reshape(-1, *([1] * (moved.ndim - 1))) * moved
-    out[1:] += lower.reshape(-1, *([1] * (moved.ndim - 1))) * moved[:-1]
-    out[:-1] += upper.reshape(-1, *([1] * (moved.ndim - 1))) * moved[1:]
-    return np.moveaxis(out, 0, -1)
-
-
 def default_dt(t_final: float) -> float:
     """The step that reaches t_final in 2000 steps."""
     return t_final / 2000
@@ -384,6 +371,11 @@ class _Strang:
         step = self.ldl.stepper(2 * k)
         snap_lookup = {s: i for i, s in enumerate(snap_steps)}
         G, y = np.zeros((2,) + half.shape, dtype=complex)
+        # float views of the work arrays and the rank-1 update's scratch,
+        # taken once; the views swap with the arrays they view
+        G_f, y_f = G.view(float), y.view(float)
+        nz = len(z)
+        x0, dy = np.empty(k), np.empty((nz,) + half.shape[1:])
 
         def staged(free):
             # the memory of the work array not in use, as momentum-major
@@ -403,9 +395,11 @@ class _Strang:
         stage[h:] = 0.0
         np.multiply(half[:, :_BLOCK], blocks, out=G[:, :_BLOCK])
         for s in range(1, n_steps + 1):
-            step(G.view(float), y.view(float))
-            y[:len(z)].imag += z * (y[0, 0].imag + G[0, 0].imag)
-            G, y = y, G
+            step(G_f, y_f)
+            np.add(y[0, 0].imag, G[0, 0].imag, out=x0)
+            np.multiply(z, x0, out=dy)
+            y[:nz].imag += dy
+            G, y, G_f, y_f = y, G, y_f, G_f
             if s in snap_lookup:
                 stage, blocks = staged(y)
                 np.multiply(G[:, :_BLOCK], half[:, :_BLOCK], out=blocks)

@@ -4,6 +4,10 @@ import pytest
 from relwalk import _io
 
 
+def format_number(value) -> str:
+    return _io._CELL % float(value)
+
+
 def test_write_csv_matches_per_cell_format_number(tmp_path):
     columns = [
         np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 1e-310]),
@@ -14,7 +18,7 @@ def test_write_csv_matches_per_cell_format_number(tmp_path):
     ]
     path = tmp_path / "out.csv"
     _io.write_csv(path, ["a", "b", "c", "d"], columns)
-    rows = ["a,b,c,d"] + [",".join(_io.format_number(c[i]) for c in columns)
+    rows = ["a,b,c,d"] + [",".join(format_number(c[i]) for c in columns)
                           for i in range(6)]
     assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relwalk import dirac, qwalk, roup
+from relwalk import dirac, kernels, qwalk, roup
 from relwalk.errors import SingularSystemError
 from relwalk.kernels import (
     BlockedLDL,
@@ -214,18 +214,26 @@ def test_tridiag_keeps_rhs_and_ignores_its_layout():
             assert np.array_equal(column, x_f[:, 0])
 
 
+def _scratch(step):
+    # the arrays a stepper's step closes over, by name
+    return dict(zip(step.__code__.co_freevars, (c.cell_contents for c in step.__closure__)))
+
+
 def _check_blocked_ldl(diag, off, rng):
     ldl = BlockedLDL(diag, off)
-    n = diag.size
+    n, nb = diag.size, -(-diag.size // 16)
     assert ldl.rows % 16 == 0 and n <= ldl.rows < n + 16
     assert ldl.shape == (ldl.rows // 16, 18)
     dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
-    for cols in (1, 32):
-        rhs = rng.normal(size=(n, cols))
+    # rows spanning 1 to 1e-12, like the tails of the symmetric frame
+    tails = np.logspace(0.0, -12.0, n)[:, None]
+    for cols, scale in ((1, 1.0), (32, 1.0), (32, tails)):
+        rhs = scale * rng.normal(size=(n, cols))
         b = ldl.pad(rhs)
         assert b.shape == ldl.shape + (cols,) and np.array_equal(ldl.unpad(b), rhs)
         out = np.full_like(b, np.nan)
-        ldl.stepper(cols)(b, out)
+        step = ldl.stepper(cols)
+        step(b, out)
         # the rows of b are kept; its carry slots are scratch
         assert np.array_equal(ldl.unpad(b), rhs)
         assert np.all(out[:, :16].reshape(ldl.rows, cols)[n:] == 0.0)
@@ -233,6 +241,14 @@ def _check_blocked_ldl(diag, off, rng):
         reference = np.linalg.solve(dense, rhs)
         err = np.max(np.abs(ldl.unpad(out) + rhs - reference))
         assert err <= 1e-13 * np.max(np.abs(reference))
+        # only the edge pairs of the nb blocks are written, never the halo
+        edges = _scratch(step)["written"].base
+        assert not edges[:ldl._band].any() and not edges[ldl._band + nb:].any()
+
+
+def _barely_dominant(sub):
+    # the carries reach across many blocks
+    return np.abs(np.append(sub, 0.0)) + np.abs(np.insert(sub, 0, 0.0)) + 0.05, sub
 
 
 @pytest.mark.parametrize("n", [3, 15, 16, 17, 1024])
@@ -240,14 +256,12 @@ def test_blocked_ldl_matches_dense_solve(n):
     rng = np.random.default_rng(n)
     sub, diag, _ = _bands("spd", rng, n)
     _check_blocked_ldl(diag, sub, rng)
-    # barely dominant, so the carries reach across many blocks
-    diag = np.abs(np.append(sub, 0.0)) + np.abs(np.insert(sub, 0, 0.0)) + 0.05
-    _check_blocked_ldl(diag, sub, rng)
+    _check_blocked_ldl(*_barely_dominant(sub), rng)
 
 
-def _front_crank_nicolson():
+def _front_crank_nicolson(n_p=2048):
     # the symmetric-frame P > 0 matrix that roup factors for Q = 1, dt = 1e-3
-    p_grid = roup.RoupParams.standard(1.0, 0.5).p_grid
+    p_grid = roup.RoupParams.standard(1.0, 0.5, n_p=n_p).p_grid
     lower, diag, upper = roup._collision_bands(p_grid, 1.0)
     h, a = p_grid.count // 2, 0.5e-3
     mid = 0.5 - 0.5 * a * diag[h:]
@@ -258,6 +272,78 @@ def _front_crank_nicolson():
 
 def test_blocked_ldl_on_the_front_crank_nicolson_matrix():
     _check_blocked_ldl(*_front_crank_nicolson(), np.random.default_rng(7))
+
+
+def _unpacked(ldl):
+    """The (nb, 2, nb, 2) carries the tiles of ldl hold, and what they hold outside them."""
+    nb, tile, band = ldl.shape[0], ldl._tile, ldl._band
+    tiles = ldl._tiles.reshape(-1, tile, 2, tile + 2 * band, 2)
+    dense = np.zeros((len(tiles) * tile, 2, len(tiles) * tile + 2 * band, 2))
+    for t, coefficients in enumerate(tiles):
+        dense[t * tile:(t + 1) * tile, :, t * tile:(t + 1) * tile + 2 * band] = coefficients
+    inside = dense[:nb, :, band:band + nb].copy()
+    dense[:nb, :, band:band + nb] = 0.0
+    return inside, dense
+
+
+def _spd(n):
+    sub, diag, _ = _bands("spd", np.random.default_rng(n), n)
+    return diag, sub
+
+
+_MATRICES = {
+    "front": _front_crank_nicolson,
+    "front 8192": lambda: _front_crank_nicolson(8192),
+    "spd": lambda: _spd(1024),
+    "barely dominant": lambda: _barely_dominant(_spd(1024)[1]),
+    # too wide a band for tiles to halve the stored carries
+    "barely dominant 256": lambda: _barely_dominant(_spd(256)[1]),
+}
+
+
+@pytest.mark.parametrize("matrix", list(_MATRICES))
+def test_blocked_ldl_tiles_hold_every_carry_above_the_cut(matrix, monkeypatch):
+    diag, off = _MATRICES[matrix]()
+    ldl = BlockedLDL(diag, off)
+    # uncut, the carries reach every block pair, so one tile holds them all
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_CUT", 0.0)
+        whole = BlockedLDL(diag, off)
+    nb = ldl.shape[0]
+    assert whole._tiles.shape == (1, 2 * nb, 2 * nb)
+    carries = whole._tiles[0].reshape(nb, 2, nb, 2)
+    size = np.abs(carries).max(axis=(1, 3))
+    kept = size >= np.finfo(float).eps ** 2 * size.max()
+    rows, cols = np.nonzero(kept)
+    inside, outside = _unpacked(ldl)
+    assert np.array_equal(inside, carries * kept[:, None, :, None])
+    assert not outside.any()
+    if ldl._tile < nb:
+        assert ldl._band == np.max(np.abs(rows - cols))
+
+
+def test_one_tile_blocked_ldl_is_the_dense_carry_product():
+    diag, off = _MATRICES["barely dominant 256"]()
+    ldl = BlockedLDL(diag, off)
+    rng = np.random.default_rng(5)
+    nb, cols = ldl.shape[0], 32
+    assert ldl._tiles.shape == (1, 2 * nb, 2 * nb) and ldl._band == 0
+    b = ldl.pad(rng.normal(size=(diag.size, cols)))
+    out = np.empty_like(b)
+    ldl.stepper(cols)(b, out)
+    expected = b.copy()
+    edges = (ldl._edges @ b[:, :16]).reshape(2 * nb, cols)
+    expected[:, 16:] = (ldl._tiles[0] @ edges).reshape(nb, 2, cols)
+    assert np.array_equal(b, expected)
+    assert np.array_equal(out[:, :16], ldl._step @ expected)
+
+
+def test_blocked_ldl_carries_grow_linearly_with_the_grid():
+    # n_p = 8192 on the front grid: 256 blocks, whose dense carries hold (2 nb)^2
+    ldl = BlockedLDL(*_front_crank_nicolson(8192))
+    nb = ldl.shape[0]
+    assert nb == 256
+    assert ldl._tiles.size <= (2 * nb) ** 2 // 4
 
 
 def test_blocked_ldl_rejects_indefinite_matrices():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from relwalk import roup  # noqa: E402
 from relwalk.kernels import Grid1D, _ldl_factor, quad  # noqa: E402
-from relwalk.qwalk import CoinAngles, WalkState, build_coin, step_walk, total_probability  # noqa: E402
+from relwalk.qwalk import CoinAngles, WalkState, step_walk, total_probability  # noqa: E402
+from test_qwalk import build_coin  # noqa: E402
 
 # derandomized so the suite stays deterministic; few examples keep it fast
 _settings = settings(derandomize=True, database=None, max_examples=30, deadline=None)

@@ -6,7 +6,7 @@ from relwalk.qwalk import (
     CoinAngles,
     JetSpec,
     WalkState,
-    build_coin,
+    _coin_entries,
     random_smooth_angle_field,
     realize_jet,
     run_walk,
@@ -14,6 +14,12 @@ from relwalk.qwalk import (
     total_probability,
     write_walk_csv,
 )
+
+
+def build_coin(angles: CoinAngles) -> np.ndarray:
+    """2x2 unitary coin for scalar angles."""
+    a, b, c, d = _coin_entries(angles)
+    return np.array([[a, b], [c, d]], dtype=complex)
 
 
 def _state_from(psi_minus, psi_plus, eps=1.0, lower=0.0):
