@@ -31,7 +31,7 @@ from . import __version__, dirac, fick, qwalk, roup
 from . import verify as verify_mod
 from ._io import ensure_dir, write_json
 from .errors import ConfigError, NumericalError
-from .kernels import count_steps, run_jobs
+from .kernels import run_jobs
 
 
 # ---------------------------------------------------------------- expressions
@@ -228,9 +228,6 @@ def _resolve(args, command):
         else:
             _drop(params, given, (*_ANGLES, "zeta0", "p"), "without an inline angle field")
         params["jet"] = {opt.key: params.pop(opt.key) for opt in _JET if opt.key in params}
-    if params.get("dt") is not None:  # every output time on the dt grid, before any march
-        for t in params.get("times") or [params["T"]]:
-            count_steps(t, params["dt"])
     return params
 
 

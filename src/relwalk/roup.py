@@ -39,14 +39,13 @@ Real, P-even initial data makes every mode obey the momentum-flip symmetry
 F(K, -P) = conj F(K, P), and both the phase and the collision step keep it,
 so the marcher keeps only the P > 0 half (see _Strang). Snapshots are
 full (n_modes, n_p) states like :class:`KineticState`, their P < 0 half
-written as the mirror image, so they are symmetric exactly. evolve_all
-marches the symmetric initial_state; evolve_mode splits arbitrary data
-into two symmetric parts.
+written as the mirror image, so they are symmetric exactly. A Run holds
+every input of one march, and march(run) is the one entry to the marcher.
 
 Memory: a march holds its snapshots plus O(_CHUNK_CELLS) scratch.
-evolve_all builds the initial rows one chunk at a time, and its step
-guard and march work chunk by chunk, so nothing else of full grid size
-is allocated; symmetry_residual and reconstruct_density read a state in
+march builds the initial rows one chunk at a time, and its step guard
+and march work chunk by chunk, so nothing else of full grid size is
+allocated; symmetry_residual and reconstruct_density read a state in
 row blocks of _CHUNK_CELLS cells.
 
 The Juttner normalization is a trapezoid rule in rapidity (see
@@ -62,8 +61,7 @@ and current come back from the K >= 0 modes through one np.fft.hfft.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,16 +75,13 @@ from .kernels import tridiag_solve  # noqa: F401
 __all__ = [
     "DensityProfile",
     "KineticState",
-    "RoupParams",
     "Run",
     "continuity_residual",
     "default_dt",
-    "evolve_all",
-    "evolve_mode",
     "gamma_factor",
-    "initial_state",
     "juttner",
     "juttner_normalization",
+    "march",
     "march_run",
     "peak_location",
     "reconstruct_density",
@@ -100,21 +95,17 @@ __all__ = [
 # below 1e-12 of the equilibrium mass
 _MIN_TAIL = 27.63
 
-# the marcher's symmetric frame divides by weights that fall to about
-# exp(-tail/2); past this exponent they underflow to zero
-_MAX_TAIL = 2.0 * np.log(1.0 / np.finfo(float).tiny)
-
 # cells per marched chunk: it stays in L2, its products too small for BLAS threads
 _CHUNK_CELLS = 16384
 
 # trapezoid nodes of the rapidity integral in juttner_normalization
 _RAPIDITY_NODES = 257
 
-# equilibrium exponent at the momentum cutoff of RoupParams.standard
+# equilibrium exponent at the momentum cutoff of every Run
 _TAIL = 32.0
 
 # largest first-step doubling error, relative to each row's norm, that the
-# step-size guard of evolve_all and evolve_mode accepts
+# step-size guard of march accepts
 _GUARD_TOL = 0.05
 
 
@@ -153,24 +144,28 @@ def juttner(p, Q: float):
     return juttner_normalization(Q) * np.exp(-Q * Q * (gamma_factor(p, Q) - 1.0))
 
 
-def _tail_exponent(p_max: float, Q: float) -> float:
-    return Q * Q * (gamma_factor(p_max, Q) - 1.0)
+def default_dt(t_final: float) -> float:
+    """The step that reaches t_final in 2000 steps."""
+    return t_final / 2000
 
 
 @dataclass(frozen=True)
-class RoupParams:
-    """Grids and physics for one kinetic run.
+class Run:
+    """The initial state marched to t_final in steps of dt, read at each of times at ``refine``.
 
-    Momentum lives on a symmetric endpoint grid, space on a periodic ring
-    of the given length centered at the source. n_p must be even so the
-    grid mirrors about a face at P = 0, which the P > 0 marcher uses.
+    Momentum lives on a symmetric endpoint grid cut at the equilibrium
+    exponent _TAIL, space on a periodic ring centered at the source. n_p
+    is even so the grid mirrors about a face at P = 0, which the P > 0
+    marcher uses. Every input is checked here: no Run is invalid.
     """
 
     Q: float
-    p_max: float
-    n_p: int = 2048
-    length: float = 1.0
+    t_final: float
+    dt: float
+    times: tuple  # output times
     n_x: int = 512
+    n_p: int = 2048
+    refine: int = 8
 
     def __post_init__(self):
         if self.Q <= 0.0:
@@ -179,40 +174,37 @@ class RoupParams:
             raise ValueError("n_p must be even and at least 8")
         if self.n_x % 2 != 0 or self.n_x < 8:
             raise ValueError("n_x must be even and at least 8")
-        tail = _tail_exponent(self.p_max, self.Q)
-        if tail < _MIN_TAIL:
-            raise TailTruncationError(
-                f"momentum cutoff keeps only exp(-{tail:.2f}) tails; "
-                f"need the equilibrium exponent at p_max above {_MIN_TAIL}"
-            )
-        if tail > _MAX_TAIL:
-            raise TailTruncationError(
-                f"momentum cutoff reaches exp(-{tail:.2f}) tails; the "
-                f"equilibrium exponent at p_max must stay below {_MAX_TAIL:.2f}"
-            )
-
-    @classmethod
-    def standard(cls, Q: float, t_final: float, n_x: int = 512,
-                 n_p: int = 2048) -> "RoupParams":
-        """Cutoff at the tail exponent _TAIL, ring from the causal cone.
-
-        The ring is three times the light-cone radius: speeds stay below
-        Q, so the density stays within |X| < Q*t_final, and a ring of
-        3*max(Q, 1)*t_final leaves at least Q*t_final of empty ring
-        between the cone and its periodic image.
-        """
-        if t_final <= 0.0:
+        if self.t_final <= 0.0:
             raise ValueError("t_final must be positive")
-        p_max = Q * np.sqrt((1.0 + _TAIL / (Q * Q)) ** 2 - 1.0)
-        return cls(Q=Q, p_max=p_max, n_p=n_p, length=3.0 * max(Q, 1.0) * t_final, n_x=n_x)
+        n_steps, steps = count_steps(self.t_final, self.dt), self.snap_steps
+        if steps and steps[-1] > n_steps:
+            raise ValueError(f"output time {max(self.times)} lies beyond t_final = {self.t_final}")
+        if len(set(steps)) != len(steps):
+            raise ValueError("output times collide on the step grid")
+        # the cutoff collapses to 0 once _TAIL / Q^2 falls below rounding
+        tail = self.Q * self.Q * (gamma_factor(self.p_max, self.Q) - 1.0)
+        if not tail >= _MIN_TAIL:
+            raise TailTruncationError(f"momentum cutoff keeps only exp(-{tail:.2f}) tails; "
+                                      f"need the equilibrium exponent at p_max above {_MIN_TAIL}")
+
+    @property
+    def snap_steps(self) -> list[int]:
+        """Step counts of the output times, ascending."""
+        return sorted(count_steps(t, self.dt) for t in self.times)
+
+    @property
+    def p_max(self) -> float:
+        return self.Q * np.sqrt((1.0 + _TAIL / (self.Q * self.Q)) ** 2 - 1.0)
+
+    @property
+    def length(self) -> float:
+        # speeds stay below Q, so three light-cone radii leave at least
+        # Q*t_final of empty ring between the cone and its periodic image
+        return 3.0 * max(self.Q, 1.0) * self.t_final
 
     @property
     def p_grid(self) -> Grid1D:
         return Grid1D.symmetric(self.p_max, self.n_p)
-
-    @property
-    def x_grid(self) -> Grid1D:
-        return Grid1D.periodic(self.length, self.n_x)
 
     @property
     def n_modes(self) -> int:
@@ -221,6 +213,11 @@ class RoupParams:
     @property
     def mode_wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_modes) / self.length
+
+    @property
+    def cost(self) -> int:
+        """Steps times cells, the run's share of a pool's work."""
+        return count_steps(self.t_final, self.dt) * self.n_modes * self.n_p
 
 
 def _sinhc_inv(y: np.ndarray) -> np.ndarray:
@@ -266,11 +263,6 @@ def _collision_bands(p_grid: Grid1D, Q: float):
     for arr in (lower, diag, upper):
         arr.setflags(write=False)
     return lower, diag, upper
-
-
-def default_dt(t_final: float) -> float:
-    """The step that reaches t_final in 2000 steps."""
-    return t_final / 2000
 
 
 def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
@@ -431,12 +423,12 @@ def _evolve_block(rows, Ks, strang, n_steps, snap_steps, out):
                 snap[...] = 0.0
 
 
-def _check_step(rows, Ks, strang, scale=None):
+def _check_step(rows, Ks, strang):
     """StepSizeError when one step's doubling error exceeds _GUARD_TOL.
 
-    Row i's error is measured against scale[i], by default its own norm.
-    One complete pass over the chunks of _evolve_block, taken before any
-    march: strang's step against two steps of half its size. Each chunk
+    Each row's error is measured against its own norm. One complete pass
+    over the chunks of _evolve_block, taken before any march: strang's
+    step against two steps of half its size. Each chunk
     builds two phase tables: the half step's full phase is strang's half
     phase, bit for bit, and the one step needs no full phase.
     """
@@ -450,7 +442,7 @@ def _check_step(rows, Ks, strang, scale=None):
         strang.march(chunk, K, 1, [1], coarse, half, None)
         fine.march(chunk, K, 2, [2], halved, fine.phase(K, 0.5), half)
         num = np.linalg.norm(coarse[0] - halved[0], axis=1)
-        norm = np.linalg.norm(chunk, axis=1) if scale is None else scale[block]
+        norm = np.linalg.norm(chunk, axis=1)
         err = max(err, float(np.max(num / np.where(norm > 0.0, norm, 1.0))))
     if err > _GUARD_TOL:
         raise StepSizeError(
@@ -459,33 +451,28 @@ def _check_step(rows, Ks, strang, scale=None):
 
 @dataclass
 class KineticState:
-    """Fourier modes F̂(K_j, P) at one time; rows follow mode_wavenumbers."""
+    """Fourier modes F̂(K_j, P) of a run at one time; rows follow run.mode_wavenumbers."""
 
-    params: RoupParams
+    run: Run
     time: float
     modes: np.ndarray  # (n_modes, n_p) complex
 
 
-def initial_state(params: RoupParams) -> KineticState:
-    """Spatial delta at the origin times the Juttner equilibrium.
+def _initial_rows(run: Run):
+    """rows(block): the initial modes of run in a slice, built on demand.
 
-    The delta is band limited strictly below the ring's Nyquist bin. That
-    bin can hold an even wave but not its odd flux partner (sin(K X) is
-    zero on the lattice), so populating it would break the continuity
-    pairing by construction; leaving it empty costs one part in n_x of
-    the comb height and keeps every stored mode physical.
+    A spatial delta at the origin times the Juttner equilibrium, band
+    limited strictly below the ring's Nyquist bin. That bin can hold an
+    even wave but not its odd flux partner (sin(K X) is zero on the
+    lattice), so populating it would break the continuity pairing; leaving
+    it empty costs one part in n_x of the comb height.
     """
-    return KineticState(params, 0.0, _initial_rows(params)(slice(0, params.n_modes)))
-
-
-def _initial_rows(params: RoupParams):
-    """rows(block): the rows of initial_state(params).modes in a slice, built on demand."""
-    row = juttner(params.p_grid.points, params.Q) / np.sqrt(2.0 * np.pi)
-    nyquist = params.n_modes - 1
+    row = juttner(run.p_grid.points, run.Q) / np.sqrt(2.0 * np.pi)
+    nyquist = run.n_modes - 1
 
     def rows(block):
-        lo, hi, _ = block.indices(params.n_modes)
-        out = np.empty((hi - lo, params.n_p), dtype=complex)
+        lo, hi, _ = block.indices(run.n_modes)
+        out = np.empty((hi - lo, run.n_p), dtype=complex)
         out[:] = row
         out[nyquist - lo:] = 0.0
         return out
@@ -493,63 +480,25 @@ def _initial_rows(params: RoupParams):
     return rows
 
 
-def evolve_mode(f0: np.ndarray, K: float, p_grid: Grid1D, Q: float,
-                t_final: float, dt: float) -> np.ndarray:
-    """Single-wavenumber evolution; raises StepSizeError when dt is too coarse.
+def march(run: Run) -> list[KineticState]:
+    """One exactly symmetric state per output time of run, in ascending time.
 
-    f0 need not be flip-symmetric: it splits as S + A with S and iA both
-    symmetric, the two march as one block, and the result is S' - i (iA)'.
-    The step-size guard measures both rows against the norm of f0.
+    The march holds these snapshots plus O(_CHUNK_CELLS) scratch: each
+    chunk's initial rows are built as it is checked or marched. The step
+    guard passes over every chunk first, so a dt too coarse raises
+    StepSizeError before any march. A chunk of all-zero rows (the empty
+    Nyquist row alone) is not marched. One march runs on one core;
+    march_run is the job kernels.run_jobs spreads over processes.
     """
-    n_steps = count_steps(t_final, dt)
-    f = np.asarray(f0, dtype=complex)
-    flipped = np.conj(f[::-1])
-    F = np.stack([0.5 * (f + flipped), 0.5j * (f - flipped)])
-    Ks = np.array([K, K], dtype=float)
-    strang = _Strang(p_grid, Q, dt)
-    _check_step(F.__getitem__, Ks, strang, np.full(2, np.linalg.norm(f)))
-    out = np.empty((1, 2, p_grid.count), dtype=complex)
-    _evolve_block(F.__getitem__, Ks, strang, n_steps, [n_steps], out)
-    return out[0, 0] - 1j * out[0, 1]
-
-
-def evolve_all(params: RoupParams, t_final: float, dt: float | None = None,
-               output_times=None, threads: int = 1) -> list[KineticState]:
-    """Evolve initial_state(params), returning one state per output time.
-
-    output_times must be integer multiples of dt (default: t_final only).
-    The march holds the returned snapshots plus O(_CHUNK_CELLS) scratch:
-    each chunk's initial rows are built from the Juttner row as it is
-    checked or marched, never the whole initial_state. The step guard is
-    one complete pass over the chunks, so a dt too coarse raises
-    StepSizeError before any chunk is marched. A chunk of rows that are
-    all zero (the empty Nyquist row of initial_state, alone in its
-    chunk) is not marched. One march runs on
-    one core; march_run is the job that marches independent runs
-    concurrently through kernels.run_jobs. threads is checked (below 1
-    raises ValueError) and otherwise unused. Only the P > 0 half is
-    marched, and the returned states are exactly symmetric.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    if dt is None:
-        dt = default_dt(t_final)
-    n_steps = count_steps(t_final, dt)
-    times = sorted(float(t) for t in ([t_final] if output_times is None else output_times))
-    snap_steps = [count_steps(t, dt) for t in times]
-    if snap_steps and snap_steps[-1] > n_steps:
-        raise ValueError(f"output time {times[-1]} lies beyond t_final = {t_final}")
-    if len(set(snap_steps)) != len(snap_steps):
-        raise ValueError("output times collide on the step grid")
-
-    rows = _initial_rows(params)
-    Ks = params.mode_wavenumbers
-    strang = _Strang(params.p_grid, params.Q, dt)
+    snap_steps = run.snap_steps
+    rows = _initial_rows(run)
+    Ks = run.mode_wavenumbers
+    strang = _Strang(run.p_grid, run.Q, run.dt)
     _check_step(rows, Ks, strang)
     # one array per snapshot, so a kept state does not pin the others
-    out = [np.empty((params.n_modes, params.n_p), dtype=complex) for _ in snap_steps]
-    _evolve_block(rows, Ks, strang, n_steps, snap_steps, out)
-    return [KineticState(params, s * dt, m) for s, m in zip(snap_steps, out)]
+    out = [np.empty((run.n_modes, run.n_p), dtype=complex) for _ in snap_steps]
+    _evolve_block(rows, Ks, strang, count_steps(run.t_final, run.dt), snap_steps, out)
+    return [KineticState(run, s * run.dt, m) for s, m in zip(snap_steps, out)]
 
 
 def symmetry_residual(state: KineticState) -> float:
@@ -591,7 +540,7 @@ def reconstruct_density(state: KineticState, refine: int = 1) -> DensityProfile:
     broken momentum-flip symmetry, or an imaginary K = 0 integral (which
     hfft drops) large enough to make N or J measurably not real.
     """
-    params = state.params
+    run = state.run
     if refine < 1:
         raise ValueError("refine must be a positive integer")
     res = symmetry_residual(state)
@@ -600,14 +549,14 @@ def reconstruct_density(state: KineticState, refine: int = 1) -> DensityProfile:
             f"momentum-flip symmetry violated at {res:.3e}; "
             "the evolution or the initial data is inconsistent"
         )
-    p_grid = params.p_grid
-    v = velocity(p_grid.points, params.Q)
-    x_grid = Grid1D.periodic(params.length, params.n_x * refine)
-    half = np.empty((2, params.n_modes), dtype=complex)
-    for block in _row_blocks(params.n_modes, params.n_p):
+    p_grid = run.p_grid
+    v = velocity(p_grid.points, run.Q)
+    x_grid = Grid1D.periodic(run.length, run.n_x * refine)
+    half = np.empty((2, run.n_modes), dtype=complex)
+    for block in _row_blocks(run.n_modes, run.n_p):
         rows = state.modes[block]
         half[:, block] = quad(rows, p_grid), quad(rows * v, p_grid)
-    half *= np.exp(-1j * params.mode_wavenumbers * x_grid.lower)
+    half *= np.exp(-1j * run.mode_wavenumbers * x_grid.lower)
     if refine > 1:
         half[:, -1] *= 0.5
     scale = np.sqrt(2.0 * np.pi) / x_grid.period
@@ -618,24 +567,7 @@ def reconstruct_density(state: KineticState, refine: int = 1) -> DensityProfile:
         raise SymmetryError("reconstructed density is not real")
     if imag_j > 1e-8 * np.max(np.abs(current)) + 1e-14 * scale_n:
         raise SymmetryError("reconstructed current is not real")
-    return DensityProfile(x_grid, state.time, params.Q, density, current)
-
-
-class Run(NamedTuple):
-    """One evolve_all run from the standard initial state, read at ``refine``."""
-
-    Q: float
-    t_final: float
-    dt: float
-    times: tuple  # output times
-    n_x: int = 512
-    n_p: int = 2048
-    refine: int = 8
-
-    @property
-    def cost(self) -> int:
-        """Steps times cells, the run's share of a pool's work."""
-        return count_steps(self.t_final, self.dt) * (self.n_x // 2 + 1) * self.n_p
+    return DensityProfile(x_grid, state.time, run.Q, density, current)
 
 
 def march_run(run: Run) -> dict:
@@ -644,10 +576,8 @@ def march_run(run: Run) -> dict:
     A worker returns the profiles, never the states, which are far larger.
     The keys are run.times in ascending order, the order of the states.
     """
-    params = RoupParams.standard(run.Q, run.t_final, n_x=run.n_x, n_p=run.n_p)
-    states = evolve_all(params, run.t_final, dt=run.dt, output_times=list(run.times))
     return {t: reconstruct_density(state, refine=run.refine)
-            for t, state in zip(sorted(run.times), states)}
+            for t, state in zip(sorted(run.times), march(run))}
 
 
 def rescaled_profile(profile: DensityProfile):
@@ -723,3 +653,34 @@ def write_profile_csv(profile: DensityProfile, path) -> None:
         ["T", "X", "N", "J", "xi", "nu"],
         [t, x, profile.density, profile.current, xi, nu],
     )
+
+
+# ---------------------------------------------------------- benchmark seams
+# perfbench's workloads and tracer bind these names (tests/test_bench_seams.py
+# pins them); nothing in the package calls them.
+
+class RoupParams:
+    """Only its constructor is left, building the Run of t_final."""
+
+    @staticmethod
+    def standard(Q: float, t_final: float, n_x: int = 512, n_p: int = 2048) -> Run:
+        return Run(Q, t_final, default_dt(t_final), (t_final,), n_x, n_p)
+
+
+def initial_state(run: Run) -> KineticState:
+    """The rows march(run) starts from, as one state at T = 0."""
+    return KineticState(run, 0.0, _initial_rows(run)(slice(0, run.n_modes)))
+
+
+def evolve_all(params: Run, t_final: float, dt: float | None = None,
+               output_times=None, threads: int = 1) -> list[KineticState]:
+    """march(params) at dt and output_times (default: default_dt(t_final), t_final).
+
+    t_final must be the run's own, which sets its ring; threads, at least 1, is unused.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if t_final != params.t_final:
+        raise ValueError(f"t_final = {t_final} is not the run's t_final = {params.t_final}")
+    return march(replace(params, dt=default_dt(t_final) if dt is None else dt,
+                         times=(t_final,) if output_times is None else tuple(output_times)))

@@ -512,6 +512,14 @@ def test_numerical_failure_exits_3(tmp_path):
     assert code == 3
 
 
+def test_truncated_momentum_tail_exits_3_and_writes_nothing(tmp_path, capsys):
+    # at Q = 1e9 the cutoff rounds to P = 0, so the Run itself is refused
+    code = cli.main(["roup", "--Q", "1e9", "--times", "1", "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert _error_name(capsys) == "TailTruncationError"
+    assert not (tmp_path / "o").exists()
+
+
 def test_value_error_in_the_inputs_exits_2(tmp_path, capsys):
     cfg = tmp_path / "steps.ini"
     cfg.write_text("[roup]\nn_x = 64\nn_p = 256\nrefine = 1\nthreads = 1\n"
@@ -523,8 +531,12 @@ def test_value_error_in_the_inputs_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["roup", "metric"])
-def test_off_grid_output_time_writes_no_file(tmp_path, capsys, command):
+def test_off_grid_output_time_writes_no_file(tmp_path, capsys, monkeypatch, command):
     # 0.5 is on the dt grid and 0.333 is not: nothing may be marched or written
+    def no_march(run):
+        raise AssertionError("marched before every run was checked")
+
+    monkeypatch.setattr(roup, "march", no_march)
     cfg = tmp_path / "steps.ini"
     cfg.write_text(f"[{command}]\nn_x = 16\nn_p = 64\nrefine = 1\nthreads = 1\n"
                    "dt = 0.01\n")

@@ -202,9 +202,7 @@ def test_fick_residual_validation():
 
 
 def _roup_profile(t, n_x=128, n_p=1024, refine=4, dt=2e-3):
-    params = roup.RoupParams.standard(1.0, t, n_p=n_p, n_x=n_x)
-    state = roup.evolve_all(params, t, dt=dt)[0]
-    return roup.reconstruct_density(state, refine=refine)
+    return roup.march_run(roup.Run(1.0, t, dt, (t,), n_x, n_p, refine))[t]
 
 
 def test_metric_on_transport_profile():

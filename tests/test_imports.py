@@ -23,8 +23,7 @@ pool = sorted(name for name in sys.modules
 assert pool == [], pool
 from relwalk import dirac, fick, qwalk, roup
 
-params = roup.RoupParams.standard(1.0, 0.5, n_x=32, n_p=64)
-state = roup.evolve_all(params, 0.5, dt=0.01)[0]
+state = roup.march(roup.Run(1.0, 0.5, 0.01, (0.5,), 32, 64))[0]
 profile = roup.reconstruct_density(state, refine=2)
 fick.metric_from_density(profile)
 jet = qwalk.JetSpec(zeta0=-np.pi / 2.0, theta_bar=lambda T, X: 0.3 * np.cos(X))

@@ -261,7 +261,7 @@ def test_blocked_ldl_matches_dense_solve(n):
 
 def _front_crank_nicolson(n_p=2048):
     # the symmetric-frame P > 0 matrix that roup factors for Q = 1, dt = 1e-3
-    p_grid = roup.RoupParams.standard(1.0, 0.5, n_p=n_p).p_grid
+    p_grid = roup.Run(1.0, 0.5, 1e-3, (0.5,), n_p=n_p).p_grid
     lower, diag, upper = roup._collision_bands(p_grid, 1.0)
     h, a = p_grid.count // 2, 0.5e-3
     mid = 0.5 - 0.5 * a * diag[h:]
@@ -413,15 +413,12 @@ def test_every_stepper_rejects_fractional_step_counts():
     t_final = 50.1 * dt
     packet = dirac.gaussian_packet(Grid1D.periodic(16.0, 160))
     jet = qwalk.JetSpec()
-    params = roup.RoupParams.standard(1.0, t_final, n_x=16, n_p=64)
-    f0 = roup.juttner(params.p_grid.points, 1.0)
     callers = [
         lambda: qwalk.run_walk(jet, dt, t_final, packet),
         lambda: dirac.solve_dirac(dirac.DiracCoefficients.from_jet(jet), packet,
                                   t_final, dt),
-        lambda: roup.evolve_all(params, t_final, dt=dt),
-        lambda: roup.evolve_all(params, 60 * dt, dt=dt, output_times=[t_final]),
-        lambda: roup.evolve_mode(f0, 0.0, params.p_grid, 1.0, t_final, dt),
+        lambda: roup.Run(1.0, t_final, dt, (), 16, 64),
+        lambda: roup.Run(1.0, 60 * dt, dt, (t_final,), 16, 64),
     ]
     for call in callers:
         with pytest.raises(ValueError, match="not an integer number of steps"):

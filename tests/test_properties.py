@@ -58,14 +58,14 @@ def test_total_probability_is_squared_modulus_sum(seed, n):
 def test_kinetic_march_keeps_symmetry_mass_and_equilibrium(Q, half_n_p, dt, steps):
     # Crank-Nicolson keeps these for any dt, so the accuracy guard is off
     t_final = steps * dt
-    params = roup.RoupParams.standard(Q, t_final, n_x=8, n_p=2 * half_n_p)
-    f0 = roup.initial_state(params).modes[0]
+    run = roup.Run(Q, t_final, dt, (t_final,), 8, 2 * half_n_p)
+    f0 = roup.juttner(run.p_grid.points, Q) / np.sqrt(2.0 * np.pi)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(roup, "_GUARD_TOL", np.inf)
-        state = roup.evolve_all(params, t_final, dt=dt)[0]
+        state = roup.march(run)[0]
     assert roup.symmetry_residual(state) == 0.0
-    mass0 = quad(f0, params.p_grid)
-    assert abs(quad(state.modes[0], params.p_grid) - mass0) <= 1e-13 * mass0
+    mass0 = quad(f0, run.p_grid)
+    assert abs(quad(state.modes[0], run.p_grid) - mass0) <= 1e-13 * mass0
     assert np.max(np.abs(state.modes[0] - f0)) <= 1e-12 * np.max(f0)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy.integrate import quad as scipy_quad
 
 from relwalk import roup
 from relwalk.errors import StepSizeError, SymmetryError, TailTruncationError
-from relwalk.kernels import Grid1D, quad
+from relwalk.kernels import Grid1D, count_steps, quad
 
 
 def apply_collision(values: np.ndarray, p_grid: Grid1D, Q: float) -> np.ndarray:
@@ -20,8 +21,25 @@ def apply_collision(values: np.ndarray, p_grid: Grid1D, Q: float) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def _small_params(Q=1.0, t_final=0.5, n_x=128, n_p=512):
-    return roup.RoupParams.standard(Q, t_final, n_x=n_x, n_p=n_p)
+def _small_run(Q=1.0, t_final=0.5, n_x=128, n_p=512, dt=None, times=None):
+    dt = roup.default_dt(t_final) if dt is None else dt
+    return roup.Run(Q, t_final, dt, (t_final,) if times is None else tuple(times), n_x, n_p)
+
+
+def _initial_modes(run):
+    """All the initial rows march(run) starts from."""
+    return roup._initial_rows(run)(slice(None))
+
+
+def _march_row(run, f0, K, t, dt):
+    """A P-even row f0 marched alone at wavenumber K to time t, guarded as march is."""
+    rows = np.asarray(f0, dtype=complex)[None, :].__getitem__
+    Ks = np.array([K])
+    strang = roup._Strang(run.p_grid, run.Q, dt)
+    roup._check_step(rows, Ks, strang)
+    out = np.empty((1, 1, run.n_p), dtype=complex)
+    roup._evolve_block(rows, Ks, strang, count_steps(t, dt), [count_steps(t, dt)], out)
+    return out[0, 0]
 
 
 def test_juttner_normalization_against_adaptive_quadrature():
@@ -44,9 +62,9 @@ def test_juttner_normalization_matches_the_scaled_bessel_form():
 
 def test_juttner_grid_mass_is_one():
     for Q in (1.0, 8.0):
-        params = _small_params(Q=Q)
-        f = roup.juttner(params.p_grid.points, Q)
-        assert quad(f, params.p_grid) == pytest.approx(1.0, abs=1e-10)
+        run = _small_run(Q=Q)
+        f = roup.juttner(run.p_grid.points, Q)
+        assert quad(f, run.p_grid) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_velocity_bounded_by_light_speed():
@@ -60,125 +78,140 @@ def test_velocity_bounded_by_light_speed():
 
 
 def test_params_reject_thin_tails():
+    # the cutoff keeps the tail exponent at 32 to rounding (31.09 at Q = 1e8)
+    # until _TAIL / Q^2 rounds away and it collapses to 0
+    assert roup.Run(1e8, 1.0, 1e-3, (1.0,), 8, 64).p_max > 0.0
     with pytest.raises(TailTruncationError):
-        roup.RoupParams(Q=1.0, p_max=5.0, n_p=512, length=1.0, n_x=128)
-
-
-def test_params_reject_tails_past_the_symmetric_frame():
-    # the marcher divides by weights of about exp(-tail/2), which underflow
-    # past tail = 2 ln(1/tiny) = 1416.8; just inside, the state stays finite
-    def params(tail):
-        p_max = np.sqrt((1.0 + tail) ** 2 - 1.0)
-        return roup.RoupParams(Q=1.0, p_max=p_max, n_p=64, length=1.0, n_x=8)
-
-    with pytest.raises(TailTruncationError):
-        params(1420.0)
-    state = roup.evolve_all(params(1400.0), 0.01, dt=0.01)[0]
-    assert np.all(np.isfinite(state.modes))
+        roup.Run(1e9, 1.0, 1e-3, (1.0,), 8, 64)
 
 
 def test_params_reject_odd_counts():
     with pytest.raises(ValueError):
-        roup.RoupParams(Q=1.0, p_max=40.0, n_p=511, length=1.0, n_x=128)
+        roup.Run(1.0, 1.0, 1e-3, (1.0,), n_x=128, n_p=511)
     with pytest.raises(ValueError):
-        roup.RoupParams(Q=1.0, p_max=40.0, n_p=512, length=1.0, n_x=129)
+        roup.Run(1.0, 1.0, 1e-3, (1.0,), n_x=129, n_p=512)
+
+
+@pytest.mark.parametrize("Q, t_final, dt, times, match", [
+    (0.0, 1.0, 0.01, (1.0,), "Q must be positive"),
+    (-1.0, 1.0, 0.01, (1.0,), "Q must be positive"),
+    (1.0, 0.0, 0.01, (), "t_final must be positive"),
+    (1.0, -0.5, 0.01, (), "t_final must be positive"),
+    (1.0, 1.005, 0.01, (1.0,), "not an integer number of steps"),
+    (1.0, 1.0, 0.01, (0.333,), "not an integer number of steps"),
+    (1.0, 1.0, 0.0, (1.0,), "need dt > 0"),
+    (1.0, 1.0, 0.01, (0.5, 1.01), "beyond t_final"),
+    (1.0, 1.0, 0.01, (0.5, 0.5 + 1e-12), "collide"),
+])
+def test_run_rejects_invalid_inputs(Q, t_final, dt, times, match):
+    with pytest.raises(ValueError, match=match):
+        roup.Run(Q, t_final, dt, times, 16, 64)
+
+
+def test_run_is_a_frozen_hashable_key():
+    run = roup.Run(1.0, 0.5, 0.01, (0.25, 0.5), 16, 64, 2)
+    assert {run: 1}[roup.Run(1.0, 0.5, 0.01, (0.25, 0.5), 16, 64, 2)] == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        run.dt = 0.02
+    # replace checks the new inputs too
+    with pytest.raises(ValueError, match="not an integer number of steps"):
+        dataclasses.replace(run, dt=0.3)
 
 
 def test_standard_params_hit_target_tail():
-    params = roup.RoupParams.standard(1.0, 1.0)
-    gamma = np.sqrt(1.0 + params.p_max**2)
+    run = roup.Run(1.0, 1.0, 1e-3, (1.0,))
+    gamma = np.sqrt(1.0 + run.p_max**2)
     assert (gamma - 1.0) == pytest.approx(32.0, rel=1e-12)
-    assert params.length == pytest.approx(3.0)
+    assert run.length == pytest.approx(3.0)
+    assert run.n_modes == 257 and run.p_grid.count == 2048
 
 
 def test_collision_kills_equilibrium_exactly():
     for Q in (0.7, 1.0, 8.0):
-        params = _small_params(Q=Q)
-        f = roup.juttner(params.p_grid.points, Q)
-        lf = apply_collision(f, params.p_grid, Q)
+        run = _small_run(Q=Q)
+        f = roup.juttner(run.p_grid.points, Q)
+        lf = apply_collision(f, run.p_grid, Q)
         # fluxes are exponentially fitted, so this is pure rounding noise
         assert np.max(np.abs(lf)) < 1e-10 * np.max(f)
 
 
 def test_collision_conserves_mass_for_any_state():
-    params = _small_params()
+    run = _small_run()
     rng = np.random.default_rng(7)
-    p = params.p_grid.points
+    p = run.p_grid.points
     f = np.exp(-0.3 * p * p) * (1.0 + 0.2 * np.sin(3.0 * p)) + 0.01 * rng.random(p.size)
-    lf = apply_collision(f, params.p_grid, params.Q)
+    lf = apply_collision(f, run.p_grid, run.Q)
     # trapezoid weights equal the cell volumes, so the sum telescopes
-    assert abs(quad(lf, params.p_grid)) < 1e-12 * np.max(np.abs(lf)) * params.p_max
+    assert abs(quad(lf, run.p_grid)) < 1e-12 * np.max(np.abs(lf)) * run.p_max
 
 
 def test_collision_matches_galilean_ou_generator():
     # Q -> inf limit: L F = d/dP(P F) + F'' with an O(1/Q^2) correction;
     # oracle is the closed form for a variance-2 Gaussian
     Q = 1e3
-    params = roup.RoupParams.standard(Q, 1.0, n_p=2048)
-    p = params.p_grid.points
+    run = roup.Run(Q, 1.0, 1e-3, (1.0,), n_p=2048)
+    p = run.p_grid.points
     f = np.exp(-p * p / 4.0)
     expected = (0.5 - p * p / 4.0) * f
-    lf = apply_collision(f, params.p_grid, Q)
+    lf = apply_collision(f, run.p_grid, Q)
     assert np.max(np.abs(lf - expected)) < 5e-4 * np.max(np.abs(expected))
 
 
 def test_collision_preserves_parity():
-    params = _small_params()
-    p = params.p_grid.points
+    run = _small_run()
+    p = run.p_grid.points
     f = np.exp(-0.2 * p * p) * np.cos(p)
-    lf = apply_collision(f, params.p_grid, params.Q)
+    lf = apply_collision(f, run.p_grid, run.Q)
     assert np.allclose(lf, lf[::-1], atol=1e-12 * np.max(np.abs(lf)))
 
 
 def test_collision_batched_rows():
-    params = _small_params()
-    p = params.p_grid.points
+    run = _small_run()
+    p = run.p_grid.points
     stack = np.stack([np.exp(-p * p / 3.0), np.exp(-p * p / 5.0) * p])
-    lf = apply_collision(stack, params.p_grid, params.Q)
+    lf = apply_collision(stack, run.p_grid, run.Q)
     for row_in, row_out in zip(stack, lf):
-        assert np.allclose(row_out, apply_collision(row_in, params.p_grid, params.Q))
+        assert np.allclose(row_out, apply_collision(row_in, run.p_grid, run.Q))
 
 
 def test_zero_mode_freezes_equilibrium():
-    params = _small_params()
-    f0 = roup.juttner(params.p_grid.points, params.Q).astype(complex)
-    f1 = roup.evolve_mode(f0, 0.0, params.p_grid, params.Q, 0.5, 0.5 / 200)
+    run = _small_run()
+    f0 = roup.juttner(run.p_grid.points, run.Q)
+    f1 = _march_row(run, f0, 0.0, 0.5, 0.5 / 200)
     assert np.max(np.abs(f1 - f0)) < 1e-12 * np.max(np.abs(f0))
 
 
 def test_zero_mode_relaxes_toward_equilibrium():
-    params = _small_params()
-    p = params.p_grid.points
-    f_eq = roup.juttner(p, params.Q)
-    shifted = roup.juttner_normalization(params.Q) * np.exp(
-        -params.Q**2 * (roup.gamma_factor(p - 1.0, params.Q) - 1.0))
-    shifted /= quad(shifted, params.p_grid)
-    d0 = quad(np.abs(shifted - f_eq), params.p_grid)
+    # an even start: the Juttner split into two lobes at P = -1 and P = +1
+    run = _small_run()
+    p = run.p_grid.points
+    f_eq = roup.juttner(p, run.Q)
+    split = roup.juttner(p - 1.0, run.Q) + roup.juttner(p + 1.0, run.Q)
+    split /= quad(split, run.p_grid)
+    d0 = quad(np.abs(split - f_eq), run.p_grid)
     dist = []
-    f = shifted.astype(complex)
+    f = split
     for _ in range(6):
-        f = roup.evolve_mode(f, 0.0, params.p_grid, params.Q, 1.0, 1.0 / 200)
-        dist.append(quad(np.abs(f.real - f_eq), params.p_grid))
+        f = _march_row(run, f, 0.0, 1.0, 1.0 / 200)
+        dist.append(quad(np.abs(f.real - f_eq), run.p_grid))
     assert all(d2 < d1 for d1, d2 in zip(dist, dist[1:]))
-    # the heavy equilibrium tails make the spectral gap well below one,
-    # so six friction times only buy about a factor of twelve
     assert dist[-1] < 0.1 * d0
     # mass never leaks while relaxing
-    assert quad(f.real, params.p_grid) == pytest.approx(1.0, abs=1e-10)
+    assert quad(f.real, run.p_grid) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mode_short_time_error_is_second_order():
     # exact solution approaches exp(+iKvT) F* with an O(T^2) defect, and
     # the integrator must reproduce it at that order; the phase sign
     # follows the exp(-iKX) inverse-transform kernel
-    params = _small_params()
-    p = params.p_grid.points
-    v = roup.velocity(p, params.Q)
-    f0 = roup.juttner(p, params.Q).astype(complex)
+    run = _small_run()
+    p = run.p_grid.points
+    v = roup.velocity(p, run.Q)
+    f0 = roup.juttner(p, run.Q)
     K = 20.0
     errs = []
     for t in (0.02, 0.01):
-        f = roup.evolve_mode(f0, K, params.p_grid, params.Q, t, t / 20.0)
+        f = _march_row(run, f0, K, t, t / 20.0)
         ref = f0 * np.exp(1j * K * v * t)
         errs.append(np.linalg.norm(f - ref))
     ratio = errs[0] / errs[1]
@@ -186,26 +219,15 @@ def test_mode_short_time_error_is_second_order():
 
 
 def test_mode_guard_rejects_coarse_dt():
-    params = _small_params()
-    f0 = roup.juttner(params.p_grid.points, params.Q).astype(complex)
+    run = _small_run()
+    f0 = roup.juttner(run.p_grid.points, run.Q)
     with pytest.raises(StepSizeError):
-        roup.evolve_mode(f0, 400.0, params.p_grid, params.Q, 1.0, 0.5)
-    roup.evolve_mode(f0, 400.0, params.p_grid, params.Q, 0.01, 1e-3)
-
-
-def test_mode_guard_ignores_rounding_level_split_rows():
-    # the odd part of the sampled Juttner is rounding noise; measured
-    # against its own norm its doubling error is O(1) on this grid, so the
-    # guard must measure every split row against the norm of f0
-    params = roup.RoupParams.standard(1.0, 10.0)
-    f0 = roup.juttner(params.p_grid.points, 1.0).astype(complex)
-    f = roup.evolve_mode(f0, 0.0, params.p_grid, 1.0, 0.05, 5e-3)
-    assert np.max(np.abs(f - f0)) < 1e-12 * np.max(np.abs(f0))
+        _march_row(run, f0, 400.0, 1.0, 0.5)
+    _march_row(run, f0, 400.0, 0.01, 1e-3)
 
 
 def test_evolve_all_preserves_momentum_flip_symmetry():
-    params = _small_params()
-    states = roup.evolve_all(params, 0.5, dt=0.5 / 200)
+    states = roup.march(_small_run(dt=0.5 / 200))
     assert len(states) == 1
     assert states[0].time == pytest.approx(0.5)
     # only P > 0 is marched and P < 0 is its mirror image, so exactly zero
@@ -213,24 +235,24 @@ def test_evolve_all_preserves_momentum_flip_symmetry():
 
 
 def test_evolve_all_zero_mode_is_stationary():
-    params = _small_params()
-    state = roup.evolve_all(params, 0.5, dt=0.5 / 200)[0]
-    expected = roup.juttner(params.p_grid.points, params.Q) / np.sqrt(2.0 * np.pi)
+    run = _small_run(dt=0.5 / 200)
+    state = roup.march(run)[0]
+    expected = roup.juttner(run.p_grid.points, run.Q) / np.sqrt(2.0 * np.pi)
     assert np.max(np.abs(state.modes[0] - expected)) < 1e-12
 
 
 def test_evolve_all_skips_the_empty_nyquist_chunk_bitwise(monkeypatch):
-    params = _small_params(n_x=64, n_p=2048, t_final=0.05)
+    run = _small_run(n_x=64, n_p=2048, t_final=0.05, dt=1e-3, times=[0.0, 0.05])
     # 33 modes march as chunks of 16 and 16; the third chunk is the empty
     # Nyquist row alone, which is not marched and stays zero
-    assert params.n_modes == 2 * (roup._CHUNK_CELLS // (params.n_p // 2)) + 1
-    skipped = roup.evolve_all(params, 0.05, dt=1e-3, output_times=[0.0, 0.05])
+    assert run.n_modes == 2 * (roup._CHUNK_CELLS // (run.n_p // 2)) + 1
+    skipped = roup.march(run)
     # a nonzero last row marches every chunk; rows never mix across
     # chunks, so the other rows come out bitwise the same
-    initial = roup.initial_state(params).modes
+    initial = _initial_modes(run)
     initial[-1] = initial[0]
     monkeypatch.setattr(roup, "_initial_rows", lambda _: initial.__getitem__)
-    marched = roup.evolve_all(params, 0.05, dt=1e-3, output_times=[0.0, 0.05])
+    marched = roup.march(run)
     for a, b in zip(skipped, marched, strict=True):
         assert a.modes[:-1].tobytes() == b.modes[:-1].tobytes()
         assert not a.modes[-1].any()
@@ -241,18 +263,18 @@ def test_evolve_all_skips_the_empty_nyquist_chunk_bitwise(monkeypatch):
 def test_zero_row_sharing_a_chunk_marches_to_zero():
     # 5 modes on 32 momenta are one chunk: the Nyquist row is marched with
     # the others and comes out zero, as the skipped chunk above is written
-    params = _small_params(n_x=8, n_p=64)
-    state = roup.evolve_all(params, 0.5, dt=0.5 / 200)[0]
-    assert np.array_equal(state.modes[-1], np.zeros(params.n_p))
+    run = _small_run(n_x=8, n_p=64, dt=0.5 / 200)
+    state = roup.march(run)[0]
+    assert np.array_equal(state.modes[-1], np.zeros(run.n_p))
     assert state.modes[-2].any()
 
 
 def test_initial_state_is_the_tiled_juttner_row_bitwise():
-    params = _small_params(n_x=64, n_p=256)
-    row = roup.juttner(params.p_grid.points, params.Q) / np.sqrt(2.0 * np.pi)
-    expected = np.tile(row, (params.n_modes, 1)).astype(complex)
+    run = _small_run(n_x=64, n_p=256)
+    row = roup.juttner(run.p_grid.points, run.Q) / np.sqrt(2.0 * np.pi)
+    expected = np.tile(row, (run.n_modes, 1)).astype(complex)
     expected[-1] = 0.0
-    assert roup.initial_state(params).modes.tobytes() == expected.tobytes()
+    assert _initial_modes(run).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n_x, n_p", [(130, 256), (70, 2048)])
@@ -261,13 +283,12 @@ def test_streamed_march_matches_the_materialized_initial_state_bitwise(n_x, n_p)
     # with the others; 36 modes on 1024 march as chunks of 16, 16 and 4,
     # the last one mixed. Built chunk by chunk, the initial rows must march
     # exactly as the rows of the whole initial state do.
-    params = _small_params(n_x=n_x, n_p=n_p, t_final=0.05)
-    dt = 1e-3
-    streamed = roup.evolve_all(params, 0.05, dt=dt, output_times=[0.0, 0.02, 0.05])
-    F = roup.initial_state(params).modes
+    run = _small_run(n_x=n_x, n_p=n_p, t_final=0.05, dt=1e-3, times=[0.0, 0.02, 0.05])
+    streamed = roup.march(run)
+    F = _initial_modes(run)
     out = np.empty((3,) + F.shape, dtype=complex)
-    roup._evolve_block(F.__getitem__, params.mode_wavenumbers,
-                       roup._Strang(params.p_grid, params.Q, dt), 50, [0, 20, 50], out)
+    roup._evolve_block(F.__getitem__, run.mode_wavenumbers,
+                       roup._Strang(run.p_grid, run.Q, run.dt), 50, [0, 20, 50], out)
     for state, expected in zip(streamed, out, strict=True):
         assert np.array_equal(state.modes, expected)
         assert state.modes.tobytes() == expected.tobytes()
@@ -276,7 +297,7 @@ def test_streamed_march_matches_the_materialized_initial_state_bitwise(n_x, n_p)
 def test_evolve_all_guard_checks_every_chunk_before_any_march(monkeypatch):
     # 33 modes on 1024 momenta are chunks of 16, 16 and the empty Nyquist
     # row; dt = 0.5 is far too coarse for the fastest modes
-    params = _small_params(n_x=64, n_p=2048, t_final=10.0)
+    run = _small_run(n_x=64, n_p=2048, t_final=10.0, dt=0.5)
     steps = []
     march = roup._Strang.march
 
@@ -286,7 +307,7 @@ def test_evolve_all_guard_checks_every_chunk_before_any_march(monkeypatch):
 
     monkeypatch.setattr(roup._Strang, "march", recording)
     with pytest.raises(StepSizeError):
-        roup.evolve_all(params, 10.0, dt=0.5)
+        roup.march(run)
     # one step and two half steps per chunk, and no 20-step march
     assert steps == [1, 2] * 3
 
@@ -294,7 +315,7 @@ def test_evolve_all_guard_checks_every_chunk_before_any_march(monkeypatch):
 def test_evolve_all_builds_two_phase_tables_per_chunk_in_guard_and_march(monkeypatch):
     # 32 modes on 1024 momenta are two chunks of 16, the Nyquist row in the
     # second; the guard shares one table between its two marches
-    params = _small_params(n_x=62, n_p=2048, t_final=0.05)
+    run = _small_run(n_x=62, n_p=2048, t_final=0.05, dt=1e-3)
     built = []
     phase = roup._Strang.phase
 
@@ -303,15 +324,15 @@ def test_evolve_all_builds_two_phase_tables_per_chunk_in_guard_and_march(monkeyp
         return phase(self, Ks, fraction)
 
     monkeypatch.setattr(roup._Strang, "phase", counting)
-    roup.evolve_all(params, 0.05, dt=1e-3)
+    roup.march(run)
     assert len(built) == (2 + 2) * 2
 
 
 def test_phase_tables_are_the_complex_exponential():
     # bit for bit with numpy 2.4 on x86-64 Linux; within an ulp anywhere
-    params = roup.RoupParams.standard(1.0, 0.5)
-    strang = roup._Strang(params.p_grid, params.Q, 1e-3)
-    Ks = params.mode_wavenumbers
+    run = roup.Run(1.0, 0.5, 1e-3, (0.5,))
+    strang = roup._Strang(run.p_grid, run.Q, run.dt)
+    Ks = run.mode_wavenumbers
     v = strang.ldl.unpad(strang.v)[:, 0]
     for fraction, scale in ((0.5, 0.5j), (1.0, 1j)):
         table = strang.phase(Ks, fraction)
@@ -324,8 +345,8 @@ def test_phase_tables_are_the_complex_exponential():
 def test_evolve_all_is_bitwise_independent_of_the_chunk_size(monkeypatch, cells):
     # the standard grid's 257 modes march as chunks of 8, 16 or 32 rows and
     # the empty Nyquist row alone; every column of a product is its own
-    params = roup.RoupParams.standard(1.0, 0.5)
-    march = lambda: roup.evolve_all(params, 0.01, dt=1e-3, output_times=[0.005, 0.01])
+    run = roup.Run(1.0, 0.01, 1e-3, (0.005, 0.01))
+    march = lambda: roup.march(run)
     reference = march()
     monkeypatch.setattr(roup, "_CHUNK_CELLS", cells)
     for state, expected in zip(march(), reference, strict=True):
@@ -355,9 +376,8 @@ def test_evolve_all_holds_its_snapshots_plus_chunk_scratch():
     # are each at most two chunks (about 9.3 chunks at the peak); one state
     # here is 8 chunks, and a full-size initial state with full-size guard
     # results peaked 24 chunks above the snapshots
-    params = _small_params(n_x=256, n_p=1024, t_final=0.02)
-    states, peak = _traced_peak(
-        lambda: roup.evolve_all(params, 0.02, dt=2e-3, output_times=[0.01, 0.02]))
+    run = _small_run(n_x=256, n_p=1024, t_final=0.02, dt=2e-3, times=[0.01, 0.02])
+    states, peak = _traced_peak(lambda: roup.march(run))
     snapshots = sum(state.modes.nbytes for state in states)
     assert peak <= snapshots + 12 * _CHUNK_BYTES
 
@@ -369,34 +389,31 @@ def test_evolve_all_holds_its_snapshots_plus_chunk_scratch():
 def test_state_read_outs_work_in_row_blocks(read):
     # one standard-grid state is 32 chunks; row blocks keep each read-out
     # under 4 (about 2.5-2.8 measured), where whole-state temporaries took 65
-    state = roup.initial_state(roup.RoupParams.standard(1.0, 0.5))
+    run = roup.Run(1.0, 0.5, 1e-3, (0.5,))
+    state = roup.KineticState(run, 0.0, _initial_modes(run))
     assert _traced_peak(lambda: read(state))[1] <= 4 * _CHUNK_BYTES
 
 
 @pytest.mark.parametrize("threads", [0, -3])
 def test_evolve_all_rejects_nonpositive_threads(threads):
     with pytest.raises(ValueError, match="threads"):
-        roup.evolve_all(_small_params(n_x=8, n_p=64), 0.5, threads=threads)
+        roup.evolve_all(roup.RoupParams.standard(1.0, 0.5, n_x=8, n_p=64), 0.5, threads=threads)
 
 
-def _textbook_strang(params, dt, n_steps, snap_steps, F=None, Ks=None):
-    """Per-step H C H with a dense Crank-Nicolson solve on the full grid, as a reference.
-
-    Rows F at wavenumbers Ks default to the initial state's modes.
-    """
-    p_grid = params.p_grid
-    v = roup.velocity(p_grid.points, params.Q)
-    Ks = params.mode_wavenumbers if Ks is None else Ks
-    half = np.exp(0.5j * dt * np.outer(Ks, v))
+def _textbook_strang(run, n_steps, snap_steps):
+    """Per-step H C H with a dense Crank-Nicolson solve on the full grid, as a reference."""
+    p_grid, dt = run.p_grid, run.dt
+    v = roup.velocity(p_grid.points, run.Q)
+    half = np.exp(0.5j * dt * np.outer(run.mode_wavenumbers, v))
     a = 0.5 * dt
     # apply_collision maps each row e_j to L e_j, the j-th column of L
-    coll = apply_collision(np.eye(params.n_p), p_grid, params.Q).T
-    lhs = np.eye(params.n_p) - a * coll
-    F = roup.initial_state(params).modes.copy() if F is None else F
+    coll = apply_collision(np.eye(run.n_p), p_grid, run.Q).T
+    lhs = np.eye(run.n_p) - a * coll
+    F = _initial_modes(run)
     snaps = []
     for step in range(1, n_steps + 1):
         F = half * F
-        rhs = F + a * apply_collision(F, p_grid, params.Q)
+        rhs = F + a * apply_collision(F, p_grid, run.Q)
         F = half * np.linalg.solve(lhs, rhs.T).T
         if step in snap_steps:
             snaps.append(F.copy())
@@ -404,49 +421,32 @@ def _textbook_strang(params, dt, n_steps, snap_steps, F=None, Ks=None):
 
 
 def test_evolve_all_matches_textbook_strang():
-    params = _small_params(n_x=32, n_p=64, t_final=0.1)
-    dt = 2e-3
-    reference = _textbook_strang(params, dt, 50, (25, 50))
-    states = roup.evolve_all(params, 0.1, dt=dt, output_times=[0.05, 0.1])
-    for state, ref in zip(states, reference, strict=True):
+    run = _small_run(n_x=32, n_p=64, t_final=0.1, dt=2e-3, times=[0.05, 0.1])
+    reference = _textbook_strang(run, 50, (25, 50))
+    for state, ref in zip(roup.march(run), reference, strict=True):
         err = np.max(np.abs(state.modes - ref)) / np.max(np.abs(ref))
         assert err <= 1e-12
 
 
-def test_evolve_mode_matches_full_grid_on_asymmetric_data():
-    # the marcher keeps only P > 0, so evolve_mode must split data without
-    # the momentum-flip symmetry into symmetric rows and recombine them
-    params = _small_params(n_x=32, n_p=64, t_final=0.1)
-    p = params.p_grid.points
-    shifted = roup.juttner(p - 1.0, params.Q).astype(complex)
-    dt = 2e-3
-    for K in (0.0, 20.0):
-        ref = _textbook_strang(params, dt, 50, (50,), F=shifted[None, :],
-                               Ks=np.array([K]))[0][0]
-        f = roup.evolve_mode(shifted, K, params.p_grid, params.Q, 0.1, dt)
-        assert np.max(np.abs(f - ref)) / np.max(np.abs(ref)) <= 1e-12
-
-
 def test_evolve_all_output_time_grid():
-    params = _small_params(n_x=64, n_p=256)
-    states = roup.evolve_all(params, 0.2, dt=1e-3, output_times=[0.1, 0.2])
+    states = roup.march(_small_run(n_x=64, n_p=256, t_final=0.2, dt=1e-3, times=[0.2, 0.1]))
     assert [s.time for s in states] == pytest.approx([0.1, 0.2])
     with pytest.raises(ValueError):
-        roup.evolve_all(params, 0.2, dt=1e-3, output_times=[0.25])
+        _small_run(n_x=64, n_p=256, t_final=0.2, dt=1e-3, times=[0.25])
     with pytest.raises(ValueError):
-        roup.evolve_all(params, 0.2, dt=1e-3, output_times=[0.0501])
+        _small_run(n_x=64, n_p=256, t_final=0.2, dt=1e-3, times=[0.0501])
 
 
 def test_initial_reconstruction_is_a_band_limited_delta():
     # the comb drops the Nyquist wave, so the peak loses 1/L and every
     # other site picks up an alternating +-1/L instead of exact zero
-    params = _small_params()
-    profile = roup.reconstruct_density(roup.initial_state(params))
+    run = _small_run()
+    profile = roup.reconstruct_density(roup.KineticState(run, 0.0, _initial_modes(run)))
     dx = profile.x_grid.spacing
-    length = params.length
+    length = run.length
     center = np.argmin(np.abs(profile.x_grid.points))
     assert profile.x_grid.points[center] == pytest.approx(0.0, abs=1e-12)
-    expected_peak = (params.n_x - 1.0) / length
+    expected_peak = (run.n_x - 1.0) / length
     assert profile.density[center] == pytest.approx(expected_peak, rel=1e-9)
     off_peak = np.delete(profile.density, center)
     assert np.max(np.abs(np.abs(off_peak) - 1.0 / length)) < 1e-9 / length
@@ -457,8 +457,7 @@ def test_initial_reconstruction_is_a_band_limited_delta():
 def test_density_mass_and_causal_support():
     leak = {}
     for n_x in (128, 256):
-        params = _small_params(n_x=n_x)
-        state = roup.evolve_all(params, 0.5, dt=0.5 / 400)[0]
+        state = roup.march(_small_run(n_x=n_x, dt=0.5 / 400))[0]
         profile = roup.reconstruct_density(state)
         x = profile.x_grid.points
         mass = np.sum(profile.density) * profile.x_grid.spacing
@@ -475,8 +474,7 @@ def test_density_mass_and_causal_support():
 
 
 def test_refined_reconstruction_interpolates_through_samples():
-    params = _small_params(n_x=64, n_p=256)
-    state = roup.evolve_all(params, 0.3, dt=1e-3)[0]
+    state = roup.march(_small_run(n_x=64, n_p=256, t_final=0.3, dt=1e-3))[0]
     coarse = roup.reconstruct_density(state)
     fine = roup.reconstruct_density(state, refine=4)
     assert fine.x_grid.count == 4 * coarse.x_grid.count
@@ -485,9 +483,9 @@ def test_refined_reconstruction_interpolates_through_samples():
 
 
 def test_reconstruct_flags_corrupted_modes():
-    params = _small_params(n_x=64, n_p=256)
-    state = roup.evolve_all(params, 0.1, dt=1e-3)[0]
-    state.modes[3] += 1e-3 * np.exp(params.p_grid.points / params.p_max)
+    run = _small_run(n_x=64, n_p=256, t_final=0.1, dt=1e-3)
+    state = roup.march(run)[0]
+    state.modes[3] += 1e-3 * np.exp(run.p_grid.points / run.p_max)
     with pytest.raises(SymmetryError):
         roup.reconstruct_density(state)
 
@@ -495,13 +493,13 @@ def test_reconstruct_flags_corrupted_modes():
 def _reference_reconstruction(state, refine):
     # the Hermitian extension built by hand, zero-padded with the real
     # Nyquist bin split between its two images, through the complex DFT
-    params = state.params
-    v = roup.velocity(params.p_grid.points, params.Q)
-    m = params.n_x // 2
-    n_fine = params.n_x * refine
-    x_grid = Grid1D.periodic(params.length, n_fine)
+    run = state.run
+    v = roup.velocity(run.p_grid.points, run.Q)
+    m = run.n_x // 2
+    n_fine = run.n_x * refine
+    x_grid = Grid1D.periodic(run.length, n_fine)
     out = []
-    for half in (quad(state.modes, params.p_grid), quad(state.modes * v, params.p_grid)):
+    for half in (quad(state.modes, run.p_grid), quad(state.modes * v, run.p_grid)):
         full = np.zeros(n_fine, dtype=complex)
         full[:m] = half[:m]
         full[n_fine - m + 1:] = np.conj(half[1:m][::-1])
@@ -514,8 +512,7 @@ def _reference_reconstruction(state, refine):
 
 @pytest.mark.parametrize("refine", [1, 4])
 def test_reconstruct_density_matches_hand_built_hermitian_spectrum(refine):
-    params = _small_params(n_x=64, n_p=256)
-    state = roup.evolve_all(params, 0.3, dt=1e-3)[0]
+    state = roup.march(_small_run(n_x=64, n_p=256, t_final=0.3, dt=1e-3))[0]
     state.modes[-1] = 0.5 * state.modes[0]  # a symmetric Nyquist mode, to test its split
     profile = roup.reconstruct_density(state, refine=refine)
     density, current = _reference_reconstruction(state, refine)
@@ -527,9 +524,9 @@ def test_reconstruct_density_matches_hand_built_hermitian_spectrum(refine):
 def test_reconstruct_flags_a_density_that_is_not_real():
     # the imaginary K = 0 integral is the one part hfft would drop silently;
     # this one keeps the symmetry residual at 5e-7, below its 1e-6 check
-    params = _small_params(n_x=64, n_p=256)
-    state = roup.evolve_all(params, 0.1, dt=1e-3)[0]
-    state.modes[0] += 1e-7j * roup.juttner(params.p_grid.points, params.Q)
+    run = _small_run(n_x=64, n_p=256, t_final=0.1, dt=1e-3)
+    state = roup.march(run)[0]
+    state.modes[0] += 1e-7j * roup.juttner(run.p_grid.points, run.Q)
     assert roup.symmetry_residual(state) == pytest.approx(5.0e-7, rel=1e-2)
     with pytest.raises(SymmetryError, match="not real"):
         roup.reconstruct_density(state)
@@ -551,10 +548,9 @@ def test_rescaled_profile_and_peak_refinement():
 
 
 def test_continuity_residual_small_and_validated():
-    params = _small_params(n_x=128)
     dt = 1e-3
     times = [0.5 - dt, 0.5, 0.5 + dt]
-    states = roup.evolve_all(params, 0.5 + dt, dt=dt, output_times=times)
+    states = roup.march(_small_run(n_x=128, t_final=0.5 + dt, dt=dt, times=times))
     profiles = [roup.reconstruct_density(s, refine=8) for s in states]
     res = roup.continuity_residual(profiles)
     assert 0.0 < res < 1e-2
@@ -562,32 +558,28 @@ def test_continuity_residual_small_and_validated():
         roup.continuity_residual(profiles[:2])
     with pytest.raises(ValueError):
         roup.continuity_residual(profiles[::-1])
-    coarse = roup.evolve_all(_small_params(n_x=64, n_p=256), 0.5 + dt, dt=dt,
-                             output_times=[0.5 - dt])
+    coarse = roup.march(_small_run(n_x=64, n_p=256, t_final=0.5 + dt, dt=dt, times=[0.5 - dt]))
     mixed = [roup.reconstruct_density(coarse[0], refine=8)] + profiles[1:]
     with pytest.raises(ValueError):
         roup.continuity_residual(mixed)
 
 
 def test_profile_csv_roundtrip(tmp_path):
-    params = _small_params(n_x=64, n_p=256)
-    state = roup.evolve_all(params, 0.2, dt=1e-3)[0]
-    profile = roup.reconstruct_density(state)
+    run = _small_run(n_x=64, n_p=256, t_final=0.2, dt=1e-3)
+    profile = roup.reconstruct_density(roup.march(run)[0])
     path = tmp_path / "profile.csv"
     roup.write_profile_csv(profile, path)
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert data.shape == (64,)
     assert np.allclose(data["N"], profile.density)
-    assert np.allclose(data["xi"], profile.x_grid.points / (params.Q * 0.2))
+    assert np.allclose(data["xi"], profile.x_grid.points / (run.Q * 0.2))
 
 
 def test_march_run_is_evolve_all_then_reconstruct_bitwise():
     run = roup.Run(2.0, 0.3, 1e-2, (0.1, 0.2, 0.3), n_x=32, n_p=128, refine=4)
     profiles = roup.march_run(run)
     assert list(profiles) == [0.1, 0.2, 0.3]
-    params = roup.RoupParams.standard(2.0, 0.3, n_x=32, n_p=128)
-    states = roup.evolve_all(params, 0.3, dt=1e-2, output_times=[0.1, 0.2, 0.3])
-    for state, (t, profile) in zip(states, profiles.items()):
+    for state, (t, profile) in zip(roup.march(run), profiles.items(), strict=True):
         expected = roup.reconstruct_density(state, refine=4)
         assert profile.time == expected.time and profile.x_grid == expected.x_grid
         assert profile.density.tobytes() == expected.density.tobytes()
@@ -596,10 +588,40 @@ def test_march_run_is_evolve_all_then_reconstruct_bitwise():
 
 
 def test_march_run_keys_each_profile_by_its_own_time():
-    # evolve_all returns its states in ascending time, whatever order the run lists
+    # march returns its states in ascending time, whatever order the run lists
     shuffled = roup.march_run(roup.Run(1.0, 0.2, 0.01, (0.2, 0.1), 64, 128, 2))
     ascending = roup.march_run(roup.Run(1.0, 0.2, 0.01, (0.1, 0.2), 64, 128, 2))
     assert list(shuffled) == [0.1, 0.2]
     for t, profile in shuffled.items():
         assert profile.time == pytest.approx(t)
         assert profile.density.tobytes() == ascending[t].density.tobytes()
+
+
+# ------------------------------------------------- benchmark seams on march
+
+
+def test_evolve_all_seam_is_march_bitwise():
+    params = roup.RoupParams.standard(1, 0.05, n_x=16, n_p=64)
+    seam = roup.evolve_all(params, 0.05, dt=1e-3, output_times=[0.0, 0.05], threads=1)
+    marched = roup.march(roup.Run(1, 0.05, 1e-3, (0.0, 0.05), 16, 64))
+    for a, b in zip(seam, marched, strict=True):
+        assert a.run == b.run and a.time == b.time
+        assert a.modes.tobytes() == b.modes.tobytes()
+
+
+def test_initial_state_seam_is_the_rows_march_starts_from():
+    run = roup.RoupParams.standard(1.0, 0.05, n_x=70, n_p=2048)
+    assert run == roup.Run(1.0, 0.05, roup.default_dt(0.05), (0.05,), 70, 2048)
+    state = roup.initial_state(run)
+    assert state.time == 0.0
+    assert state.modes.tobytes() == _initial_modes(run).tobytes()
+    # march's snapshot at T = 0 copies the P > 0 half it starts from
+    start = roup.march(dataclasses.replace(run, times=(0.0,)))[0]
+    assert start.modes[:, 1024:].tobytes() == state.modes[:, 1024:].tobytes()
+
+
+def test_evolve_all_seam_rejects_a_foreign_t_final():
+    # the ring derives from t_final, so a march to another time is another run
+    params = roup.RoupParams.standard(1.0, 0.5, n_x=8, n_p=64)
+    with pytest.raises(ValueError, match="not the run's t_final"):
+        roup.evolve_all(params, 0.2, dt=1e-3)
