@@ -1,20 +1,41 @@
 """Quantitative acceptance checks for the whole package.
 
-Each criterion is a self-contained measurement with a hard tolerance.
-Its CRITERIA row lists the kinetic runs it reads. A context marches the
-union of the selected rows' runs once, when it is built, as independent
-jobs several at a time, so criteria that probe the same run (the T = 0.5
-profile feeds the peak check, the valley check, and the flux-at-maximum
-check) pay for one evolution.
+Each criterion is a self-contained measurement: one Check per tolerance,
+plus details. Its CRITERIA row lists the kinetic runs it reads. A
+context marches the union of the selected rows' runs once, when it is
+built, as independent jobs several at a time, so criteria that probe the
+same run (the T = 0.5 profile feeds the peak check, the valley check, and
+the flux-at-maximum check) pay for one evolution.
 """
 
 from dataclasses import dataclass, field
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dirac, fick, qwalk, roup
 from .kernels import Grid1D, quad, run_jobs
+
+
+class Check(NamedTuple):
+    """One tolerance of a criterion: it holds when ``value sense bound`` is true."""
+
+    name: str
+    value: float
+    sense: str
+    bound: float
+
+    def record(self) -> dict:
+        """JSON form. margin is (bound - value)/|bound|, negated for a lower bound so it
+        is positive when ok; None for ``==`` and for a zero bound."""
+        v, b = self.value, self.bound
+        ok = {"<": v < b, "<=": v <= b, ">": v > b, ">=": v >= b, "==": v == b}[self.sense]
+        margin = None
+        if self.sense != "==" and b != 0:
+            margin = (float(b) - float(v)) / abs(float(b)) * (1.0 if "<" in self.sense else -1.0)
+        return {"name": self.name, "value": float(v), "sense": self.sense,
+                "bound": float(b), "margin": margin, "ok": bool(ok)}
 
 
 @dataclass
@@ -23,12 +44,16 @@ class CriterionResult:
     name: str
     group: str
     passed: bool
-    runtime: float
+    runtime_s: float
     details: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)  # Check.record() of each check
+    margin: float | None = None  # the smallest margin of its checks
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
-        return f"criterion {self.number:2d} {self.name:<24s} {verdict}"
+        margin = "-" if self.margin is None else f"{self.margin:.3g}"
+        return (f"criterion {self.number:2d} {self.name:<24s} {verdict}  "
+                f"{self.runtime_s:.1f}s  margin {margin}")
 
 
 class RunContext:
@@ -69,19 +94,16 @@ def _crit_walk_probability(ctx):
     for _ in range(steps):
         state = qwalk.step_walk(state, coin_field)
         drift = max(drift, abs(qwalk.total_probability(state) - p0))
-    return drift < 1e-10, {"max_drift": drift, "tolerance": 1e-10,
-                           "sites": n_sites, "steps": steps}
+    return [Check("max_drift", drift, "<", 1e-10)], {"sites": n_sites, "steps": steps}
 
 
 def _crit_continuum_convergence(ctx):
     jet = qwalk.JetSpec.benchmark()
     packet = lambda grid: dirac.gaussian_packet(grid, width=1.0, momentum=0.5)
     rows = dirac.convergence_study(jet, packet, 1.0, [0.1, 0.05, 0.025], 16.0)
-    orders = [r.order for r in rows if r.order is not None]
-    err = rows[-1].l2_error
-    ok = all(o >= 0.9 for o in orders) and err < 1e-2
-    return ok, {"orders": orders, "error_at_finest": err,
-                "order_floor": 0.9, "error_tolerance": 1e-2}
+    checks = [Check(f"order eps={r.epsilon:g}", r.order, ">=", 0.9)
+              for r in rows if r.order is not None]
+    return checks + [Check("error_at_finest", rows[-1].l2_error, "<", 1e-2)], {}
 
 
 def _crit_dirac_dispersion(ctx):
@@ -93,8 +115,7 @@ def _crit_dirac_dispersion(ctx):
         rel = abs(omega - target) / target
         measured[f"k={k:g}"] = {"omega": omega, "target": target, "rel_error": rel}
         worst = max(worst, rel)
-    return worst < 1e-3, {"worst_rel_error": worst, "tolerance": 1e-3,
-                          "branches": measured}
+    return [Check("worst_rel_error", worst, "<", 1e-3)], {"branches": measured}
 
 
 def _crit_juttner_stationarity(ctx):
@@ -103,7 +124,7 @@ def _crit_juttner_stationarity(ctx):
     f0 = roup.juttner(run.p_grid.points, 1.0) / np.sqrt(2.0 * np.pi)
     f = roup.march(run)[0].modes[0]
     drift = float(quad(np.abs(f - f0), run.p_grid) / quad(np.abs(f0), run.p_grid))
-    return drift < 1e-6, {"relative_l1_drift": drift, "tolerance": 1e-6}
+    return [Check("relative_l1_drift", drift, "<", 1e-6)], {}
 
 
 _PEAK_RUN = roup.Run(1.0, 0.75, 2.5e-4, (0.25, 0.5, 0.75))
@@ -111,18 +132,16 @@ _PEAK_RUN = roup.Run(1.0, 0.75, 2.5e-4, (0.25, 0.5, 0.75))
 
 def _crit_propagation_peak(ctx):
     started = time.perf_counter()
-    peaks = {}
-    for t in _PEAK_RUN.times:
-        peaks[t] = roup.peak_location(ctx.profile(_PEAK_RUN, t))[0]
+    peaks = {t: roup.peak_location(ctx.profile(_PEAK_RUN, t))[0] for t in _PEAK_RUN.times}
     elapsed = time.perf_counter() - started
-    anchor = peaks[0.5]
-    ok = (abs(anchor - 0.948) <= 0.015
-          and abs(peaks[0.25] - anchor) <= 0.015
-          and abs(peaks[0.75] - anchor) <= 0.015
-          and ctx.plan_s + elapsed < 300.0)
-    return ok, {"peaks": {f"T={t:g}": v for t, v in peaks.items()},
-                "target": 0.948, "tolerance": 0.015, "plan_s": ctx.plan_s,
-                "runtime_s": elapsed, "runtime_budget_s": 300.0}
+    target = 0.948
+    tolerance = 0.015
+    checks = [Check(f"|peak T=0.5 - {target}|", abs(peaks[0.5] - target), "<=", tolerance)]
+    checks += [Check(f"|peak T={t:g} - peak T=0.5|", abs(peaks[t] - peaks[0.5]), "<=", tolerance)
+               for t in (0.25, 0.75)]
+    checks.append(Check("plan_s + runtime_s", ctx.plan_s + elapsed, "<", 300.0))
+    return checks, {"peaks": {f"T={t:g}": v for t, v in peaks.items()},
+                    "plan_s": ctx.plan_s, "runtime_s": elapsed}
 
 
 _SHORT_RUN = roup.Run(1.0, 0.05, 1e-4, (0.05,))
@@ -140,11 +159,10 @@ def _crit_short_time_heuristic(ctx):
     right = xi > 0.0
     formula_peak = float(xi[right][np.argmax(heur[right])])
     target = fick.heuristic_peak(1.0)
-    ok = l1 < 0.05 and abs(formula_peak - target) <= d_xi
-    return ok, {"shape_l1_distance": l1, "l1_tolerance": 0.05,
-                "formula_grid_peak": formula_peak, "peak_target": target,
-                "grid_resolution": d_xi,
-                "profile_peak": roup.peak_location(profile)[0]}
+    checks = [Check("shape_l1_distance", l1, "<", 0.05),
+              Check("|formula_grid_peak - peak_target|", abs(formula_peak - target), "<=", d_xi)]
+    return checks, {"formula_grid_peak": formula_peak, "peak_target": target,
+                    "profile_peak": roup.peak_location(profile)[0]}
 
 
 def _nu_at_zero(profile):
@@ -171,14 +189,10 @@ def _crit_valley_to_gaussian(ctx):
     early = ctx.profile(_PEAK_RUN, 0.5)
     mid, late = (ctx.profile(run) for run in _VALLEY_RUNS)
     nu0 = {0.5: _nu_at_zero(early), 2.0: _nu_at_zero(mid), 10.0: _nu_at_zero(late)}
-    increasing = nu0[0.5] < nu0[2.0] < nu0[10.0]
-    valley = nu0[0.5] < roup.peak_location(early)[1]
-    d_mid = _gaussian_l1(mid)
-    d_late = _gaussian_l1(late)
-    ok = increasing and valley and d_late < d_mid
-    return ok, {"nu_at_zero": {f"T={t:g}": v for t, v in nu0.items()},
-                "strictly_increasing": increasing, "valley_at_half": valley,
-                "gaussian_l1": {"T=2": d_mid, "T=10": d_late}}
+    return [Check("nu_at_zero T=0.5 vs T=2", nu0[0.5], "<", nu0[2.0]),
+            Check("nu_at_zero T=2 vs T=10", nu0[2.0], "<", nu0[10.0]),
+            Check("nu_at_zero T=0.5 vs peak", nu0[0.5], "<", roup.peak_location(early)[1]),
+            Check("gaussian_l1 T=10 vs T=2", _gaussian_l1(late), "<", _gaussian_l1(mid))], {}
 
 
 # base and refined levels: three output times dt apart around T = 0.5
@@ -189,20 +203,15 @@ _CONTINUITY_RUNS = tuple(roup.Run(1.0, 0.5 + dt, dt, (0.5 - dt, 0.5, 0.5 + dt), 
 def _crit_continuity(ctx):
     base, fine = (roup.continuity_residual([ctx.profile(run, t) for t in run.times])
                   for run in _CONTINUITY_RUNS)
-    ok = base < 1e-2 and fine <= 0.5 * base
-    return ok, {"base_residual": base, "refined_residual": fine,
-                "ratio": fine / base, "tolerance": 1e-2,
-                "required_ratio": 0.5}
+    return [Check("base_residual", base, "<", 1e-2),
+            Check("refined_residual", fine, "<=", 0.5 * base)], {"ratio": fine / base}
 
 
 def _crit_generalized_fick(ctx):
-    # the g-vs-xi family: every curve grows from the center toward the
-    # cone, the growth is strongest for the earliest (propagative) time
-    # and flattens as the profile gaussianizes, consistent with the flat
-    # Galilean limit; the factor-10 excess at |xi| = 0.95 quantifies the
-    # propagative curve
-    details = {}
-    residuals_ok = True
+    # the g-vs-xi family: every curve grows from the center toward the cone,
+    # most (tenfold at |xi| = 0.95) for the earliest, propagative time, and
+    # flattens as the profile gaussianizes, toward the flat Galilean limit
+    checks = []
     ratios = {}
     for t, run in _FICK_RUNS.items():
         profile = ctx.profile(run)
@@ -213,16 +222,11 @@ def _crit_generalized_fick(ctx):
         g_edge = min(float(metric.g[np.argmin(np.abs(xi - 0.95))]),
                      float(metric.g[np.argmin(np.abs(xi + 0.95))]))
         ratios[t] = g_edge / g0
-        details[f"T={t:g}"] = {"fick_residual": res, "g_ratio_at_0.95": ratios[t]}
-        residuals_ok = residuals_ok and res < 1e-2
-    shape_ok = (ratios[1.0] > 10.0
-                and all(r > 1.0 for r in ratios.values())
-                and ratios[1.0] > ratios[4.0] > ratios[10.0])
-    return residuals_ok and shape_ok, {
-        "runs": details, "residual_tolerance": 1e-2,
-        "required_g_ratio_propagative": 10.0,
-        "growth_toward_cone_all_times": all(r > 1.0 for r in ratios.values()),
-        "growth_flattens_with_time": ratios[1.0] > ratios[4.0] > ratios[10.0]}
+        checks.append(Check(f"fick_residual T={t:g}", res, "<", 1e-2))
+    checks.append(Check("propagative g_ratio_at_0.95 T=1", ratios[1.0], ">", 10.0))
+    checks += [Check(f"g_ratio_at_0.95 T={t:g}", r, ">", 1.0) for t, r in ratios.items()]
+    return checks + [Check("g_ratio_at_0.95 T=1 vs T=4", ratios[1.0], ">", ratios[4.0]),
+                     Check("g_ratio_at_0.95 T=4 vs T=10", ratios[4.0], ">", ratios[10.0])], {}
 
 
 _GALILEAN_RUN = roup.Run(8.0, 10.0, 5e-3, (10.0,), refine=4)
@@ -237,22 +241,17 @@ def _crit_galilean_limit(ctx):
     x = profile.x_grid.points
     s = fick.galilean_ou_variance(10.0)
     gauss = np.exp(-x * x / (2.0 * s)) / np.sqrt(2.0 * np.pi * s)
-    dx = profile.x_grid.spacing
-    l1 = float(np.sum(np.abs(profile.density - gauss)) * dx)
-    ok = flat < 1e-2 and l1 < 0.02
-    return ok, {"ou_flatness": flat, "flatness_tolerance": 1e-2,
-                "l1_to_gaussian": l1, "l1_tolerance": 0.02}
+    l1 = float(np.sum(np.abs(profile.density - gauss)) * profile.x_grid.spacing)
+    return [Check("ou_flatness", flat, "<", 1e-2),
+            Check("l1_to_gaussian", l1, "<", 0.02)], {}
 
 
 def _crit_simple_fick_rejection(ctx):
-    profile = ctx.profile(_PEAK_RUN, 0.5)
-    report = fick.simple_fick_rejection(profile)
-    ratios = [p["abs_J_over_max"] for p in report["peaks"]]
-    ok = (report["simple_fick_rejected"] is True
-          and len(report["peaks"]) == 2
-          and all(r > 1e-3 for r in ratios))
-    return ok, {"peak_flux_ratios": ratios, "threshold": 1e-3,
-                "peaks_found": len(report["peaks"])}
+    # a flux above FLUX_RATIO at a maximum is what sets simple_fick_rejected
+    peaks = fick.simple_fick_rejection(ctx.profile(_PEAK_RUN, 0.5))["peaks"]
+    checks = [Check(f"abs_J_over_max peak {i}", p["abs_J_over_max"], ">", fick.FLUX_RATIO)
+              for i, p in enumerate(peaks, 1)]
+    return checks + [Check("peaks_found", len(peaks), "==", 2)], {}
 
 
 # number, name, group, check, and the kinetic runs it reads through ctx.profile
@@ -275,19 +274,20 @@ GROUPS = tuple(sorted({group for _, _, group, _, _ in CRITERIA}))
 
 def run_criterion(number: int, ctx: RunContext) -> CriterionResult:
     """Criterion ``number`` checked against the runs ``ctx`` marched."""
-    for num, name, group, fn, _ in CRITERIA:
-        if num == number:
-            break
-    else:
+    rows = [row for row in CRITERIA if row[0] == number]
+    if not rows:
         raise ValueError(f"no criterion numbered {number}")
+    num, name, group, fn, _ = rows[0]
     started = time.perf_counter()
     try:
-        passed, details = fn(ctx)
+        checks, details = fn(ctx)
+        records = [check.record() for check in checks]
     except Exception as exc:  # controlled failure entry, never a crash
-        passed = False
-        details = {"error": f"{type(exc).__name__}: {exc}"}
-    return CriterionResult(num, name, group, bool(passed),
-                           time.perf_counter() - started, details)
+        records, details = [], {"error": f"{type(exc).__name__}: {exc}"}
+    margins = [r["margin"] for r in records if r["margin"] is not None]
+    return CriterionResult(num, name, group, bool(records) and all(r["ok"] for r in records),
+                           time.perf_counter() - started, details, records,
+                           min(margins, default=None))
 
 
 def run_all(only: str | None = None, threads: int = 4):

@@ -636,12 +636,13 @@ def test_run_context_workers_return_profiles(monkeypatch, pools):
             assert profile.current.tobytes() == expected.current.tobytes()
 
 
-def _front_profile(t):
-    # twin peaks at xi = +-0.948, where criterion 5 looks for them
+def _front_profile(t, signs=(-1.0, 1.0), current=0.0):
+    # equal peaks at xi = 0.948 * sign (the twin peaks where criterion 5
+    # looks for them by default) and a uniform current
     x_grid = Grid1D.periodic(3.0 * t, 512)
     x = x_grid.points
-    density = sum(np.exp(-((x - s * 0.948 * t) / (0.05 * t)) ** 2) for s in (-1.0, 1.0))
-    return roup.DensityProfile(x_grid, t, 1.0, density, np.zeros_like(x))
+    density = sum(np.exp(-((x - s * 0.948 * t) / (0.05 * t)) ** 2) for s in signs)
+    return roup.DensityProfile(x_grid, t, 1.0, density, np.full_like(x, current))
 
 
 @pytest.mark.parametrize("plan_s, passed", [(1.0, True), (400.0, False)])
@@ -654,6 +655,21 @@ def test_propagation_peak_budget_counts_the_plan(monkeypatch, plan_s, passed):
     assert result.passed is passed
     assert result.details["plan_s"] == plan_s
     assert 0.0 <= result.details["runtime_s"] < 1.0
+
+
+@pytest.mark.parametrize("signs, current, passed", [
+    ((-1.0, 1.0), 1.0, True),  # two maxima, each carrying the largest flux
+    ((-1.0, 0.0, 1.0), 1.0, False),  # three maxima
+    ((-1.0, 1.0), 0.0, False),  # two maxima with zero current
+])
+def test_simple_fick_rejection_verdict(monkeypatch, signs, current, passed):
+    monkeypatch.setattr(roup, "march_run",
+                        lambda run: {t: _front_profile(t, signs, current) for t in run.times})
+    result = verify.run_criterion(11, verify.RunContext(threads=1, numbers=[11]))
+    assert "error" not in result.details
+    assert result.passed is passed
+    assert [c["name"] for c in result.checks][-1] == "peaks_found"
+    assert len(result.checks) == len(signs) + 1
 
 
 def _ring_profiles(run):
@@ -687,6 +703,13 @@ def test_verify_group_report(tmp_path, capsys):
     numbers = [c["number"] for c in report["criteria"]]
     assert numbers == [1, 2, 3]
     assert all(c["passed"] for c in report["criteria"])
+    for line, criterion in zip(lines[1:], report["criteria"]):
+        # each line ends with the smallest margin of its criterion's checks
+        assert np.isfinite(criterion["margin"])
+        assert line.endswith(f"  margin {criterion['margin']:.3g}")
+        assert criterion["checks"]
+        assert all(np.isfinite([c["value"], c["bound"]]).all() for c in criterion["checks"])
+        assert criterion["margin"] == min(c["margin"] for c in criterion["checks"])
 
 
 # ------------------------------------------------------------ golden manifests
