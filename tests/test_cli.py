@@ -668,7 +668,7 @@ def test_simple_fick_rejection_verdict(monkeypatch, signs, current, passed):
     result = verify.run_criterion(11, verify.RunContext(threads=1, numbers=[11]))
     assert "error" not in result.details
     assert result.passed is passed
-    assert [c["name"] for c in result.checks][-1] == "peaks_found"
+    # one flux check per maximum, and the count
     assert len(result.checks) == len(signs) + 1
 
 

@@ -22,16 +22,17 @@ def test_check_at_and_either_side_of_its_bound(sense, below, at, above):
         assert Check("x", value, sense, bound).record()["ok"] is ok, value
 
 
-@pytest.mark.parametrize("value, sense, bound, margin", [
-    (0.25, "<", 0.5, 0.5), (0.75, "<", 0.5, -0.5),
-    (0.25, "<=", 0.5, 0.5), (0.5, "<=", 0.5, 0.0),
-    (0.75, ">", 0.5, 0.5), (0.25, ">", 0.5, -0.5),
-    (0.25, ">=", 0.5, -0.5), (-1.5, "<", -1.0, 0.5), (-0.5, ">=", -1.0, 0.5),
+@pytest.mark.parametrize("value, sense, bound, margin, ok", [
+    (0.25, "<", 0.5, 0.5, True), (0.75, "<", 0.5, -0.5, False),
+    (0.25, "<=", 0.5, 0.5, True), (0.5, "<=", 0.5, 0.0, True),
+    (0.75, ">", 0.5, 0.5, True), (0.25, ">", 0.5, -0.5, False),
+    (0.25, ">=", 0.5, -0.5, False), (-1.5, "<", -1.0, 0.5, True),
+    (-0.5, ">=", -1.0, 0.5, True), (-1.5, ">", -1.0, -0.5, False),
 ])
-def test_margin_is_positive_on_the_passing_side(value, sense, bound, margin):
+def test_margin_is_positive_on_the_passing_side(value, sense, bound, margin, ok):
     record = Check("x", value, sense, bound).record()
     assert record["margin"] == margin
-    assert record["ok"] is (margin >= 0.0 if "=" in sense else margin > 0.0)
+    assert record["ok"] is ok
 
 
 @pytest.mark.parametrize("check", [Check("n", 2, "==", 2), Check("n", 3, "==", 2),
