@@ -153,7 +153,7 @@ _PACKET = (Opt("t_final", "T", _NONNEGATIVE, 1.0),
 _KINETIC = (Opt("n_x", None, _EVEN, 512),
             Opt("n_p", None, _EVEN, 2048),
             Opt("refine", None, _COUNT, 4),
-            Opt("threads", "threads", _COUNT, 4),  # runs marched at once, a process each
+            Opt("threads", "threads", _COUNT, 4),  # processes for runs and their chunks
             Opt("dt", None, _POSITIVE, None),
             Opt("Q", "Q", _POSITIVE, 1.0))
 _GROUP = _parser(f"one of {', '.join(verify_mod.GROUPS)}", str,

@@ -12,11 +12,16 @@ Everything here needs numpy alone. BlockedLDL factors with an in-package
 L D L^T recurrence; only the general tridiag_solve calls LAPACK, and it
 imports scipy on its first call, so importing the package loads no scipy.
 Likewise run_jobs imports concurrent.futures only when it starts a pool.
+fork_each, with which one march splits its chunks over its share of the
+cores (see run_jobs), is the only place that forks.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,30 +351,103 @@ def count_steps(t_final: float, dt: float) -> int:
     return int(round(n))
 
 
+# processes one march may split its chunks over; None: every usable core
+_share = None
+
+
+def _cores() -> int:
+    """Cores this process may run on: its CPU affinity, where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _with_share(share, fn, *args):
+    """fn(*args) with a march's share of processes set to ``share``."""
+    global _share
+    kept, _share = _share, share
+    try:
+        return fn(*args)
+    finally:
+        _share = kept
+
+
+def shared_zeros(shape, dtype=float) -> np.ndarray:
+    """A zero array in anonymous shared memory: forked children write straight into it."""
+    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize),
+                         dtype).reshape(shape)
+
+
+def fork_each(fn, items, processes: int) -> None:
+    """fn(item) for every item, dealt round-robin to ``processes`` processes at once.
+
+    This process takes the first share, a forked child each other; fn
+    returns nothing, so children write to shared_zeros arrays, and each
+    ends in os._exit. All are reaped, killed first if this process
+    raises, before the first child error is raised here with its type.
+    Serial where os.fork is missing.
+    """
+    processes = processes if hasattr(os, "fork") else 1
+
+    def share(part):
+        for item in items[part::processes]:
+            fn(item)
+
+    children = []
+    try:
+        for part in range(1, processes):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    share(part)
+                    os._exit(0)
+                except BaseException as exc:
+                    os.write(write, pickle.dumps(exc))
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        share(0)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        ended = []
+        for pid, pipe in children:
+            with pipe:
+                ended.append((pipe.read(), os.waitpid(pid, 0)[1]))
+    for failure, status in ended:
+        if failure:
+            raise pickle.loads(failure)
+        if status:
+            raise ChildProcessError(f"a forked part ended with wait status {status}")
+
+
 def run_jobs(fn, jobs, workers: int, costs) -> list:
     """[fn(*job) for job in jobs], with up to ``workers`` jobs at a time in worker processes.
 
-    The pool has min(workers, len(jobs), os.cpu_count()) processes and
+    The pool has min(workers, len(jobs), usable cores) processes and
     takes the jobs costliest first (costs[i] estimates job i, say steps
     times cells), which shortens the makespan; results come back in job
     order. With one process there is no pool: the jobs run here, in
-    order. fn must be a module-level function, and jobs and results
-    picklable. An exception in a job is raised here; jobs not yet started
-    are cancelled. Workers start by the platform's default method. On
-    Linux that is fork, which costs a worker no new import of numpy;
-    spawn and forkserver made the benchmark's sweep of the CLI studies
-    about twice as slow on a 2-vCPU x86_64 VM. Results are the same
-    under all three.
+    order. A job's march splits its chunks over min(workers, usable
+    cores) processes, divided by the pool size (at least 1). fn must be
+    a module-level function, and jobs and results picklable. An exception
+    in a job is raised here; jobs not yet started are cancelled. Workers
+    start by the platform's default method. On Linux that is fork, which
+    costs a worker no new import of numpy; spawn and forkserver made the
+    benchmark's sweep of the CLI studies about twice as slow on a 2-vCPU
+    x86_64 VM. Results are the same under all three.
     """
     jobs = list(jobs)
-    size = min(workers, len(jobs), os.cpu_count() or 1)
+    share = min(workers, _cores())
+    size = min(share, len(jobs))
     if size <= 1:
-        return [fn(*job) for job in jobs]
+        return [_with_share(share, fn, *job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=size) as pool:
         order = sorted(range(len(jobs)), key=lambda i: -costs[i])
-        futures = {i: pool.submit(fn, *jobs[i]) for i in order}
+        futures = {i: pool.submit(_with_share, share // size, fn, *jobs[i]) for i in order}
         try:
             return [futures[i].result() for i in range(len(jobs))]
         except BaseException:

@@ -32,8 +32,10 @@ so a step is one phase multiply and one Crank-Nicolson step of a
 symmetric positive-definite tridiagonal factored as L D L^T (three matrix
 products on a padded block layout, the middle one over a band of block
 carries, see kernels.BlockedLDL), over fixed chunks of modes stored
-momentum-major and marched one after another.
-Each chunk builds its phase tables once, from cos and sin.
+momentum-major, each building its phase tables once, from cos and sin.
+The chunks are dealt round-robin to the march's processes, forked
+children writing to snapshots in shared memory; chunks never mix, so
+the states are bitwise those of a one-process march.
 
 Real, P-even initial data makes every mode obey the momentum-flip symmetry
 F(K, -P) = conj F(K, P), and both the phase and the collision step keep it,
@@ -42,8 +44,8 @@ full (n_modes, n_p) states like :class:`KineticState`, their P < 0 half
 written as the mirror image, so they are symmetric exactly. A Run holds
 every input of one march, and march(run) is the one entry to the marcher.
 
-Memory: a march holds its snapshots plus O(_CHUNK_CELLS) scratch.
-march builds the initial rows one chunk at a time, and its step guard
+Memory: a march holds its snapshots plus O(_CHUNK_CELLS) scratch per
+process. It builds the initial rows one chunk at a time, and its step guard
 and march work chunk by chunk, so nothing else of full grid size is
 allocated; symmetry_residual and reconstruct_density read a state in
 row blocks of _CHUNK_CELLS cells.
@@ -65,9 +67,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _io
+from . import _io, kernels
 from .errors import StepSizeError, SymmetryError, TailTruncationError
-from .kernels import _BLOCK, BlockedLDL, Grid1D, count_steps, quad
+from .kernels import _BLOCK, BlockedLDL, Grid1D, count_steps, fork_each, quad, shared_zeros
 # not called here: perfbench/tracing.py swaps this binding to time the solve,
 # so it stays until the tracer counts steps inside the marcher
 from .kernels import tridiag_solve  # noqa: F401
@@ -95,7 +97,8 @@ __all__ = [
 # below 1e-12 of the equilibrium mass
 _MIN_TAIL = 27.63
 
-# cells per marched chunk: it stays in L2, its products too small for BLAS threads
+# cells per marched chunk, the unit a march deals to its processes: it stays
+# in L2, its products too small for BLAS threads
 _CHUNK_CELLS = 16384
 
 # trapezoid nodes of the rapidity integral in juttner_normalization
@@ -401,17 +404,19 @@ class _Strang:
                 G *= full
 
 
-def _evolve_block(rows, Ks, strang, n_steps, snap_steps, out):
+def _evolve_block(rows, Ks, strang, n_steps, snap_steps, out, processes=1):
     """March the rows at wavenumbers Ks n_steps with strang, snapshot i into out[i].
 
     rows(block) returns the (rows in block, n_p) mode rows of a slice
     (an array's __getitem__ will do), and is asked for one chunk at a
     time: the fixed chunks of _row_blocks(Ks.size, n_p/2) march one after
-    another, each with its two phase tables built for it alone. A chunk
-    whose rows are all zero stays zero without a march; skipping it
-    leaves the other chunks, and so the results, bitwise unchanged.
+    another in each of ``processes`` (fork_each; out must be shared_zeros
+    arrays when there are more than one), each with its two phase tables
+    built for it alone. A chunk whose rows are all zero stays zero without
+    a march; skipping it leaves the other chunks, and so the results,
+    bitwise unchanged.
     """
-    for block in _row_blocks(Ks.size, strang.h):
+    def march_chunk(block):
         chunk = rows(block)
         snaps = [snap[block] for snap in out]
         if chunk.any():
@@ -422,19 +427,22 @@ def _evolve_block(rows, Ks, strang, n_steps, snap_steps, out):
             for snap in snaps:
                 snap[...] = 0.0
 
+    fork_each(march_chunk, _row_blocks(Ks.size, strang.h), processes)
 
-def _check_step(rows, Ks, strang):
+
+def _check_step(rows, Ks, strang, processes=1):
     """StepSizeError when one step's doubling error exceeds _GUARD_TOL.
 
-    Each row's error is measured against its own norm. One complete pass
-    over the chunks of _evolve_block, taken before any march: strang's
-    step against two steps of half its size. Each chunk
+    Each row's error is measured against its own norm, in a shared array.
+    One complete pass over the chunks of _evolve_block, taken before any
+    march: strang's step against two steps of half its size. Each chunk
     builds two phase tables: the half step's full phase is strang's half
     phase, bit for bit, and the one step needs no full phase.
     """
     fine = _Strang(strang.p_grid, strang.Q, 0.5 * strang.dt)
-    err = 0.0
-    for block in _row_blocks(Ks.size, strang.h):
+    errors = shared_zeros(Ks.size)
+
+    def check_chunk(block):
         chunk = rows(block)
         K = Ks[block]
         coarse, halved = np.empty((2, 1) + chunk.shape, dtype=complex)
@@ -443,7 +451,10 @@ def _check_step(rows, Ks, strang):
         fine.march(chunk, K, 2, [2], halved, fine.phase(K, 0.5), half)
         num = np.linalg.norm(coarse[0] - halved[0], axis=1)
         norm = np.linalg.norm(chunk, axis=1)
-        err = max(err, float(np.max(num / np.where(norm > 0.0, norm, 1.0))))
+        errors[block] = num / np.where(norm > 0.0, norm, 1.0)
+
+    fork_each(check_chunk, _row_blocks(Ks.size, strang.h), processes)
+    err = float(np.max(errors))
     if err > _GUARD_TOL:
         raise StepSizeError(
             f"first-step doubling error {err:.3e} exceeds {_GUARD_TOL}; reduce dt")
@@ -483,21 +494,28 @@ def _initial_rows(run: Run):
 def march(run: Run) -> list[KineticState]:
     """One exactly symmetric state per output time of run, in ascending time.
 
-    The march holds these snapshots plus O(_CHUNK_CELLS) scratch: each
-    chunk's initial rows are built as it is checked or marched. The step
-    guard passes over every chunk first, so a dt too coarse raises
-    StepSizeError before any march. A chunk of all-zero rows (the empty
-    Nyquist row alone) is not marched. One march runs on one core;
-    march_run is the job kernels.run_jobs spreads over processes.
+    The march holds these snapshots plus O(_CHUNK_CELLS) scratch in each
+    of its processes: its share (every usable core, or what
+    kernels.run_jobs gives it), at most one per chunk to march. Forked
+    children write straight into the snapshots, in shared memory, and an
+    error in one is raised here with its type. The step guard passes over
+    every chunk first, so a dt too coarse raises StepSizeError before any
+    march. A chunk of all-zero rows (the empty Nyquist row alone) is not
+    marched. march_run is the job kernels.run_jobs spreads over processes.
     """
     snap_steps = run.snap_steps
     rows = _initial_rows(run)
     Ks = run.mode_wavenumbers
     strang = _Strang(run.p_grid, run.Q, run.dt)
-    _check_step(rows, Ks, strang)
+    blocks = _row_blocks(run.n_modes, strang.h)
+    processes = min(kernels._share or kernels._cores(),
+                    len(blocks) - (blocks[-1].start == run.n_modes - 1))
+    _check_step(rows, Ks, strang, processes)
     # one array per snapshot, so a kept state does not pin the others
-    out = [np.empty((run.n_modes, run.n_p), dtype=complex) for _ in snap_steps]
-    _evolve_block(rows, Ks, strang, count_steps(run.t_final, run.dt), snap_steps, out)
+    empty = np.empty if processes == 1 else shared_zeros
+    out = [empty((run.n_modes, run.n_p), dtype=complex) for _ in snap_steps]
+    _evolve_block(rows, Ks, strang, count_steps(run.t_final, run.dt), snap_steps, out,
+                  processes)
     return [KineticState(run, s * run.dt, m) for s, m in zip(snap_steps, out)]
 
 

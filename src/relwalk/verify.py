@@ -60,8 +60,9 @@ class RunContext:
     """The kinetic runs of the given criteria, marched once when built.
 
     Every run the CRITERIA rows of ``numbers`` (default: all) list is
-    marched, up to ``threads`` at a time in worker processes that return
-    profiles; plan_s is the wall time of that march.
+    marched by kernels.run_jobs on ``threads`` processes, split between
+    runs (worker processes that return profiles) and each run's chunks;
+    plan_s is the wall time of that march.
     """
 
     def __init__(self, threads: int = 4, numbers=None):

@@ -472,6 +472,18 @@ def test_step_size_error_in_a_pooled_worker_exits_3(tmp_path, capsys, pools):
     assert not (tmp_path / "o").exists()
 
 
+def test_step_size_error_in_a_forked_march_part_exits_3(tmp_path, capsys, no_pool):
+    # one run of two chunks to march, split over two processes; only the
+    # forked child's chunk is too coarse at dt = 0.5
+    cfg = tmp_path / "coarse.ini"
+    cfg.write_text("[roup]\nn_x = 64\nn_p = 2048\nrefine = 1\ndt = 0.5\n")
+    code = cli.main(["roup", "--config", str(cfg), "--times", "10", "--threads", "2",
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert _error_name(capsys) == "StepSizeError"
+    assert not (tmp_path / "o").exists()
+
+
 def test_heuristic_manifest_peak(tmp_path):
     out = tmp_path / "h"
     assert cli.main(["heuristic", "--Q", "1", "--out", str(out)]) == 0

@@ -1,18 +1,23 @@
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from relwalk import dirac, kernels, qwalk, roup
-from relwalk.errors import SingularSystemError
+from relwalk.errors import SingularSystemError, StepSizeError
 from relwalk.kernels import (
     BlockedLDL,
     Grid1D,
     _ldl_factor,
     count_steps,
     cumquad,
+    fork_each,
     quad,
     run_jobs,
+    shared_zeros,
     tridiag_solve,
 )
 
@@ -450,3 +455,100 @@ def test_run_jobs_starts_no_pool_for_one_job_or_one_worker(no_pool):
 def test_run_jobs_raises_a_job_error_here(pools):
     with pytest.raises(ValueError, match="math domain error"):
         run_jobs(math.sqrt, [(4.0,), (-1.0,), (9.0,)], 2, [1, 1, 1])
+
+
+def _share_here():
+    return kernels._share
+
+
+def test_run_jobs_shares_the_usable_cores_between_runs(pools):
+    # no pool: the one run may use min(workers, cores); a pool splits that
+    assert run_jobs(_share_here, [()], 3, [1]) == [3]
+    assert run_jobs(_share_here, [(), ()], 8, [1, 1]) == [2, 2]
+    assert run_jobs(_share_here, [()] * 3, 8, [1] * 3) == [1] * 3
+    assert pools.shares == [2, 2, 1, 1, 1]
+    assert kernels._share is None
+
+
+def _march_without_forking(run):
+    def refuse():
+        raise AssertionError("a pool worker forked")
+
+    os.fork = refuse  # in this worker alone
+    return kernels._share, roup.march_run(run)
+
+
+def test_a_pool_worker_with_a_share_of_one_never_forks(pools):
+    # 33 modes on 1024 momenta: two chunks to march, which a share of two would split
+    runs = [roup.Run(1.0, t, 1e-3, (t,), 64, 2048, 2) for t in (0.01, 0.02)]
+    pooled = run_jobs(_march_without_forking, [(run,) for run in runs], 2, [1, 1])
+    assert pools.shares == [1, 1]
+    for (share, profiles), run in zip(pooled, runs, strict=True):
+        expected = roup.march_run(run)[run.t_final]
+        assert share == 1
+        assert profiles[run.t_final].density.tobytes() == expected.density.tobytes()
+
+
+def test_fork_each_deals_the_items_round_robin_into_shared_memory():
+    out = shared_zeros((7, 2))
+
+    def fn(item):
+        out[item] = item, os.getpid()
+
+    fork_each(fn, range(7), 3)
+    assert out[:, 0].tolist() == list(range(7))
+    # this process takes items 0, 3 and 6, a child each 1, 4 and 2, 5
+    pids = out[:, 1].astype(int).tolist()
+    assert pids[0::3] == [os.getpid()] * 3
+    assert len({*pids[1::3]}) == len({*pids[2::3]}) == 1
+    assert len(set(pids)) == 3
+
+
+def _raising(errors):
+    def fn(item):
+        if item in errors:
+            raise errors[item]
+    return fn
+
+
+def test_fork_each_raises_a_child_error_here_with_its_type():
+    with pytest.raises(StepSizeError, match="too coarse"):
+        fork_each(_raising({2: StepSizeError("too coarse")}), range(3), 3)
+    # the first failed child's error, after every part is done
+    with pytest.raises(KeyError, match="first"):
+        fork_each(_raising({1: KeyError("first"), 2: ValueError("second")}), range(3), 3)
+    with pytest.raises(ChildProcessError, match="wait status"):
+        fork_each(lambda item: item and os.kill(os.getpid(), signal.SIGKILL), range(2), 2)
+
+
+def test_fork_each_kills_and_reaps_its_children_when_this_part_fails(monkeypatch):
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def fn(item):
+        if item:
+            time.sleep(60)
+        raise OSError("this part failed")
+
+    monkeypatch.setattr(os, "fork", recording)
+    started = time.perf_counter()
+    with pytest.raises(OSError, match="this part failed"):
+        fork_each(fn, range(3), 3)
+    assert time.perf_counter() - started < 30
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_fork_each_runs_every_part_here_without_os_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    items = []
+    fork_each(items.append, range(5), 2)
+    assert items == [0, 1, 2, 3, 4]

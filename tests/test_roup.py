@@ -1,11 +1,15 @@
+import ctypes
 import dataclasses
+import mmap
+import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from relwalk import roup
+from relwalk import kernels, roup
 from relwalk.errors import StepSizeError, SymmetryError, TailTruncationError
 from relwalk.kernels import Grid1D, count_steps, quad
 
@@ -294,7 +298,7 @@ def test_streamed_march_matches_the_materialized_initial_state_bitwise(n_x, n_p)
         assert state.modes.tobytes() == expected.tobytes()
 
 
-def test_evolve_all_guard_checks_every_chunk_before_any_march(monkeypatch):
+def test_evolve_all_guard_checks_every_chunk_before_any_march(monkeypatch, one_core):
     # 33 modes on 1024 momenta are chunks of 16, 16 and the empty Nyquist
     # row; dt = 0.5 is far too coarse for the fastest modes
     run = _small_run(n_x=64, n_p=2048, t_final=10.0, dt=0.5)
@@ -312,7 +316,7 @@ def test_evolve_all_guard_checks_every_chunk_before_any_march(monkeypatch):
     assert steps == [1, 2] * 3
 
 
-def test_evolve_all_builds_two_phase_tables_per_chunk_in_guard_and_march(monkeypatch):
+def test_evolve_all_builds_two_phase_tables_per_chunk_in_guard_and_march(monkeypatch, one_core):
     # 32 modes on 1024 momenta are two chunks of 16, the Nyquist row in the
     # second; the guard shares one table between its two marches
     run = _small_run(n_x=62, n_p=2048, t_final=0.05, dt=1e-3)
@@ -371,7 +375,7 @@ def _traced_peak(fn):
 _CHUNK_BYTES = 16 * roup._CHUNK_CELLS
 
 
-def test_evolve_all_holds_its_snapshots_plus_chunk_scratch():
+def test_evolve_all_holds_its_snapshots_plus_chunk_scratch(one_core):
     # the initial rows, the guard's two results and the march's work arrays
     # are each at most two chunks (about 9.3 chunks at the peak); one state
     # here is 8 chunks, and a full-size initial state with full-size guard
@@ -380,6 +384,136 @@ def test_evolve_all_holds_its_snapshots_plus_chunk_scratch():
     states, peak = _traced_peak(lambda: roup.march(run))
     snapshots = sum(state.modes.nbytes for state in states)
     assert peak <= snapshots + 12 * _CHUNK_BYTES
+
+
+def _in_shared_memory(state):
+    base = state.modes
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+
+
+# an unused tracemalloc domain for the shared arrays below
+_SHARED_DOMAIN = 0x5EA
+
+
+def _tracked_shared_zeros(shape, dtype=float):
+    """roup's shared_zeros, its memory traced as numpy traces its own arrays."""
+    out = kernels.shared_zeros(shape, dtype)
+    track, untrack = ctypes.pythonapi.PyTraceMalloc_Track, ctypes.pythonapi.PyTraceMalloc_Untrack
+    track.argtypes, untrack.argtypes = (ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t), (
+        ctypes.c_uint, ctypes.c_size_t)
+    track(_SHARED_DOMAIN, out.ctypes.data, out.nbytes)
+    weakref.finalize(out, untrack, _SHARED_DOMAIN, out.ctypes.data)
+    return out
+
+
+def test_fanned_out_march_holds_its_snapshots_plus_chunk_scratch(monkeypatch):
+    # two processes march the 4 chunks of 32 rows, and this one holds the
+    # one-core bound above: tracemalloc does not see the shared memory the
+    # snapshots are in, so each shared array is traced by hand while it lives
+    monkeypatch.setattr(kernels, "_share", 2)
+    monkeypatch.setattr(roup, "shared_zeros", _tracked_shared_zeros)
+    run = _small_run(n_x=256, n_p=1024, t_final=0.02, dt=2e-3, times=[0.01, 0.02])
+    states, peak = _traced_peak(lambda: roup.march(run))
+    assert all(_in_shared_memory(state) for state in states)
+    snapshots = sum(state.modes.nbytes for state in states)
+    assert snapshots <= peak <= snapshots + 12 * _CHUNK_BYTES
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork starts here."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("run, share, forked", [
+    # 17 chunks (the empty Nyquist row alone last) in 3 processes
+    (roup.Run(1.0, 0.01, 1e-3, (0.005, 0.01)), 3, 2 + 2),
+    # chunks of 16, 16 and 4 rows, the last one mixed, in 2 processes
+    (_small_run(n_x=70, n_p=2048, t_final=0.05, dt=1e-3, times=[0.0, 0.02, 0.05]), 2, 1 + 1),
+    # a chunk of 16 rows and the empty Nyquist row alone, which takes no process
+    (_small_run(n_x=32, n_p=2048, t_final=0.05, dt=1e-3, times=[0.02, 0.05]), 2, 0),
+], ids=["standard", "70x2048", "one-chunk"])
+def test_fanned_out_march_is_the_one_core_march_bitwise(monkeypatch, forks, run, share, forked):
+    monkeypatch.setattr(kernels, "_share", 1)
+    reference = roup.march(run)
+    assert forks == []
+    monkeypatch.setattr(kernels, "_share", share)
+    fanned = roup.march(run)
+    # the guard's pass and the march each fork a child per extra process
+    assert len(forks) == forked
+    for state, expected in zip(fanned, reference, strict=True):
+        assert _in_shared_memory(state) == (forked > 0) and not _in_shared_memory(expected)
+        assert state.modes.tobytes() == expected.modes.tobytes()
+    assert all(_reaped(pid) for pid in forks)
+
+
+def test_fanned_out_guard_raises_before_any_march(monkeypatch, forks, one_core, tmp_path):
+    # chunks of 16, 16 and the empty Nyquist row; only the second, which
+    # the child checks, is too coarse at dt = 0.5 (the first's error is
+    # about 0.03), so the parent raises on the child's shared error
+    run = _small_run(n_x=64, n_p=2048, t_final=10.0, dt=0.5)
+    with pytest.raises(StepSizeError) as one:
+        roup.march(run)
+    log = tmp_path / "steps"
+    march = roup._Strang.march
+
+    def recording(self, rows, Ks, n_steps, *args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {n_steps} {round(Ks[0] / run.mode_wavenumbers[1])}\n")
+        march(self, rows, Ks, n_steps, *args)
+
+    monkeypatch.setattr(roup._Strang, "march", recording)
+    monkeypatch.setattr(kernels, "_share", 2)
+    with pytest.raises(StepSizeError) as fanned:
+        roup.march(run)
+    assert str(fanned.value) == str(one.value)
+    steps = {}
+    for line in log.read_text().splitlines():
+        pid, n_steps, first = map(int, line.split())
+        steps.setdefault(pid, []).append((n_steps, first))
+    # one step and two half steps per chunk, and no 20-step march
+    assert steps == {os.getpid(): [(1, 0), (2, 0), (1, 32), (2, 32)],
+                     forks[0]: [(1, 16), (2, 16)]}
+    assert _reaped(forks[0])
+
+
+def test_no_child_is_left_when_the_parent_part_fails(monkeypatch, forks):
+    # the children march while this process raises in its own part; they are
+    # killed and reaped before the error leaves march
+    run = roup.Run(1.0, 0.05, 1e-3, (0.05,))
+    parent, march = os.getpid(), roup._Strang.march
+
+    def failing(self, rows, Ks, n_steps, *args):
+        if os.getpid() == parent and n_steps > 2:
+            raise MemoryError("no room")
+        march(self, rows, Ks, n_steps, *args)
+
+    monkeypatch.setattr(roup._Strang, "march", failing)
+    monkeypatch.setattr(kernels, "_share", 3)
+    with pytest.raises(MemoryError, match="no room"):
+        roup.march(run)
+    assert len(forks) == 2 + 2
+    assert all(_reaped(pid) for pid in forks)
 
 
 @pytest.mark.parametrize("read", [
