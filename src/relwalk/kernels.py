@@ -1,4 +1,4 @@
-"""Shared kernels: 1D grids, quadrature, tridiagonal solves, step counts, run pool.
+"""Shared kernels: 1D grids, quadrature, tridiagonal solves, step counts, process fan-out.
 
 Conventions used throughout the package:
 
@@ -6,14 +6,13 @@ Conventions used throughout the package:
 * the forward transform is F_hat(K) = (2*pi)**-0.5 * integral F(X) exp(+i K X) dX,
   discretised on a periodic sample set, so the inverse carries exp(-i K X),
 * reductions use numpy's pairwise summation, which is deterministic and
-  independent of any worker-pool layout chosen higher up.
+  independent of how work is dealt to processes higher up.
 
 Everything here needs numpy alone. BlockedLDL factors with an in-package
 L D L^T recurrence; only the general tridiag_solve calls LAPACK, and it
 imports scipy on its first call, so importing the package loads no scipy.
-Likewise run_jobs imports concurrent.futures only when it starts a pool.
-fork_each, with which one march splits its chunks over its share of the
-cores (see run_jobs), is the only place that forks.
+fork_each is the package's one process fan-out, of runs (run_jobs) and
+of the chunks of one march.
 """
 
 from __future__ import annotations
@@ -376,80 +375,78 @@ def shared_zeros(shape, dtype=float) -> np.ndarray:
                          dtype).reshape(shape)
 
 
-def fork_each(fn, items, processes: int) -> None:
-    """fn(item) for every item, dealt round-robin to ``processes`` processes at once.
+def fork_each(fn, items, processes: int) -> list:
+    """[fn(item) for item in items], dealt round-robin to ``processes`` forked children.
 
-    This process takes the first share, a forked child each other; fn
-    returns nothing, so children write to shared_zeros arrays, and each
-    ends in os._exit. All are reaped, killed first if this process
-    raises, before the first child error is raised here with its type.
-    Serial where os.fork is missing.
+    With more than one process, min(processes, len(items)) children each
+    pipe back the pickled results of their share, or its exception, and
+    this process only waits: it reads the parts in order, raises the first
+    error read with its type, SIGKILLs the children not yet read, and
+    reaps every child. Children may also write to shared_zeros arrays.
+    Here, in order, with one process or without os.fork.
     """
-    processes = processes if hasattr(os, "fork") else 1
-
-    def share(part):
-        for item in items[part::processes]:
-            fn(item)
-
-    children = []
+    processes = min(processes, len(items)) if hasattr(os, "fork") else 1
+    if processes <= 1:
+        return [fn(item) for item in items]
+    children = {}
     try:
-        for part in range(1, processes):
+        for part in range(processes):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
-                    share(part)
+                    try:
+                        reply = pickle.dumps((True, [fn(item) for item in items[part::processes]]))
+                    except BaseException as exc:
+                        reply = pickle.dumps((False, exc))
+                    with os.fdopen(write, "wb") as pipe:
+                        pipe.write(reply)
                     os._exit(0)
-                except BaseException as exc:
-                    os.write(write, pickle.dumps(exc))
                 finally:
                     os._exit(1)
             os.close(write)
-            children.append((pid, os.fdopen(read, "rb")))
-        share(0)
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        ended = []
-        for pid, pipe in children:
+            children[pid] = os.fdopen(read, "rb")
+        results = []
+        for pid, pipe in list(children.items()):
             with pipe:
-                ended.append((pipe.read(), os.waitpid(pid, 0)[1]))
-    for failure, status in ended:
-        if failure:
-            raise pickle.loads(failure)
-        if status:
-            raise ChildProcessError(f"a forked part ended with wait status {status}")
+                reply = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if not reply:
+                raise ChildProcessError(f"a forked part ended with wait status {status}")
+            ok, value = pickle.loads(reply)
+            if not ok:
+                raise value
+            results.append(value)
+        return [results[i % processes][i // processes] for i in range(len(items))]
+    finally:
+        for pid, pipe in children.items():
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def run_jobs(fn, jobs, workers: int, costs) -> list:
-    """[fn(*job) for job in jobs], with up to ``workers`` jobs at a time in worker processes.
+    """[fn(*job) for job in jobs], up to ``workers`` jobs at a time, in job order.
 
-    The pool has min(workers, len(jobs), usable cores) processes and
-    takes the jobs costliest first (costs[i] estimates job i, say steps
-    times cells), which shortens the makespan; results come back in job
-    order. With one process there is no pool: the jobs run here, in
-    order. A job's march splits its chunks over min(workers, usable
-    cores) processes, divided by the pool size (at least 1). fn must be
-    a module-level function, and jobs and results picklable. An exception
-    in a job is raised here; jobs not yet started are cancelled. Workers
-    start by the platform's default method. On Linux that is fork, which
-    costs a worker no new import of numpy; spawn and forkserver made the
-    benchmark's sweep of the CLI studies about twice as slow on a 2-vCPU
-    x86_64 VM. Results are the same under all three.
+    The jobs are dealt costliest first (costs[i] estimates job i, say steps
+    times cells), each to the least-loaded of min(workers, len(jobs),
+    usable cores) parts, and fork_each runs the parts at once; results are
+    the same however the jobs are dealt. With one part the jobs run here,
+    in order. A job's march splits its chunks over min(workers, usable
+    cores) processes, divided by the number of parts (at least 1). An
+    exception in a job is raised here.
     """
     jobs = list(jobs)
     share = min(workers, _cores())
     size = min(share, len(jobs))
     if size <= 1:
         return [_with_share(share, fn, *job) for job in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        order = sorted(range(len(jobs)), key=lambda i: -costs[i])
-        futures = {i: pool.submit(_with_share, share // size, fn, *jobs[i]) for i in order}
-        try:
-            return [futures[i].result() for i in range(len(jobs))]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    parts, loads = [[] for _ in range(size)], [0] * size
+    for i in sorted(range(len(jobs)), key=lambda i: -costs[i]):
+        least = loads.index(min(loads))
+        parts[least].append(i)
+        loads[least] += costs[i]
+    done = fork_each(lambda part: [(i, _with_share(share // size, fn, *jobs[i])) for i in part],
+                     parts, size)
+    results = dict(pair for part in done for pair in part)
+    return [results[i] for i in range(len(jobs))]

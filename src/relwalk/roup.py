@@ -33,9 +33,9 @@ symmetric positive-definite tridiagonal factored as L D L^T (three matrix
 products on a padded block layout, the middle one over a band of block
 carries, see kernels.BlockedLDL), over fixed chunks of modes stored
 momentum-major, each building its phase tables once, from cos and sin.
-The chunks are dealt round-robin to the march's processes, forked
-children writing to snapshots in shared memory; chunks never mix, so
-the states are bitwise those of a one-process march.
+The chunks are dealt round-robin to the march's forked children, which
+write to snapshots in shared memory; chunks never mix, so the states are
+bitwise those of a one-process march.
 
 Real, P-even initial data makes every mode obey the momentum-flip symmetry
 F(K, -P) = conj F(K, P), and both the phase and the collision step keep it,
@@ -219,7 +219,7 @@ class Run:
 
     @property
     def cost(self) -> int:
-        """Steps times cells, the run's share of a pool's work."""
+        """Steps times cells, the estimate kernels.run_jobs deals runs by."""
         return count_steps(self.t_final, self.dt) * self.n_modes * self.n_p
 
 
@@ -433,14 +433,14 @@ def _evolve_block(rows, Ks, strang, n_steps, snap_steps, out, processes=1):
 def _check_step(rows, Ks, strang, processes=1):
     """StepSizeError when one step's doubling error exceeds _GUARD_TOL.
 
-    Each row's error is measured against its own norm, in a shared array.
-    One complete pass over the chunks of _evolve_block, taken before any
-    march: strang's step against two steps of half its size. Each chunk
-    builds two phase tables: the half step's full phase is strang's half
-    phase, bit for bit, and the one step needs no full phase.
+    Each row's error is measured against its own norm; each chunk returns
+    its rows' errors, through fork_each. One complete pass over the chunks
+    of _evolve_block, taken before any march: strang's step against two
+    steps of half its size. Each chunk builds two phase tables: the half
+    step's full phase is strang's half phase, bit for bit, and the one
+    step needs no full phase.
     """
     fine = _Strang(strang.p_grid, strang.Q, 0.5 * strang.dt)
-    errors = shared_zeros(Ks.size)
 
     def check_chunk(block):
         chunk = rows(block)
@@ -451,10 +451,10 @@ def _check_step(rows, Ks, strang, processes=1):
         fine.march(chunk, K, 2, [2], halved, fine.phase(K, 0.5), half)
         num = np.linalg.norm(coarse[0] - halved[0], axis=1)
         norm = np.linalg.norm(chunk, axis=1)
-        errors[block] = num / np.where(norm > 0.0, norm, 1.0)
+        return num / np.where(norm > 0.0, norm, 1.0)
 
-    fork_each(check_chunk, _row_blocks(Ks.size, strang.h), processes)
-    err = float(np.max(errors))
+    err = float(np.max(np.concatenate(
+        fork_each(check_chunk, _row_blocks(Ks.size, strang.h), processes))))
     if err > _GUARD_TOL:
         raise StepSizeError(
             f"first-step doubling error {err:.3e} exceeds {_GUARD_TOL}; reduce dt")
@@ -494,14 +494,15 @@ def _initial_rows(run: Run):
 def march(run: Run) -> list[KineticState]:
     """One exactly symmetric state per output time of run, in ascending time.
 
-    The march holds these snapshots plus O(_CHUNK_CELLS) scratch in each
-    of its processes: its share (every usable core, or what
-    kernels.run_jobs gives it), at most one per chunk to march. Forked
-    children write straight into the snapshots, in shared memory, and an
-    error in one is raised here with its type. The step guard passes over
-    every chunk first, so a dt too coarse raises StepSizeError before any
-    march. A chunk of all-zero rows (the empty Nyquist row alone) is not
-    marched. march_run is the job kernels.run_jobs spreads over processes.
+    The march runs on its share of processes (every usable core, or what
+    kernels.run_jobs gives it), at most one per chunk to march, each with
+    O(_CHUNK_CELLS) scratch. With one it runs here; with more, this
+    process holds only the snapshots, in shared memory, while forked
+    children march into them, and an error in one is raised here with its
+    type. The step guard passes over every chunk first, so a dt too coarse
+    raises StepSizeError before any march. A chunk of all-zero rows (the
+    empty Nyquist row alone) is not marched. march_run is the job
+    kernels.run_jobs deals to processes.
     """
     snap_steps = run.snap_steps
     rows = _initial_rows(run)
@@ -589,9 +590,9 @@ def reconstruct_density(state: KineticState, refine: int = 1) -> DensityProfile:
 
 
 def march_run(run: Run) -> dict:
-    """{t: DensityProfile} of a run; the pool job of every kinetic study.
+    """{t: DensityProfile} of a run; the kernels.run_jobs job of every kinetic study.
 
-    A worker returns the profiles, never the states, which are far larger.
+    A forked run returns the profiles, never the states, which are far larger.
     The keys are run.times in ascending order, the order of the states.
     """
     return {t: reconstruct_density(state, refine=run.refine)

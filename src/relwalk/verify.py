@@ -61,7 +61,7 @@ class RunContext:
 
     Every run the CRITERIA rows of ``numbers`` (default: all) list is
     marched by kernels.run_jobs on ``threads`` processes, split between
-    runs (worker processes that return profiles) and each run's chunks;
+    runs (forked parts that return profiles) and each run's chunks;
     plan_s is the wall time of that march.
     """
 

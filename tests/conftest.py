@@ -1,50 +1,55 @@
-import concurrent.futures
-import multiprocessing
-from types import SimpleNamespace
+import os
 
 import pytest
 
 from relwalk import kernels
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Record the pools kernels.run_jobs starts, with 4 usable cores.
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    if hasattr(os, "fork"):
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        pytest.fail(f"a child process was left {'unreaped' if pid else 'running'}")
 
-    ``started`` gets one (size, submitted jobs) pair per pool, and
-    ``shares`` the march share of each submitted job. Set
-    ``method`` to a start method name to start the pool's workers with it.
+
+@pytest.fixture
+def fan_outs(monkeypatch):
+    """The (processes, parts) of each kernels.fork_each call, with 4 usable cores.
+
+    kernels.run_jobs hands fork_each its parts, each a list of job
+    indices; a march calls roup's own binding, which this leaves alone.
     """
-    record = SimpleNamespace(started=[], shares=[], method=None)
-    base = concurrent.futures.ProcessPoolExecutor
+    calls = []
+    fork_each = kernels.fork_each
 
-    class Recording(base):
-        def __init__(self, max_workers):
-            context = record.method and multiprocessing.get_context(record.method)
-            super().__init__(max_workers, mp_context=context)
-            self.jobs = []
-            record.started.append((max_workers, self.jobs))
+    def recording(fn, items, processes):
+        calls.append((processes, list(items)))
+        return fork_each(fn, items, processes)
 
-        def submit(self, fn, *args):
-            # run_jobs submits kernels._with_share(share, job function, *job)
-            share, _, *job = args
-            self.jobs.append(tuple(job))
-            record.shares.append(share)
-            return super().submit(fn, *args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(kernels, "fork_each", recording)
     monkeypatch.setattr(kernels, "_cores", lambda: 4)
-    return record
+    return calls
 
 
 @pytest.fixture
-def no_pool(monkeypatch):
-    """Fail any attempt of kernels.run_jobs to start a pool, with 4 usable cores."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+def forks(monkeypatch):
+    """The pids of the children os.fork starts here."""
+    pids = []
+    fork = os.fork
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(kernels, "_cores", lambda: 4)
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
 
 
 @pytest.fixture

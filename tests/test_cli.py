@@ -409,24 +409,13 @@ def _pool_profiles(workers):
             for p, dt in cli._profiles(runs, opts)]
 
 
-def test_profiles_bitwise_equal_for_1_2_4_workers(pools):
+def test_profiles_bitwise_equal_for_1_2_4_workers(fan_outs):
     serial = _pool_profiles(1)
     assert _pool_profiles(2) == serial
     assert _pool_profiles(4) == serial
-    assert [size for size, _ in pools.started] == [2, 4]
-    # one (Run,) job per run: the 40-step run first, then 30, 20 and 10
-    assert [(run.Q, run.t_final, run.times, run.refine)
-            for run, in pools.started[0][1]] == [
-        (1.0, 0.4, (0.4,), 2), (1.0, 0.3, (0.3,), 2), (2.0, 0.2, (0.2,), 2),
-        (1.0, 0.1, (0.1,), 2)]
-
-
-@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
-def test_profiles_equal_under_every_start_method(pools, method):
-    serial = _pool_profiles(1)
-    pools.method = method
-    assert _pool_profiles(2) == serial
-    assert [size for size, _ in pools.started] == [2]
+    # runs of 10, 40, 20 and 30 steps on one grid: on 2 processes the
+    # 40-step run goes first, then the 30, 20 and 10 to the least loaded
+    assert fan_outs == [(2, [[1, 0], [3, 2]]), (4, [[1], [3], [2], [0]])]
 
 
 @pytest.mark.parametrize("argv", [
@@ -434,7 +423,7 @@ def test_profiles_equal_under_every_start_method(pools, method):
     ["roup", "--T", "0.2", "--Qs", "1,2,4"],
     ["metric", "--Q", "1", "--times", "0.5,1"],
 ], ids=["roup-times", "roup-Qs", "metric"])
-def test_kinetic_outputs_identical_for_1_2_4_workers(tmp_path, pools, argv):
+def test_kinetic_outputs_identical_for_1_2_4_workers(tmp_path, fan_outs, argv):
     cfg = tmp_path / "pool.ini"
     cfg.write_text(f"[{argv[0]}]\n{_POOL_GRID}")
     outputs = []
@@ -450,29 +439,30 @@ def test_kinetic_outputs_identical_for_1_2_4_workers(tmp_path, pools, argv):
         outputs.append((files, manifest))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
-    assert len(pools.started) == 2
+    assert len(fan_outs) == 2
 
 
-def test_one_run_or_one_thread_starts_no_pool(tmp_path, no_pool):
+def test_one_run_or_one_thread_starts_no_pool(tmp_path, fan_outs):
     cfg = tmp_path / "pool.ini"
     cfg.write_text(f"[roup]\n{_POOL_GRID}")
     for argv in (["--times", "0.5", "--threads", "4"], ["--times", "0.1,0.2", "--threads", "1"]):
         assert cli.main(["roup", "--config", str(cfg), *argv,
                          "--out", str(tmp_path / "o")]) == 0
+    assert fan_outs == []
 
 
-def test_step_size_error_in_a_pooled_worker_exits_3(tmp_path, capsys, pools):
+def test_step_size_error_in_a_pooled_worker_exits_3(tmp_path, capsys, fan_outs):
     cfg = tmp_path / "coarse.ini"
     cfg.write_text("[roup]\nn_x = 64\nn_p = 256\nrefine = 1\ndt = 0.5\n")
     code = cli.main(["roup", "--config", str(cfg), "--times", "0.5,1", "--threads", "2",
                      "--out", str(tmp_path / "o")])
     assert code == 3
     assert _error_name(capsys) == "StepSizeError"
-    assert [size for size, _ in pools.started] == [2]
+    assert fan_outs == [(2, [[1], [0]])]
     assert not (tmp_path / "o").exists()
 
 
-def test_step_size_error_in_a_forked_march_part_exits_3(tmp_path, capsys, no_pool):
+def test_step_size_error_in_a_forked_march_part_exits_3(tmp_path, capsys, fan_outs):
     # one run of two chunks to march, split over two processes; only the
     # forked child's chunk is too coarse at dt = 0.5
     cfg = tmp_path / "coarse.ini"
@@ -481,6 +471,7 @@ def test_step_size_error_in_a_forked_march_part_exits_3(tmp_path, capsys, no_poo
                      "--out", str(tmp_path / "o")])
     assert code == 3
     assert _error_name(capsys) == "StepSizeError"
+    assert fan_outs == []
     assert not (tmp_path / "o").exists()
 
 
@@ -632,16 +623,16 @@ def test_full_gate_plan_marches_each_run_once(monkeypatch):
     assert len({(run.Q, run.t_final, run.dt, run.n_x, run.n_p) for run in plan}) == 9
 
 
-def test_run_context_workers_return_profiles(monkeypatch, pools):
+def test_run_context_workers_return_profiles(monkeypatch, fan_outs):
     small = (roup.Run(1.0, 0.2, 0.01, (0.1, 0.2), 32, 128, 2),
              roup.Run(2.0, 0.3, 0.01, (0.3,), 32, 128, 4))
     monkeypatch.setattr(verify, "CRITERIA", [(5, "propagation-peak", "roup", None, small)])
     ctx = verify.RunContext(threads=2)
-    assert [size for size, _ in pools.started] == [2]
+    assert fan_outs == [(2, [[1], [0]])]
     for run in small:
         for t, expected in roup.march_run(run).items():
             profile = ctx.profile(run, t)
-            # a profile, not a KineticState, crossed the pool
+            # a profile, not a KineticState, came back from the forked part
             assert isinstance(profile, roup.DensityProfile)
             assert profile.x_grid.count == 32 * run.refine
             assert profile.density.tobytes() == expected.density.tobytes()

@@ -1,7 +1,7 @@
 """The package and its kinetic, walk and Dirac runs load no scipy module.
 
-Importing the package and its CLI loads no process-pool module either:
-kernels.run_jobs imports concurrent.futures only when it starts a pool.
+Nor does the package, importing or running, load a process-pool module:
+kernels.run_jobs fans its runs out through kernels.fork_each, on os.fork.
 """
 
 import json
@@ -18,11 +18,16 @@ import numpy as np
 import relwalk, relwalk.cli
 for info in pkgutil.iter_modules(relwalk.__path__):
     __import__("relwalk." + info.name)
+from relwalk import dirac, fick, kernels, qwalk, roup
+
+kernels._cores = lambda: 2
+runs = [roup.Run(1.0, t, 0.01, (t,), 32, 64) for t in (0.1, 0.2)]
+profiles = kernels.run_jobs(roup.march_run, [(run,) for run in runs], 2,
+                            [run.cost for run in runs])
+assert [sorted(found) for found in profiles] == [[0.1], [0.2]]
 pool = sorted(name for name in sys.modules
               if name.split(".")[0] in ("concurrent", "multiprocessing"))
 assert pool == [], pool
-from relwalk import dirac, fick, qwalk, roup
-
 state = roup.march(roup.Run(1.0, 0.5, 0.01, (0.5,), 32, 64))[0]
 profile = roup.reconstruct_density(state, refine=2)
 fick.metric_from_density(profile)

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import signal
 import time
 
@@ -430,60 +431,73 @@ def test_every_stepper_rejects_fractional_step_counts():
             call()
 
 
-# ---------------------------------------------------------------- run pool
+# ---------------------------------------------------------------- fan-out
 
 
-def test_run_jobs_takes_costliest_first_and_returns_in_job_order(pools):
+def test_run_jobs_takes_costliest_first_and_returns_in_job_order(fan_outs):
     jobs = [(2, k) for k in range(5)]
     assert run_jobs(pow, jobs, 2, [1, 5, 3, 5, 2]) == [1, 2, 4, 8, 16]
-    # ties keep their job order
-    assert pools.started == [(2, [(2, 1), (2, 3), (2, 2), (2, 4), (2, 0)])]
+    # costliest first to the least-loaded part; ties keep their job order
+    assert fan_outs == [(2, [[1, 2], [3, 4, 0]])]
 
 
-def test_run_jobs_pool_is_capped_by_jobs_and_cores(pools):
+def test_run_jobs_deals_each_job_to_the_least_loaded_part(fan_outs):
+    costs = [400, 200, 100, 50]
+    done = run_jobs(lambda cost: (cost, os.getpid()), [(cost,) for cost in costs], 2, costs)
+    assert [cost for cost, _ in done] == costs
+    # loads of 400 and 350, each part in its own child; dealt round-robin
+    # they would be 500 and 250
+    assert fan_outs == [(2, [[0], [1, 2, 3]])]
+    pids = [pid for _, pid in done]
+    assert len({*pids[1:]}) == 1 and len({*pids, os.getpid()}) == 3
+
+
+def test_run_jobs_pool_is_capped_by_jobs_and_cores(fan_outs):
     run_jobs(pow, [(2, k) for k in range(3)], 8, [1] * 3)
     run_jobs(pow, [(2, k) for k in range(6)], 8, [1] * 6)
-    assert [size for size, _ in pools.started] == [3, 4]
+    assert [processes for processes, _ in fan_outs] == [3, 4]
 
 
-def test_run_jobs_starts_no_pool_for_one_job_or_one_worker(no_pool):
+def test_run_jobs_starts_no_pool_for_one_job_or_one_worker(fan_outs):
     assert run_jobs(pow, [(2, 3)], 4, [1]) == [8]
     assert run_jobs(pow, [(2, 1), (2, 2)], 1, [1, 2]) == [2, 4]
     assert run_jobs(pow, [], 4, []) == []
+    assert fan_outs == []
 
 
-def test_run_jobs_raises_a_job_error_here(pools):
+def test_run_jobs_raises_a_job_error_here(fan_outs):
     with pytest.raises(ValueError, match="math domain error"):
         run_jobs(math.sqrt, [(4.0,), (-1.0,), (9.0,)], 2, [1, 1, 1])
+    assert len(fan_outs) == 1
 
 
 def _share_here():
     return kernels._share
 
 
-def test_run_jobs_shares_the_usable_cores_between_runs(pools):
-    # no pool: the one run may use min(workers, cores); a pool splits that
+def test_run_jobs_shares_the_usable_cores_between_runs(fan_outs):
+    # one part: the one run may use min(workers, cores); parts split that
     assert run_jobs(_share_here, [()], 3, [1]) == [3]
     assert run_jobs(_share_here, [(), ()], 8, [1, 1]) == [2, 2]
     assert run_jobs(_share_here, [()] * 3, 8, [1] * 3) == [1] * 3
-    assert pools.shares == [2, 2, 1, 1, 1]
+    assert [processes for processes, _ in fan_outs] == [2, 3]
     assert kernels._share is None
 
 
 def _march_without_forking(run):
     def refuse():
-        raise AssertionError("a pool worker forked")
+        raise AssertionError("a forked run forked")
 
-    os.fork = refuse  # in this worker alone
+    os.fork = refuse  # in this forked part alone
     return kernels._share, roup.march_run(run)
 
 
-def test_a_pool_worker_with_a_share_of_one_never_forks(pools):
+def test_a_pool_worker_with_a_share_of_one_never_forks(fan_outs):
     # 33 modes on 1024 momenta: two chunks to march, which a share of two would split
     runs = [roup.Run(1.0, t, 1e-3, (t,), 64, 2048, 2) for t in (0.01, 0.02)]
-    pooled = run_jobs(_march_without_forking, [(run,) for run in runs], 2, [1, 1])
-    assert pools.shares == [1, 1]
-    for (share, profiles), run in zip(pooled, runs, strict=True):
+    forked = run_jobs(_march_without_forking, [(run,) for run in runs], 2, [1, 1])
+    assert fan_outs == [(2, [[0], [1]])]
+    for (share, profiles), run in zip(forked, runs, strict=True):
         expected = roup.march_run(run)[run.t_final]
         assert share == 1
         assert profiles[run.t_final].density.tobytes() == expected.density.tobytes()
@@ -494,14 +508,23 @@ def test_fork_each_deals_the_items_round_robin_into_shared_memory():
 
     def fn(item):
         out[item] = item, os.getpid()
+        return -item
 
-    fork_each(fn, range(7), 3)
+    assert fork_each(fn, range(7), 3) == [-item for item in range(7)]
     assert out[:, 0].tolist() == list(range(7))
-    # this process takes items 0, 3 and 6, a child each 1, 4 and 2, 5
+    # a child each takes items 0, 3 and 6, 1 and 4, and 2 and 5; this process none
     pids = out[:, 1].astype(int).tolist()
-    assert pids[0::3] == [os.getpid()] * 3
-    assert len({*pids[1::3]}) == len({*pids[2::3]}) == 1
-    assert len(set(pids)) == 3
+    assert all(len({*pids[part::3]}) == 1 for part in range(3))
+    assert len(set(pids)) == 3 and os.getpid() not in pids
+
+
+def test_fork_each_forks_no_more_children_than_items(forks):
+    assert fork_each(lambda item: item * item, [3, 4], 8) == [9, 16]
+    assert len(forks) == 2
+    # one process, or one item, runs here
+    assert fork_each(lambda item: os.getpid(), range(3), 1) == [os.getpid()] * 3
+    assert fork_each(lambda item: os.getpid(), [0], 4) == [os.getpid()]
+    assert len(forks) == 2
 
 
 def _raising(errors):
@@ -514,41 +537,67 @@ def _raising(errors):
 def test_fork_each_raises_a_child_error_here_with_its_type():
     with pytest.raises(StepSizeError, match="too coarse"):
         fork_each(_raising({2: StepSizeError("too coarse")}), range(3), 3)
-    # the first failed child's error, after every part is done
+    # the error of the first failed part read, in part order
     with pytest.raises(KeyError, match="first"):
         fork_each(_raising({1: KeyError("first"), 2: ValueError("second")}), range(3), 3)
     with pytest.raises(ChildProcessError, match="wait status"):
         fork_each(lambda item: item and os.kill(os.getpid(), signal.SIGKILL), range(2), 2)
+    # a result that cannot be pickled is its part's error
+    with pytest.raises((AttributeError, pickle.PicklingError), match="(?i)pickle"):
+        fork_each(lambda item: lambda: item, range(2), 2)
 
 
-def test_fork_each_kills_and_reaps_its_children_when_this_part_fails(monkeypatch):
-    pids = []
-    fork = os.fork
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
+
+def test_fork_each_kills_and_reaps_its_children_when_this_part_fails(forks):
+    # this process fails while it waits, as on an interrupt: every child,
+    # each sleeping 60 s, is killed and reaped before the error leaves
+    def interrupt(signum, frame):
+        raise OSError("this process failed")
+
+    kept = signal.signal(signal.SIGALRM, interrupt)
+    started = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(OSError, match="this process failed"):
+            fork_each(lambda item: time.sleep(60), range(3), 3)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, kept)
+    assert time.perf_counter() - started < 30
+    assert len(forks) == 3 and all(_reaped(pid) for pid in forks)
+
+
+def test_fork_each_raises_part_0s_error_while_the_other_parts_sleep(forks):
+    caller = os.getpid()
 
     def fn(item):
+        if os.getpid() == caller:
+            raise AssertionError("a part ran in the caller")
         if item:
             time.sleep(60)
-        raise OSError("this part failed")
+        raise OSError("part 0 failed")
 
-    monkeypatch.setattr(os, "fork", recording)
     started = time.perf_counter()
-    with pytest.raises(OSError, match="this part failed"):
+    with pytest.raises(OSError, match="part 0 failed"):
         fork_each(fn, range(3), 3)
     assert time.perf_counter() - started < 30
-    assert len(pids) == 2
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+    assert len(forks) == 3 and all(_reaped(pid) for pid in forks)
 
 
 def test_fork_each_runs_every_part_here_without_os_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(kernels, "_cores", lambda: 4)
     items = []
-    fork_each(items.append, range(5), 2)
+    assert fork_each(items.append, range(5), 2) == [None] * 5
     assert items == [0, 1, 2, 3, 4]
+    # so run_jobs marches its parts one after another here, in dealing order
+    assert run_jobs(lambda k: items.append(k) or 2 ** k, [(k,) for k in range(4)], 2,
+                    [1, 4, 2, 3]) == [1, 2, 4, 8]
+    assert items[5:] == [1, 0, 3, 2]

@@ -409,9 +409,9 @@ def _tracked_shared_zeros(shape, dtype=float):
 
 
 def test_fanned_out_march_holds_its_snapshots_plus_chunk_scratch(monkeypatch):
-    # two processes march the 4 chunks of 32 rows, and this one holds the
-    # one-core bound above: tracemalloc does not see the shared memory the
-    # snapshots are in, so each shared array is traced by hand while it lives
+    # two forked children march the 4 chunks of 32 rows, and this process
+    # holds the one-core bound above: tracemalloc does not see the shared
+    # memory the snapshots are in, so each shared array is traced by hand
     monkeypatch.setattr(kernels, "_share", 2)
     monkeypatch.setattr(roup, "shared_zeros", _tracked_shared_zeros)
     run = _small_run(n_x=256, n_p=1024, t_final=0.02, dt=2e-3, times=[0.01, 0.02])
@@ -419,22 +419,6 @@ def test_fanned_out_march_holds_its_snapshots_plus_chunk_scratch(monkeypatch):
     assert all(_in_shared_memory(state) for state in states)
     snapshots = sum(state.modes.nbytes for state in states)
     assert snapshots <= peak <= snapshots + 12 * _CHUNK_BYTES
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children os.fork starts here."""
-    pids = []
-    fork = os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
 
 
 def _reaped(pid):
@@ -447,9 +431,9 @@ def _reaped(pid):
 
 @pytest.mark.parametrize("run, share, forked", [
     # 17 chunks (the empty Nyquist row alone last) in 3 processes
-    (roup.Run(1.0, 0.01, 1e-3, (0.005, 0.01)), 3, 2 + 2),
+    (roup.Run(1.0, 0.01, 1e-3, (0.005, 0.01)), 3, 3 + 3),
     # chunks of 16, 16 and 4 rows, the last one mixed, in 2 processes
-    (_small_run(n_x=70, n_p=2048, t_final=0.05, dt=1e-3, times=[0.0, 0.02, 0.05]), 2, 1 + 1),
+    (_small_run(n_x=70, n_p=2048, t_final=0.05, dt=1e-3, times=[0.0, 0.02, 0.05]), 2, 2 + 2),
     # a chunk of 16 rows and the empty Nyquist row alone, which takes no process
     (_small_run(n_x=32, n_p=2048, t_final=0.05, dt=1e-3, times=[0.02, 0.05]), 2, 0),
 ], ids=["standard", "70x2048", "one-chunk"])
@@ -459,7 +443,7 @@ def test_fanned_out_march_is_the_one_core_march_bitwise(monkeypatch, forks, run,
     assert forks == []
     monkeypatch.setattr(kernels, "_share", share)
     fanned = roup.march(run)
-    # the guard's pass and the march each fork a child per extra process
+    # the guard's pass and the march each fork a child per process
     assert len(forks) == forked
     for state, expected in zip(fanned, reference, strict=True):
         assert _in_shared_memory(state) == (forked > 0) and not _in_shared_memory(expected)
@@ -467,14 +451,8 @@ def test_fanned_out_march_is_the_one_core_march_bitwise(monkeypatch, forks, run,
     assert all(_reaped(pid) for pid in forks)
 
 
-def test_fanned_out_guard_raises_before_any_march(monkeypatch, forks, one_core, tmp_path):
-    # chunks of 16, 16 and the empty Nyquist row; only the second, which
-    # the child checks, is too coarse at dt = 0.5 (the first's error is
-    # about 0.03), so the parent raises on the child's shared error
-    run = _small_run(n_x=64, n_p=2048, t_final=10.0, dt=0.5)
-    with pytest.raises(StepSizeError) as one:
-        roup.march(run)
-    log = tmp_path / "steps"
+def _logging_strang_march(monkeypatch, log, run):
+    """Log the pid, steps and first mode number of each _Strang.march to the file log."""
     march = roup._Strang.march
 
     def recording(self, rows, Ks, n_steps, *args):
@@ -483,28 +461,55 @@ def test_fanned_out_guard_raises_before_any_march(monkeypatch, forks, one_core, 
         march(self, rows, Ks, n_steps, *args)
 
     monkeypatch.setattr(roup._Strang, "march", recording)
+
+    def steps():
+        out = {}
+        for line in log.read_text().splitlines():
+            pid, n_steps, first = map(int, line.split())
+            out.setdefault(pid, []).append((n_steps, first))
+        return out
+
+    return steps
+
+
+def test_fanned_out_guard_raises_before_any_march(monkeypatch, forks, one_core, tmp_path):
+    # chunks of 16, 16 and the empty Nyquist row; only the second, which
+    # the second child checks, is too coarse at dt = 0.5 (the first's error
+    # is about 0.03), so this process raises on the error that child returns
+    run = _small_run(n_x=64, n_p=2048, t_final=10.0, dt=0.5)
+    with pytest.raises(StepSizeError) as one:
+        roup.march(run)
+    steps = _logging_strang_march(monkeypatch, tmp_path / "steps", run)
     monkeypatch.setattr(kernels, "_share", 2)
     with pytest.raises(StepSizeError) as fanned:
         roup.march(run)
     assert str(fanned.value) == str(one.value)
-    steps = {}
-    for line in log.read_text().splitlines():
-        pid, n_steps, first = map(int, line.split())
-        steps.setdefault(pid, []).append((n_steps, first))
     # one step and two half steps per chunk, and no 20-step march
-    assert steps == {os.getpid(): [(1, 0), (2, 0), (1, 32), (2, 32)],
-                     forks[0]: [(1, 16), (2, 16)]}
-    assert _reaped(forks[0])
+    assert steps() == {forks[0]: [(1, 0), (2, 0), (1, 32), (2, 32)],
+                       forks[1]: [(1, 16), (2, 16)]}
+    assert all(_reaped(pid) for pid in forks)
+
+
+def test_a_fanned_out_march_steps_only_in_its_children(monkeypatch, forks, tmp_path):
+    # chunks of 16, 16 and 4 rows in 2 processes: this one marches nothing
+    run = _small_run(n_x=70, n_p=2048, t_final=0.05, dt=1e-3, times=[0.02, 0.05])
+    steps = _logging_strang_march(monkeypatch, tmp_path / "steps", run)
+    monkeypatch.setattr(kernels, "_share", 2)
+    roup.march(run)
+    assert steps() == {forks[0]: [(1, 0), (2, 0), (1, 32), (2, 32)],
+                       forks[1]: [(1, 16), (2, 16)],
+                       forks[2]: [(50, 0), (50, 32)],
+                       forks[3]: [(50, 16)]}
 
 
 def test_no_child_is_left_when_the_parent_part_fails(monkeypatch, forks):
-    # the children march while this process raises in its own part; they are
-    # killed and reaped before the error leaves march
+    # part 0's child fails in its march while the other parts still march;
+    # they are killed, and every child is reaped, before the error leaves march
     run = roup.Run(1.0, 0.05, 1e-3, (0.05,))
-    parent, march = os.getpid(), roup._Strang.march
+    march = roup._Strang.march
 
     def failing(self, rows, Ks, n_steps, *args):
-        if os.getpid() == parent and n_steps > 2:
+        if Ks[0] == 0.0 and n_steps > 2:
             raise MemoryError("no room")
         march(self, rows, Ks, n_steps, *args)
 
@@ -512,7 +517,7 @@ def test_no_child_is_left_when_the_parent_part_fails(monkeypatch, forks):
     monkeypatch.setattr(kernels, "_share", 3)
     with pytest.raises(MemoryError, match="no room"):
         roup.march(run)
-    assert len(forks) == 2 + 2
+    assert len(forks) == 3 + 3
     assert all(_reaped(pid) for pid in forks)
 
 
