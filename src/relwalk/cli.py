@@ -315,25 +315,34 @@ def _profiles(runs, opts):
 
 
 def _cmd_roup(params, out):
-    """Kinetic density profiles: times at fixed Q, or a Q sweep (Qs) at fixed T."""
+    """Kinetic density profiles: times at fixed Q, or a Q sweep (Qs) at fixed T.
+
+    The runs march in up to ``threads`` processes (run_jobs). Once every
+    profile exists, as many format the CSV files, each file's rows its
+    cost; this process writes the manifest.
+    """
     if "Qs" in params:
         runs = [("Q", q, q, params["T"]) for q in params["Qs"]]
     else:
         runs = [("T", t, params["Q"], t) for t in params["times"]]
     profiles = _profiles([(q, t) for _, _, q, t in runs], params)
     ensure_dir(out)
-    outputs = []
-    dts = {}
-    for (axis, value, _, _), (profile, dt) in zip(runs, profiles):
-        dts[f"{axis}={value:g}"] = dt
-        outputs.append(f"nu_profile_{axis}{value:g}.csv")
-        roup.write_profile_csv(profile, f"{out}/{outputs[-1]}")
+    outputs = [f"nu_profile_{axis}{value:g}.csv" for axis, value, _, _ in runs]
+    dts = {f"{axis}={value:g}": dt for (axis, value, _, _), (_, dt) in zip(runs, profiles)}
+    pairs = [(profile, f"{out}/{name}") for (profile, _), name in zip(profiles, outputs)]
+    run_jobs(roup.write_profile_csv, pairs, params["threads"],
+             [profile.x_grid.count for profile, _ in pairs])
     _write_manifest(out, "roup", params, outputs, {"dt_used": dts})
     return 0
 
 
 def _cmd_metric(params, out):
-    """Diffusion metric, generalized Fick residual and simple-Fick rejection."""
+    """Diffusion metric, generalized Fick residual and simple-Fick rejection.
+
+    The runs march in up to ``threads`` processes (run_jobs). Once every
+    result exists, as many format the metric CSV files, each file's rows
+    its cost; this process writes the rejection reports and the manifest.
+    """
     profiles = _profiles([(params["Q"], t) for t in params["times"]], params)
     # every result before the directory, so a failure writes nothing
     metrics = [fick.metric_from_density(profile) for profile, _ in profiles]
@@ -343,12 +352,14 @@ def _cmd_metric(params, out):
     ensure_dir(out)
     outputs = []
     dts = {}
-    for t, (_, dt), metric, report in zip(params["times"], profiles, metrics, reports):
+    for t, (_, dt), report in zip(params["times"], profiles, reports):
         dts[f"T={t:g}"] = dt
         name, rname = f"metric_T{t:g}.csv", f"fick_rejection_T{t:g}.json"
-        fick.write_metric_csv(metric, f"{out}/{name}")
         write_json(f"{out}/{rname}", report)
         outputs += [name, rname]
+    pairs = [(metric, f"{out}/{name}") for metric, name in zip(metrics, outputs[::2])]
+    run_jobs(fick.write_metric_csv, pairs, params["threads"],
+             [metric.x_grid.count for metric, _ in pairs])
     _write_manifest(out, "metric", params, outputs,
                     {"dt_used": dts, "fick_residuals": residuals})
     return 0
@@ -407,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="walk, transport, and metric experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, options in OPTIONS.items():
-        doc = _COMMANDS[name].__doc__
+        doc = _COMMANDS[name].__doc__.split("\n")[0]
         p = sub.add_parser(name, help=doc, description=doc)
         p.add_argument("--config", default=None, help="INI configuration file")
         p.add_argument("--out", default=f"out_{name}", help="output directory")

@@ -11,16 +11,22 @@ Conventions used throughout the package:
 Everything here needs numpy alone. BlockedLDL factors with an in-package
 L D L^T recurrence; only the general tridiag_solve calls LAPACK, and it
 imports scipy on its first call, so importing the package loads no scipy.
-fork_each is the package's one process fan-out, of runs (run_jobs) and
-of the chunks of one march.
+fork_each is the package's one process fan-out: of runs and of a
+kinetic study's CSV files (both through run_jobs), and of the chunks of
+one march.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import mmap
 import os
 import pickle
+import select
 import signal
+import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -375,66 +381,135 @@ def shared_zeros(shape, dtype=float) -> np.ndarray:
                          dtype).reshape(shape)
 
 
+# seconds fork_each still waits, after a part's error, for lower-numbered parts
+_GRACE = 0.1
+
+
+def _die_with(parent):
+    """Have this forked child SIGKILLed when its parent ends (Linux prctl; elsewhere nothing).
+
+    So a part killed by fork_each takes down the children of its own
+    fork_each, which would otherwise march on with no one to read them.
+    """
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG; a failure leaves the child as it was
+        if os.getppid() != parent:  # it ended before the prctl
+            os._exit(1)
+
+
+def _fill(fd, reply) -> bool:
+    """Read what a part's pipe holds into reply, a [buffer, bytes filled] pair; False at its end.
+
+    The part writes its reply's length, 8 bytes in one write (which a pipe
+    keeps whole), before the reply, so the buffer is made once at full
+    size and filled in place: buffers grown in turns by several parts
+    would fragment this process's heap and raise its peak RSS.
+    """
+    if reply[0] is None:
+        if header := os.read(fd, 8):
+            reply[:] = bytearray(int.from_bytes(header, "little")), 0
+        return bool(header)
+    filled = os.readv(fd, [memoryview(reply[0])[reply[1]:]])
+    reply[1] += filled
+    return filled > 0
+
+
+def _whole(reply):
+    """The unpickled (ok, results or exception) of a complete reply, else None."""
+    buffer, filled = reply
+    return pickle.loads(buffer) if buffer is not None and filled == len(buffer) else None
+
+
 def fork_each(fn, items, processes: int) -> list:
     """[fn(item) for item in items], dealt round-robin to ``processes`` forked children.
 
     With more than one process, min(processes, len(items)) children each
     pipe back the pickled results of their share, or its exception, and
-    this process only waits: it reads the parts in order, raises the first
-    error read with its type, SIGKILLs the children not yet read, and
-    reaps every child. Children may also write to shared_zeros arrays.
-    Here, in order, with one process or without os.fork.
+    this process only waits, on every pipe at once, reading each reply as
+    it comes. After the first error it waits at most _GRACE seconds for
+    the parts numbered below it, then SIGKILLs and reaps the children not
+    yet read, takes any reply they completed, and raises the error of the
+    lowest-numbered failed part with its type. Every child is reaped.
+    Children may also write to shared_zeros arrays. Here, in order, with
+    one process or without os.fork.
     """
     processes = min(processes, len(items)) if hasattr(os, "fork") else 1
     if processes <= 1:
         return [fn(item) for item in items]
-    children = {}
+    pids, replies, parts, done, failed = {}, {}, {}, {}, {}
+    caller, poller = os.getpid(), select.poll()
     try:
         for part in range(processes):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
+                    _die_with(caller)
                     try:
                         reply = pickle.dumps((True, [fn(item) for item in items[part::processes]]))
                     except BaseException as exc:
                         reply = pickle.dumps((False, exc))
+                    os.write(write, len(reply).to_bytes(8, "little"))
                     with os.fdopen(write, "wb") as pipe:
                         pipe.write(reply)
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(write)
-            children[pid] = os.fdopen(read, "rb")
-        results = []
-        for pid, pipe in list(children.items()):
-            with pipe:
-                reply = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if not reply:
-                raise ChildProcessError(f"a forked part ended with wait status {status}")
-            ok, value = pickle.loads(reply)
-            if not ok:
-                raise value
-            results.append(value)
-        return [results[i % processes][i // processes] for i in range(len(items))]
+            pids[part], replies[part], parts[read] = pid, [None, 0], part
+            poller.register(read, select.POLLIN)
+        # after the first error, parts below the lowest failed one get
+        # _GRACE seconds to end, so parts that fail together raise in order
+        deadline = wait = None
+        while any(part < min(failed, default=processes) for part in pids):
+            if failed:
+                deadline = deadline or time.monotonic() + _GRACE
+                if (wait := deadline - time.monotonic()) <= 0.0:
+                    break
+            for fd, _ in poller.poll(None if wait is None else 1000.0 * wait):
+                part = parts[fd]
+                if _fill(fd, replies[part]):
+                    continue
+                poller.unregister(fd)
+                os.close(fd)
+                del parts[fd]
+                status = os.waitpid(pids.pop(part), 0)[1]
+                ok, value = _whole(replies.pop(part)) or (False, ChildProcessError(
+                    f"a forked part ended with wait status {status}"))
+                (done if ok else failed)[part] = value
     finally:
-        for pid, pipe in children.items():
+        for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
-            pipe.close()
             os.waitpid(pid, 0)
+        # a part killed after its whole reply was written may have failed
+        # first; its pipe is read without blocking, as a forked child of the
+        # part may still hold it open
+        for fd, part in parts.items():
+            os.set_blocking(fd, False)
+            with contextlib.suppress(BlockingIOError):
+                while _fill(fd, replies[part]):
+                    pass
+            os.close(fd)
+            if (whole := _whole(replies[part])) and not whole[0]:
+                failed[part] = whole[1]
+    if failed:
+        raise failed[min(failed)]
+    return [done[i % processes][i // processes] for i in range(len(items))]
 
 
 def run_jobs(fn, jobs, workers: int, costs) -> list:
     """[fn(*job) for job in jobs], up to ``workers`` jobs at a time, in job order.
 
-    The jobs are dealt costliest first (costs[i] estimates job i, say steps
-    times cells), each to the least-loaded of min(workers, len(jobs),
-    usable cores) parts, and fork_each runs the parts at once; results are
-    the same however the jobs are dealt. With one part the jobs run here,
-    in order. A job's march splits its chunks over min(workers, usable
-    cores) processes, divided by the number of parts (at least 1). An
-    exception in a job is raised here.
+    The jobs are a study's kinetic runs (roup.march_run) or, once those
+    are done, its CSV files (a writer and its (result, path) pairs). They
+    are dealt costliest first (costs[i] estimates job i, say steps times
+    cells, or a file's rows), each to the least-loaded of min(workers,
+    len(jobs), usable cores) parts, and fork_each runs the parts at once;
+    results are the same however the jobs are dealt. With one part the
+    jobs run here, in order. A job's march splits its chunks over
+    min(workers, usable cores) processes, divided by the number of parts
+    (at least 1). An exception in a job is raised here.
     """
     jobs = list(jobs)
     share = min(workers, _cores())

@@ -438,12 +438,15 @@ def _check_step(rows, Ks, strang, processes=1):
     of _evolve_block, taken before any march: strang's step against two
     steps of half its size. Each chunk builds two phase tables: the half
     step's full phase is strang's half phase, bit for bit, and the one
-    step needs no full phase.
+    step needs no full phase. A chunk of all-zero rows is skipped, as the
+    march skips it: its errors are zero.
     """
     fine = _Strang(strang.p_grid, strang.Q, 0.5 * strang.dt)
 
     def check_chunk(block):
         chunk = rows(block)
+        if not chunk.any():  # zero rows step to zero rows: no error
+            return np.zeros(len(chunk))
         K = Ks[block]
         coarse, halved = np.empty((2, 1) + chunk.shape, dtype=complex)
         half = strang.phase(K, 0.5)
@@ -501,8 +504,8 @@ def march(run: Run) -> list[KineticState]:
     children march into them, and an error in one is raised here with its
     type. The step guard passes over every chunk first, so a dt too coarse
     raises StepSizeError before any march. A chunk of all-zero rows (the
-    empty Nyquist row alone) is not marched. march_run is the job
-    kernels.run_jobs deals to processes.
+    empty Nyquist row alone) is neither guarded nor marched. march_run is
+    the job kernels.run_jobs deals to processes.
     """
     snap_steps = run.snap_steps
     rows = _initial_rows(run)

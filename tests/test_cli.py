@@ -2,12 +2,13 @@
 
 import argparse
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
-from relwalk import cli, roup, verify
+from relwalk import _io, cli, kernels, roup, verify
 from relwalk.errors import ConfigError
 from relwalk.kernels import Grid1D
 
@@ -439,7 +440,70 @@ def test_kinetic_outputs_identical_for_1_2_4_workers(tmp_path, fan_outs, argv):
         outputs.append((files, manifest))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
-    assert len(fan_outs) == 2
+    # at 2 and 4 threads, one fan-out marches the runs and one writes the CSVs
+    assert len(fan_outs) == 4
+
+
+# each study's arguments and the CSV files it writes
+_WRITTEN = {"metric": (["metric", "--Q", "1", "--times", "0.5,1"],
+                       ["metric_T0.5.csv", "metric_T1.csv"]),
+            "roup": (["roup", "--T", "1", "--Qs", "0.5,2"],
+                     ["nu_profile_Q0.5.csv", "nu_profile_Q2.csv"])}
+
+
+def _study(tmp_path, command, threads, out):
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text(f"[{command}]\n{_POOL_GRID}")
+    return cli.main(_WRITTEN[command][0] + ["--config", str(cfg), "--threads", str(threads),
+                                            "--out", str(out)])
+
+
+@pytest.mark.parametrize("command", _WRITTEN)
+def test_forked_csv_writers_write_the_one_thread_directory(tmp_path, fan_outs, command):
+    written = {}
+    for threads in (1, 2, 4):
+        out = tmp_path / f"t{threads}"
+        assert _study(tmp_path, command, threads, out) == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        # the manifest records threads, and so its hash
+        manifest = json.loads(files["manifest.json"])
+        assert manifest["parameters"].pop("threads") == threads
+        del manifest["config_sha256"]
+        files["manifest.json"] = json.dumps(manifest, indent=2, sort_keys=True).encode()
+        written[threads] = files
+    assert written[2] == written[1]
+    assert written[4] == written[1]
+    # two runs, then two CSVs of equal rows, in two parts at 2 and at 4 threads
+    assert len(fan_outs) == 4
+    assert [parts for _, parts in fan_outs[1::2]] == [[[0], [1]]] * 2
+
+
+@pytest.mark.parametrize("command", _WRITTEN)
+def test_no_csv_is_formatted_in_the_calling_process(tmp_path, monkeypatch, fan_outs, command):
+    out = tmp_path / "o"
+    names = _WRITTEN[command][1]
+    pids = kernels.shared_zeros(len(names))
+    write_csv = _io.write_csv
+
+    def spy(path, *args):
+        pids[names.index(os.path.basename(path))] = os.getpid()
+        return write_csv(path, *args)
+
+    monkeypatch.setattr(_io, "write_csv", spy)
+    assert _study(tmp_path, command, 2, out) == 0
+    assert sorted(path.name for path in out.glob("*.csv")) == names
+    assert 0 not in pids and os.getpid() not in pids
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_forked_csv_writers_error_is_raised_here_with_its_type(tmp_path, fan_outs, forks,
+                                                                 threads):
+    # no_child_left checks that every child (two march parts, two writers) is reaped
+    out = tmp_path / "o"
+    (out / "metric_T1.csv").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        _study(tmp_path, "metric", threads, out)
+    assert len(forks) == (0 if threads == 1 else 4)
 
 
 def test_one_run_or_one_thread_starts_no_pool(tmp_path, fan_outs):

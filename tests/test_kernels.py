@@ -2,6 +2,7 @@ import math
 import os
 import pickle
 import signal
+import sys
 import time
 
 import numpy as np
@@ -589,6 +590,93 @@ def test_fork_each_raises_part_0s_error_while_the_other_parts_sleep(forks):
         fork_each(fn, range(3), 3)
     assert time.perf_counter() - started < 30
     assert len(forks) == 3 and all(_reaped(pid) for pid in forks)
+
+
+def test_fork_each_raises_a_later_parts_error_while_part_0_sleeps(forks):
+    # part 0 would run 60 s, but part 1's error is raised as it arrives
+    def fn(item):
+        if item == 0:
+            time.sleep(60)
+        raise StepSizeError("part 1 failed")
+
+    started = time.perf_counter()
+    with pytest.raises(StepSizeError, match="part 1 failed"):
+        fork_each(fn, range(2), 2)
+    assert time.perf_counter() - started < 5
+    assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
+
+
+def _ended(pid):
+    """pid is gone, or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux's")
+def test_a_killed_parts_own_children_end_with_it():
+    # part 0 forks two children that would sleep 60 s; part 1 fails once
+    # both have started, and killing part 0 must end them too
+    grandchildren = shared_zeros(2)
+
+    def sleep(item):
+        grandchildren[item] = os.getpid()
+        time.sleep(60)
+
+    def fn(item):
+        if item == 0:
+            fork_each(sleep, range(2), 2)
+        while not grandchildren.all():
+            time.sleep(0.01)
+        raise StepSizeError("part 1 failed")
+
+    started = time.perf_counter()
+    with pytest.raises(StepSizeError, match="part 1 failed"):
+        fork_each(fn, range(2), 2)
+    deadline = started + 5
+    assert time.perf_counter() < deadline
+    while not all(_ended(int(pid)) for pid in grandchildren):
+        assert time.perf_counter() < deadline, "a killed part's children outlived it"
+        time.sleep(0.01)
+
+
+def test_fork_each_takes_a_killed_parts_whole_reply():
+    # part 1 fails first, but a child it forked holds its pipe open, so its
+    # reply is read only once part 2's error has made this process kill it
+    holder = shared_zeros(1)
+
+    def fn(item):
+        if item == 1:
+            if (pid := os.fork()) == 0:
+                time.sleep(60)
+                os._exit(0)
+            holder[0] = pid
+            raise KeyError("first")
+        if item == 2:
+            while not holder[0]:
+                time.sleep(0.01)
+            raise ValueError("second")
+
+    started = time.perf_counter()
+    try:
+        with pytest.raises(KeyError, match="first"):
+            fork_each(fn, range(3), 3)
+        assert time.perf_counter() - started < 5
+    finally:
+        if holder[0]:
+            os.kill(int(holder[0]), signal.SIGKILL)
+
+
+def test_fork_each_keeps_item_order_whatever_part_ends_first():
+    def fn(item):
+        time.sleep(0.1 * (item % 3 == 0))
+        return item, os.getpid()
+
+    results = fork_each(fn, list(range(7)), 3)
+    assert [item for item, _ in results] == list(range(7))
+    assert len({pid for _, pid in results}) == 3
 
 
 def test_fork_each_runs_every_part_here_without_os_fork(monkeypatch):

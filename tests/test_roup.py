@@ -312,8 +312,9 @@ def test_evolve_all_guard_checks_every_chunk_before_any_march(monkeypatch, one_c
     monkeypatch.setattr(roup._Strang, "march", recording)
     with pytest.raises(StepSizeError):
         roup.march(run)
-    # one step and two half steps per chunk, and no 20-step march
-    assert steps == [1, 2] * 3
+    # one step and two half steps per chunk but the empty Nyquist row, and
+    # no 20-step march
+    assert steps == [1, 2] * 2
 
 
 def test_evolve_all_builds_two_phase_tables_per_chunk_in_guard_and_march(monkeypatch, one_core):
@@ -330,6 +331,23 @@ def test_evolve_all_builds_two_phase_tables_per_chunk_in_guard_and_march(monkeyp
     monkeypatch.setattr(roup._Strang, "phase", counting)
     roup.march(run)
     assert len(built) == (2 + 2) * 2
+
+
+def test_guard_and_march_build_no_phase_table_for_the_empty_nyquist_chunk(
+        monkeypatch, one_core):
+    # 33 modes on 1024 momenta are chunks of 16, 16 and the empty Nyquist
+    # row, which neither the guard nor the march steps
+    run = _small_run(n_x=64, n_p=2048, t_final=0.05, dt=1e-3)
+    built = []
+    phase = roup._Strang.phase
+
+    def counting(self, Ks, fraction):
+        built.append(Ks.size)
+        return phase(self, Ks, fraction)
+
+    monkeypatch.setattr(roup._Strang, "phase", counting)
+    roup.march(run)
+    assert built == [16] * 8
 
 
 def test_phase_tables_are_the_complex_exponential():
@@ -476,6 +494,7 @@ def test_fanned_out_guard_raises_before_any_march(monkeypatch, forks, one_core, 
     # chunks of 16, 16 and the empty Nyquist row; only the second, which
     # the second child checks, is too coarse at dt = 0.5 (the first's error
     # is about 0.03), so this process raises on the error that child returns
+    # as soon as it comes, killing the first child if it is still checking
     run = _small_run(n_x=64, n_p=2048, t_final=10.0, dt=0.5)
     with pytest.raises(StepSizeError) as one:
         roup.march(run)
@@ -484,10 +503,13 @@ def test_fanned_out_guard_raises_before_any_march(monkeypatch, forks, one_core, 
     with pytest.raises(StepSizeError) as fanned:
         roup.march(run)
     assert str(fanned.value) == str(one.value)
-    # one step and two half steps per chunk, and no 20-step march
-    assert steps() == {forks[0]: [(1, 0), (2, 0), (1, 32), (2, 32)],
-                       forks[1]: [(1, 16), (2, 16)]}
-    assert all(_reaped(pid) for pid in forks)
+    # one step and two half steps per chunk but the empty Nyquist row, and
+    # no 20-step march
+    logged = steps()
+    first = logged.pop(forks[0], [])
+    assert first == [(1, 0), (2, 0)][:len(first)]
+    assert logged == {forks[1]: [(1, 16), (2, 16)]}
+    assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
 
 
 def test_a_fanned_out_march_steps_only_in_its_children(monkeypatch, forks, tmp_path):
