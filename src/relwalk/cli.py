@@ -153,7 +153,7 @@ _PACKET = (Opt("t_final", "T", _NONNEGATIVE, 1.0),
 _KINETIC = (Opt("n_x", None, _EVEN, 512),
             Opt("n_p", None, _EVEN, 2048),
             Opt("refine", None, _COUNT, 4),
-            Opt("threads", "threads", _COUNT, 4),  # processes for runs and their chunks
+            Opt("threads", "threads", _COUNT, 4),  # processes for runs' chunks and CSV files
             Opt("dt", None, _POSITIVE, None),
             Opt("Q", "Q", _POSITIVE, 1.0))
 _GROUP = _parser(f"one of {', '.join(verify_mod.GROUPS)}", str,
@@ -306,19 +306,18 @@ def _cmd_converge(params, out):
 
 
 def _profiles(runs, opts):
-    """(profile, dt) of each (Q, T) in runs, up to opts["threads"] runs marched at once."""
+    """(profile, dt) of each (Q, T) in runs, marched on up to opts["threads"] processes."""
     keys = [roup.Run(q, t, opts["dt"] if opts["dt"] is not None else roup.default_dt(t), (t,),
                      opts["n_x"], opts["n_p"], opts["refine"]) for q, t in runs]
-    profiles = run_jobs(roup.march_run, [(run,) for run in keys], opts["threads"],
-                        [run.cost for run in keys])
+    profiles = roup.march_runs(keys, opts["threads"])
     return [(found[run.t_final], run.dt) for found, run in zip(profiles, keys)]
 
 
 def _cmd_roup(params, out):
     """Kinetic density profiles: times at fixed Q, or a Q sweep (Qs) at fixed T.
 
-    The runs march in up to ``threads`` processes (run_jobs). Once every
-    profile exists, as many format the CSV files, each file's rows its
+    The runs march on up to ``threads`` processes (roup.march_runs), and
+    as many then format the CSV files (run_jobs), each file's rows its
     cost; this process writes the manifest.
     """
     if "Qs" in params:
@@ -339,8 +338,8 @@ def _cmd_roup(params, out):
 def _cmd_metric(params, out):
     """Diffusion metric, generalized Fick residual and simple-Fick rejection.
 
-    The runs march in up to ``threads`` processes (run_jobs). Once every
-    result exists, as many format the metric CSV files, each file's rows
+    The runs march on up to ``threads`` processes (roup.march_runs), and
+    as many then format the metric CSV files (run_jobs), each file's rows
     its cost; this process writes the rejection reports and the manifest.
     """
     profiles = _profiles([(params["Q"], t) for t in params["times"]], params)

@@ -11,21 +11,18 @@ Conventions used throughout the package:
 Everything here needs numpy alone. BlockedLDL factors with an in-package
 L D L^T recurrence; only the general tridiag_solve calls LAPACK, and it
 imports scipy on its first call, so importing the package loads no scipy.
-fork_each is the package's one process fan-out: of runs and of a
-kinetic study's CSV files (both through run_jobs), and of the chunks of
-one march.
+fork_each is the package's one process fan-out. run_parts deals it the
+(run, chunk) units of kinetic marches and, through run_jobs, a kinetic
+study's CSV files; no forked part forks again.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import mmap
 import os
 import pickle
 import select
 import signal
-import sys
 import time
 from dataclasses import dataclass
 
@@ -40,6 +37,7 @@ __all__ = [
     "tridiag_solve",
     "BlockedLDL",
     "count_steps",
+    "run_parts",
     "run_jobs",
 ]
 
@@ -356,23 +354,9 @@ def count_steps(t_final: float, dt: float) -> int:
     return int(round(n))
 
 
-# processes one march may split its chunks over; None: every usable core
-_share = None
-
-
 def _cores() -> int:
     """Cores this process may run on: its CPU affinity, where the platform has one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _with_share(share, fn, *args):
-    """fn(*args) with a march's share of processes set to ``share``."""
-    global _share
-    kept, _share = _share, share
-    try:
-        return fn(*args)
-    finally:
-        _share = kept
 
 
 def shared_zeros(shape, dtype=float) -> np.ndarray:
@@ -384,42 +368,16 @@ def shared_zeros(shape, dtype=float) -> np.ndarray:
 # seconds fork_each still waits, after a part's error, for lower-numbered parts
 _GRACE = 0.1
 
-
-def _die_with(parent):
-    """Have this forked child SIGKILLed when its parent ends (Linux prctl; elsewhere nothing).
-
-    So a part killed by fork_each takes down the children of its own
-    fork_each, which would otherwise march on with no one to read them.
-    """
-    if sys.platform.startswith("linux"):
-        prctl = ctypes.CDLL(None).prctl
-        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG; a failure leaves the child as it was
-        if os.getppid() != parent:  # it ended before the prctl
-            os._exit(1)
-
-
-def _fill(fd, reply) -> bool:
-    """Read what a part's pipe holds into reply, a [buffer, bytes filled] pair; False at its end.
-
-    The part writes its reply's length, 8 bytes in one write (which a pipe
-    keeps whole), before the reply, so the buffer is made once at full
-    size and filled in place: buffers grown in turns by several parts
-    would fragment this process's heap and raise its peak RSS.
-    """
-    if reply[0] is None:
-        if header := os.read(fd, 8):
-            reply[:] = bytearray(int.from_bytes(header, "little")), 0
-        return bool(header)
-    filled = os.readv(fd, [memoryview(reply[0])[reply[1]:]])
-    reply[1] += filled
-    return filled > 0
+# bytes fork_each asks of a pipe at a time, a Linux pipe's default capacity
+_PIPE_READ = 65536
 
 
 def _whole(reply):
-    """The unpickled (ok, results or exception) of a complete reply, else None."""
-    buffer, filled = reply
-    return pickle.loads(buffer) if buffer is not None and filled == len(buffer) else None
+    """The unpickled (ok, results or exception) of a reply's pieces, or None if it is cut short."""
+    try:
+        return pickle.loads(b"".join(reply))
+    except (EOFError, pickle.UnpicklingError):
+        return None
 
 
 def fork_each(fn, items, processes: int) -> list:
@@ -428,36 +386,35 @@ def fork_each(fn, items, processes: int) -> list:
     With more than one process, min(processes, len(items)) children each
     pipe back the pickled results of their share, or its exception, and
     this process only waits, on every pipe at once, reading each reply as
-    it comes. After the first error it waits at most _GRACE seconds for
-    the parts numbered below it, then SIGKILLs and reaps the children not
-    yet read, takes any reply they completed, and raises the error of the
-    lowest-numbered failed part with its type. Every child is reaped.
-    Children may also write to shared_zeros arrays. Here, in order, with
-    one process or without os.fork.
+    it comes until its pipe ends. After the first error it waits at most
+    _GRACE seconds for the parts numbered below it, then SIGKILLs and
+    reaps the children whose pipes have not ended, reads what they wrote,
+    takes any whole reply, and raises the error of the lowest-numbered
+    failed part with its type. Every child is reaped. Children may also
+    write to shared_zeros arrays; they fork nothing, so a killed child's
+    pipe ends with it. Here, in order, with one process or without os.fork.
     """
     processes = min(processes, len(items)) if hasattr(os, "fork") else 1
     if processes <= 1:
         return [fn(item) for item in items]
     pids, replies, parts, done, failed = {}, {}, {}, {}, {}
-    caller, poller = os.getpid(), select.poll()
+    poller = select.poll()
     try:
         for part in range(processes):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
-                    _die_with(caller)
                     try:
                         reply = pickle.dumps((True, [fn(item) for item in items[part::processes]]))
                     except BaseException as exc:
                         reply = pickle.dumps((False, exc))
-                    os.write(write, len(reply).to_bytes(8, "little"))
                     with os.fdopen(write, "wb") as pipe:
                         pipe.write(reply)
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(write)
-            pids[part], replies[part], parts[read] = pid, [None, 0], part
+            pids[part], replies[part], parts[read] = pid, [], part
             poller.register(read, select.POLLIN)
         # after the first error, parts below the lowest failed one get
         # _GRACE seconds to end, so parts that fail together raise in order
@@ -469,7 +426,8 @@ def fork_each(fn, items, processes: int) -> list:
                     break
             for fd, _ in poller.poll(None if wait is None else 1000.0 * wait):
                 part = parts[fd]
-                if _fill(fd, replies[part]):
+                if piece := os.read(fd, _PIPE_READ):
+                    replies[part].append(piece)
                     continue
                 poller.unregister(fd)
                 os.close(fd)
@@ -479,17 +437,12 @@ def fork_each(fn, items, processes: int) -> list:
                     f"a forked part ended with wait status {status}"))
                 (done if ok else failed)[part] = value
     finally:
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        # a part killed after its whole reply was written may have failed
-        # first; its pipe is read without blocking, as a forked child of the
-        # part may still hold it open
+        # a part killed after its whole reply was written may have failed first
         for fd, part in parts.items():
-            os.set_blocking(fd, False)
-            with contextlib.suppress(BlockingIOError):
-                while _fill(fd, replies[part]):
-                    pass
+            os.kill(pids[part], signal.SIGKILL)
+            os.waitpid(pids[part], 0)
+            while piece := os.read(fd, _PIPE_READ):
+                replies[part].append(piece)
             os.close(fd)
             if (whole := _whole(replies[part])) and not whole[0]:
                 failed[part] = whole[1]
@@ -498,30 +451,31 @@ def fork_each(fn, items, processes: int) -> list:
     return [done[i % processes][i // processes] for i in range(len(items))]
 
 
-def run_jobs(fn, jobs, workers: int, costs) -> list:
-    """[fn(*job) for job in jobs], up to ``workers`` jobs at a time, in job order.
+def run_parts(fn, jobs, workers: int, costs) -> list:
+    """The results of jobs, in job order, where fn(part) gives those of one part's jobs.
 
-    The jobs are a study's kinetic runs (roup.march_run) or, once those
-    are done, its CSV files (a writer and its (result, path) pairs). They
-    are dealt costliest first (costs[i] estimates job i, say steps times
-    cells, or a file's rows), each to the least-loaded of min(workers,
-    len(jobs), usable cores) parts, and fork_each runs the parts at once;
-    results are the same however the jobs are dealt. With one part the
-    jobs run here, in order. A job's march splits its chunks over
-    min(workers, usable cores) processes, divided by the number of parts
-    (at least 1). An exception in a job is raised here.
+    The jobs are dealt costliest first (costs[i] estimates job i, say
+    steps times cells, or a file's rows), each to the least-loaded of
+    min(workers, len(jobs), usable cores) parts, and fork_each runs the
+    parts at once: fn gets a part's jobs in dealing order and returns
+    their results in that order. Results are the same however the jobs are
+    dealt. With one part, fn(jobs) runs here. An exception in a part is
+    raised here.
     """
     jobs = list(jobs)
-    share = min(workers, _cores())
-    size = min(share, len(jobs))
+    size = min(workers, _cores(), len(jobs))
     if size <= 1:
-        return [_with_share(share, fn, *job) for job in jobs]
+        return fn(jobs)
     parts, loads = [[] for _ in range(size)], [0] * size
     for i in sorted(range(len(jobs)), key=lambda i: -costs[i]):
         least = loads.index(min(loads))
         parts[least].append(i)
         loads[least] += costs[i]
-    done = fork_each(lambda part: [(i, _with_share(share // size, fn, *jobs[i])) for i in part],
-                     parts, size)
-    results = dict(pair for part in done for pair in part)
+    done = fork_each(lambda part: fn([jobs[i] for i in part]), parts, size)
+    results = {i: result for part, out in zip(parts, done) for i, result in zip(part, out)}
     return [results[i] for i in range(len(jobs))]
+
+
+def run_jobs(fn, jobs, workers: int, costs) -> list:
+    """[fn(*job) for job in jobs], dealt to parts by run_parts: a kinetic study's CSV files."""
+    return run_parts(lambda part: [fn(*job) for job in part], jobs, workers, costs)

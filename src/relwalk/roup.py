@@ -33,20 +33,23 @@ symmetric positive-definite tridiagonal factored as L D L^T (three matrix
 products on a padded block layout, the middle one over a band of block
 carries, see kernels.BlockedLDL), over fixed chunks of modes stored
 momentum-major, each building its phase tables once, from cos and sin.
-The chunks are dealt round-robin to the march's forked children, which
-write to snapshots in shared memory; chunks never mix, so the states are
-bitwise those of a one-process march.
+The (run, chunk) units of one run or of many are dealt in one fan-out
+to forked parts (_march_units); chunks never mix, so results are bitwise
+those of a one-process march.
 
 Real, P-even initial data makes every mode obey the momentum-flip symmetry
 F(K, -P) = conj F(K, P), and both the phase and the collision step keep it,
 so the marcher keeps only the P > 0 half (see _Strang). Snapshots are
 full (n_modes, n_p) states like :class:`KineticState`, their P < 0 half
 written as the mirror image, so they are symmetric exactly. A Run holds
-every input of one march, and march(run) is the one entry to the marcher.
+every input of one march. march(run) returns its states; march_runs
+returns the density profiles of many runs, from two momentum integrals
+per mode and output time that each chunk reduces its rows to.
 
 Memory: a march holds its snapshots plus O(_CHUNK_CELLS) scratch per
-process. It builds the initial rows one chunk at a time, and its step guard
-and march work chunk by chunk, so nothing else of full grid size is
+process, and march_runs holds no snapshot, only each run's integrals. The
+initial rows are built one chunk at a time, and the step guard and the
+march work chunk by chunk, so nothing else of full grid size is
 allocated; symmetry_residual and reconstruct_density read a state in
 row blocks of _CHUNK_CELLS cells.
 
@@ -69,7 +72,7 @@ import numpy as np
 
 from . import _io, kernels
 from .errors import StepSizeError, SymmetryError, TailTruncationError
-from .kernels import _BLOCK, BlockedLDL, Grid1D, count_steps, fork_each, quad, shared_zeros
+from .kernels import _BLOCK, BlockedLDL, Grid1D, count_steps, quad, shared_zeros
 # not called here: perfbench/tracing.py swaps this binding to time the solve,
 # so it stays until the tracer counts steps inside the marcher
 from .kernels import tridiag_solve  # noqa: F401
@@ -84,7 +87,7 @@ __all__ = [
     "juttner",
     "juttner_normalization",
     "march",
-    "march_run",
+    "march_runs",
     "peak_location",
     "reconstruct_density",
     "rescaled_profile",
@@ -216,11 +219,6 @@ class Run:
     @property
     def mode_wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_modes) / self.length
-
-    @property
-    def cost(self) -> int:
-        """Steps times cells, the estimate kernels.run_jobs deals runs by."""
-        return count_steps(self.t_final, self.dt) * self.n_modes * self.n_p
 
 
 def _sinhc_inv(y: np.ndarray) -> np.ndarray:
@@ -404,63 +402,78 @@ class _Strang:
                 G *= full
 
 
-def _evolve_block(rows, Ks, strang, n_steps, snap_steps, out, processes=1):
-    """March the rows at wavenumbers Ks n_steps with strang, snapshot i into out[i].
+def _step_error(chunk, K, strang, fine) -> float:
+    """The largest first-step doubling error of chunk's rows at wavenumbers K.
 
-    rows(block) returns the (rows in block, n_p) mode rows of a slice
-    (an array's __getitem__ will do), and is asked for one chunk at a
-    time: the fixed chunks of _row_blocks(Ks.size, n_p/2) march one after
-    another in each of ``processes`` (fork_each; out must be shared_zeros
-    arrays when there are more than one), each with its two phase tables
-    built for it alone. A chunk whose rows are all zero stays zero without
-    a march; skipping it leaves the other chunks, and so the results,
-    bitwise unchanged.
+    strang's one step against two steps of fine, which is half its size,
+    each row's error against its own norm. A march reads its rows before
+    its first step, so the two half steps overwrite chunk. It builds two
+    phase tables: the half step's full phase is strang's half phase, bit
+    for bit, and the one step needs no full phase.
     """
-    def march_chunk(block):
-        chunk = rows(block)
-        snaps = [snap[block] for snap in out]
-        if chunk.any():
-            K = Ks[block]
-            strang.march(chunk, K, n_steps, snap_steps, snaps,
-                         strang.phase(K, 0.5), strang.phase(K, 1.0))
-        else:  # a linear step keeps zero rows zero
-            for snap in snaps:
-                snap[...] = 0.0
-
-    fork_each(march_chunk, _row_blocks(Ks.size, strang.h), processes)
+    norm = np.linalg.norm(chunk, axis=1)
+    coarse = np.empty((1,) + chunk.shape, dtype=complex)
+    half = strang.phase(K, 0.5)
+    strang.march(chunk, K, 1, [1], coarse, half, None)
+    fine.march(chunk, K, 2, [2], chunk[None], fine.phase(K, 0.5), half)
+    num = np.linalg.norm(np.subtract(coarse[0], chunk, out=coarse[0]), axis=1)
+    return float(np.max(num / np.where(norm > 0.0, norm, 1.0)))
 
 
-def _check_step(rows, Ks, strang, processes=1):
-    """StepSizeError when one step's doubling error exceeds _GUARD_TOL.
-
-    Each row's error is measured against its own norm; each chunk returns
-    its rows' errors, through fork_each. One complete pass over the chunks
-    of _evolve_block, taken before any march: strang's step against two
-    steps of half its size. Each chunk builds two phase tables: the half
-    step's full phase is strang's half phase, bit for bit, and the one
-    step needs no full phase. A chunk of all-zero rows is skipped, as the
-    march skips it: its errors are zero.
-    """
-    fine = _Strang(strang.p_grid, strang.Q, 0.5 * strang.dt)
-
-    def check_chunk(block):
-        chunk = rows(block)
-        if not chunk.any():  # zero rows step to zero rows: no error
-            return np.zeros(len(chunk))
-        K = Ks[block]
-        coarse, halved = np.empty((2, 1) + chunk.shape, dtype=complex)
-        half = strang.phase(K, 0.5)
-        strang.march(chunk, K, 1, [1], coarse, half, None)
-        fine.march(chunk, K, 2, [2], halved, fine.phase(K, 0.5), half)
-        num = np.linalg.norm(coarse[0] - halved[0], axis=1)
-        norm = np.linalg.norm(chunk, axis=1)
-        return num / np.where(norm > 0.0, norm, 1.0)
-
-    err = float(np.max(np.concatenate(
-        fork_each(check_chunk, _row_blocks(Ks.size, strang.h), processes))))
-    if err > _GUARD_TOL:
+def _check_step(errors) -> None:
+    """StepSizeError when the largest of the chunks' doubling errors exceeds _GUARD_TOL."""
+    if (err := max(errors, default=0.0)) > _GUARD_TOL:
         raise StepSizeError(
             f"first-step doubling error {err:.3e} exceeds {_GUARD_TOL}; reduce dt")
+
+
+def _chunks(run: Run) -> list[slice]:
+    """The chunks of run's modes to march: _row_blocks of the P > 0 half.
+
+    A chunk of the empty Nyquist row alone (see _initial_rows) is left
+    out: a linear step keeps zero rows zero. Chunks never mix, so leaving
+    it out changes no other row.
+    """
+    return [block for block in _row_blocks(run.n_modes, run.n_p // 2)
+            if block.start < run.n_modes - 1]
+
+
+def _march_units(runs, workers: int, outs=None) -> list:
+    """((run index, chunk), result) of every chunk of every run, marched in one fan-out.
+
+    kernels.run_parts deals the (run, chunk) units, each costing its steps
+    times its cells, to min(workers, usable cores, units) parts. A part
+    sets up each run it holds (its _initial_rows and _Strang), checks the
+    step on all its units (_check_step), and only then marches them; the
+    guard and the march each build a unit's initial rows afresh, and its
+    two phase tables. With outs, one list of snapshots per run
+    (shared_zeros arrays, which forked parts write), a unit marches into
+    its rows of them and gives None; without, it marches into chunk-sized
+    scratch and gives the _integrals of its rows at each output time, a
+    (times, 2, rows) array.
+    """
+    units = [(i, block) for i, run in enumerate(runs) for block in _chunks(run)]
+    steps = [count_steps(run.t_final, run.dt) for run in runs]
+
+    def part(units):
+        held = dict.fromkeys(i for i, _ in units)
+        rows = {i: _initial_rows(runs[i]) for i in held}
+        strang = {i: _Strang(runs[i].p_grid, runs[i].Q, runs[i].dt) for i in held}
+        fine = {i: _Strang(runs[i].p_grid, runs[i].Q, 0.5 * runs[i].dt) for i in held}
+        _check_step([_step_error(rows[i](block), runs[i].mode_wavenumbers[block],
+                                 strang[i], fine[i]) for i, block in units])
+        return [march_unit(i, block, rows[i], strang[i]) for i, block in units]
+
+    def march_unit(i, block, rows, strang):
+        run, chunk, K = runs[i], rows(block), runs[i].mode_wavenumbers[block]
+        out = ([snap[block] for snap in outs[i]] if outs else
+               np.empty((len(run.times),) + chunk.shape, dtype=complex))
+        strang.march(chunk, K, steps[i], run.snap_steps, out,
+                     strang.phase(K, 0.5), strang.phase(K, 1.0))
+        return None if outs else np.array([_integrals(snap, run) for snap in out])
+
+    costs = [steps[i] * (block.stop - block.start) * runs[i].n_p for i, block in units]
+    return list(zip(units, kernels.run_parts(part, units, workers, costs)))
 
 
 @dataclass
@@ -497,30 +510,19 @@ def _initial_rows(run: Run):
 def march(run: Run) -> list[KineticState]:
     """One exactly symmetric state per output time of run, in ascending time.
 
-    The march runs on its share of processes (every usable core, or what
-    kernels.run_jobs gives it), at most one per chunk to march, each with
-    O(_CHUNK_CELLS) scratch. With one it runs here; with more, this
-    process holds only the snapshots, in shared memory, while forked
-    children march into them, and an error in one is raised here with its
-    type. The step guard passes over every chunk first, so a dt too coarse
-    raises StepSizeError before any march. A chunk of all-zero rows (the
-    empty Nyquist row alone) is neither guarded nor marched. march_run is
-    the job kernels.run_jobs deals to processes.
+    The states are shared_zeros arrays, which the march's chunks are
+    marched into by _march_units on every usable core, at most one
+    process per chunk to march, each with O(_CHUNK_CELLS) scratch. With
+    one process it runs here; with more, this process holds only the
+    snapshots, and an error in a forked part is raised here with its type.
+    Each part checks the step on all its chunks first, so a dt too coarse
+    raises StepSizeError before that part marches. The kinetic studies
+    call march_runs, which returns profiles and holds no state.
     """
-    snap_steps = run.snap_steps
-    rows = _initial_rows(run)
-    Ks = run.mode_wavenumbers
-    strang = _Strang(run.p_grid, run.Q, run.dt)
-    blocks = _row_blocks(run.n_modes, strang.h)
-    processes = min(kernels._share or kernels._cores(),
-                    len(blocks) - (blocks[-1].start == run.n_modes - 1))
-    _check_step(rows, Ks, strang, processes)
     # one array per snapshot, so a kept state does not pin the others
-    empty = np.empty if processes == 1 else shared_zeros
-    out = [empty((run.n_modes, run.n_p), dtype=complex) for _ in snap_steps]
-    _evolve_block(rows, Ks, strang, count_steps(run.t_final, run.dt), snap_steps, out,
-                  processes)
-    return [KineticState(run, s * run.dt, m) for s, m in zip(snap_steps, out)]
+    out = [shared_zeros((run.n_modes, run.n_p), dtype=complex) for _ in run.snap_steps]
+    _march_units([run], kernels._cores(), [out])
+    return [KineticState(run, s * run.dt, m) for s, m in zip(run.snap_steps, out)]
 
 
 def symmetry_residual(state: KineticState) -> float:
@@ -555,29 +557,41 @@ class DensityProfile:
 def reconstruct_density(state: KineticState, refine: int = 1) -> DensityProfile:
     """Integrate the modes over momentum and invert the spatial transform.
 
-    The K >= 0 integrals of N and J, twisted by exp(-i K X_lower), are a
-    half spectrum: one np.fft.hfft extends it Hermitian, zero-pads it onto
-    a refine-times-finer ring (trigonometric interpolation, the last bin
-    halved between its two images) and inverts it. SymmetryError flags a
-    broken momentum-flip symmetry, or an imaginary K = 0 integral (which
-    hfft drops) large enough to make N or J measurably not real.
+    The K >= 0 integrals of N and J go through _profile onto a
+    refine-times-finer ring. SymmetryError flags a broken momentum-flip
+    symmetry, or N or J measurably not real.
     """
     run = state.run
-    if refine < 1:
-        raise ValueError("refine must be a positive integer")
     res = symmetry_residual(state)
     if res > 1e-6:
         raise SymmetryError(
             f"momentum-flip symmetry violated at {res:.3e}; "
             "the evolution or the initial data is inconsistent"
         )
-    p_grid = run.p_grid
-    v = velocity(p_grid.points, run.Q)
-    x_grid = Grid1D.periodic(run.length, run.n_x * refine)
     half = np.empty((2, run.n_modes), dtype=complex)
     for block in _row_blocks(run.n_modes, run.n_p):
-        rows = state.modes[block]
-        half[:, block] = quad(rows, p_grid), quad(rows * v, p_grid)
+        half[:, block] = _integrals(state.modes[block], run)
+    return _profile(run, state.time, half, refine)
+
+
+def _integrals(rows, run: Run):
+    """quad(rows) and quad(rows v): the density and current integrals of run's mode rows."""
+    return quad(rows, run.p_grid), quad(rows * velocity(run.p_grid.points, run.Q), run.p_grid)
+
+
+def _profile(run: Run, time: float, half, refine: int) -> DensityProfile:
+    """The density and current at time from their K >= 0 momentum integrals half, (2, n_modes).
+
+    half, overwritten here, twisted by exp(-i K X_lower), is a half
+    spectrum: one np.fft.hfft extends it Hermitian, zero-pads it onto a
+    refine-times-finer ring (trigonometric interpolation, the last bin
+    halved between its two images) and inverts it. SymmetryError flags an
+    imaginary K = 0 integral (which hfft drops) large enough to make N or
+    J measurably not real.
+    """
+    if refine < 1:
+        raise ValueError("refine must be a positive integer")
+    x_grid = Grid1D.periodic(run.length, run.n_x * refine)
     half *= np.exp(-1j * run.mode_wavenumbers * x_grid.lower)
     if refine > 1:
         half[:, -1] *= 0.5
@@ -589,17 +603,25 @@ def reconstruct_density(state: KineticState, refine: int = 1) -> DensityProfile:
         raise SymmetryError("reconstructed density is not real")
     if imag_j > 1e-8 * np.max(np.abs(current)) + 1e-14 * scale_n:
         raise SymmetryError("reconstructed current is not real")
-    return DensityProfile(x_grid, state.time, run.Q, density, current)
+    return DensityProfile(x_grid, time, run.Q, density, current)
 
 
-def march_run(run: Run) -> dict:
-    """{t: DensityProfile} of a run; the kernels.run_jobs job of every kinetic study.
+def march_runs(runs, workers: int) -> list[dict]:
+    """{t: DensityProfile} of each run, at its refine; the march of every kinetic study.
 
-    A forked run returns the profiles, never the states, which are far larger.
-    The keys are run.times in ascending order, the order of the states.
+    Every chunk of every run marches in one fan-out on up to ``workers``
+    processes (_march_units). A chunk returns its two momentum integrals
+    per mode and output time, never its states; this process puts them
+    into each run's half spectrum and inverts it, bitwise as
+    reconstruct_density(state, run.refine) of march(run). The keys of each
+    dict are run.times in ascending order.
     """
-    return {t: reconstruct_density(state, refine=run.refine)
-            for t, state in zip(sorted(run.times), march(run))}
+    runs = list(runs)
+    halves = [np.zeros((len(run.times), 2, run.n_modes), dtype=complex) for run in runs]
+    for (i, block), moments in _march_units(runs, workers):
+        halves[i][:, :, block] = moments
+    return [{t: _profile(run, t, half, run.refine) for t, half in zip(sorted(run.times), spectra)}
+            for run, spectra in zip(runs, halves)]
 
 
 def rescaled_profile(profile: DensityProfile):

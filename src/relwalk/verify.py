@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dirac, fick, qwalk, roup
-from .kernels import Grid1D, quad, run_jobs
+from .kernels import Grid1D, quad
 
 
 class Check(NamedTuple):
@@ -60,9 +60,8 @@ class RunContext:
     """The kinetic runs of the given criteria, marched once when built.
 
     Every run the CRITERIA rows of ``numbers`` (default: all) list is
-    marched by kernels.run_jobs on ``threads`` processes, split between
-    runs (forked parts that return profiles) and each run's chunks;
-    plan_s is the wall time of that march.
+    marched by roup.march_runs, whose (run, chunk) units are dealt to
+    ``threads`` processes at most; plan_s is the wall time of that march.
     """
 
     def __init__(self, threads: int = 4, numbers=None):
@@ -70,9 +69,7 @@ class RunContext:
             run for number, _, _, _, runs in CRITERIA
             if numbers is None or number in numbers for run in runs))
         started = time.perf_counter()
-        self._profiles = dict(zip(self.plan, run_jobs(
-            roup.march_run, [(run,) for run in self.plan], threads,
-            [run.cost for run in self.plan])))
+        self._profiles = dict(zip(self.plan, roup.march_runs(self.plan, threads)))
         self.plan_s = time.perf_counter() - started
 
     def profile(self, run, t=None):

@@ -21,8 +21,8 @@ def no_child_left():
 def fan_outs(monkeypatch):
     """The (processes, parts) of each kernels.fork_each call, with 4 usable cores.
 
-    kernels.run_jobs hands fork_each its parts, each a list of job
-    indices; a march calls roup's own binding, which this leaves alone.
+    kernels.run_parts hands fork_each its parts, each a list of job
+    indices: of runs' (run, chunk) units, or of a study's CSV files.
     """
     calls = []
     fork_each = kernels.fork_each
@@ -51,8 +51,3 @@ def forks(monkeypatch):
     monkeypatch.setattr(os, "fork", recording)
     return pids
 
-
-@pytest.fixture
-def one_core(monkeypatch):
-    """Every march here runs in this process, on a share of one core."""
-    monkeypatch.setattr(kernels, "_share", 1)

@@ -506,6 +506,26 @@ def test_a_forked_csv_writers_error_is_raised_here_with_its_type(tmp_path, fan_o
     assert len(forks) == (0 if threads == 1 else 4)
 
 
+def test_no_forked_march_part_forks_again(tmp_path, monkeypatch, fan_outs):
+    # two runs of two chunks each at 4 threads on 4 cores: one fan-out of 4
+    # march parts, then 2 CSV writers; each march records in shared memory
+    # whether its process is a child of this one (slot 0) or not (slot 1)
+    caller, parents = os.getpid(), kernels.shared_zeros(2)
+    march = roup._Strang.march
+
+    def recording(self, *args):
+        parents[int(os.getppid() != caller)] = 1.0
+        march(self, *args)
+
+    monkeypatch.setattr(roup._Strang, "march", recording)
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text("[metric]\nn_x = 64\nn_p = 2048\nrefine = 2\ndt = 0.01\n")
+    assert cli.main(["metric", "--config", str(cfg), "--times", "0.5,1", "--threads", "4",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert [processes for processes, _ in fan_outs] == [4, 2]
+    assert parents.tolist() == [1.0, 0.0]
+
+
 def test_one_run_or_one_thread_starts_no_pool(tmp_path, fan_outs):
     cfg = tmp_path / "pool.ini"
     cfg.write_text(f"[roup]\n{_POOL_GRID}")
@@ -527,15 +547,15 @@ def test_step_size_error_in_a_pooled_worker_exits_3(tmp_path, capsys, fan_outs):
 
 
 def test_step_size_error_in_a_forked_march_part_exits_3(tmp_path, capsys, fan_outs):
-    # one run of two chunks to march, split over two processes; only the
-    # forked child's chunk is too coarse at dt = 0.5
+    # one run of two chunks to march, split over two processes; only part
+    # 1's chunk is too coarse at dt = 0.5
     cfg = tmp_path / "coarse.ini"
     cfg.write_text("[roup]\nn_x = 64\nn_p = 2048\nrefine = 1\ndt = 0.5\n")
     code = cli.main(["roup", "--config", str(cfg), "--times", "10", "--threads", "2",
                      "--out", str(tmp_path / "o")])
     assert code == 3
     assert _error_name(capsys) == "StepSizeError"
-    assert fan_outs == []
+    assert fan_outs == [(2, [[0], [1]])]
     assert not (tmp_path / "o").exists()
 
 
@@ -624,14 +644,16 @@ def test_nonpositive_threads_exit_2(tmp_path, capsys, command):
 
 def test_degenerate_metric_exits_3(tmp_path, monkeypatch, capsys):
     # a profile without current leaves no point where h = I/N^2 is defined
-    reconstruct = roup.reconstruct_density
+    march_runs = roup.march_runs
 
-    def without_current(state, **kwargs):
-        profile = reconstruct(state, **kwargs)
-        profile.current[:] = 0.0
-        return profile
+    def without_current(runs, workers):
+        found = march_runs(runs, workers)
+        for profiles in found:
+            for profile in profiles.values():
+                profile.current[:] = 0.0
+        return found
 
-    monkeypatch.setattr(roup, "reconstruct_density", without_current)
+    monkeypatch.setattr(roup, "march_runs", without_current)
     cfg = _small_cfg(tmp_path, "metric")
     code = cli.main(["metric", "--config", str(cfg), "--times", "1",
                      "--out", str(tmp_path / "o")])
@@ -659,20 +681,22 @@ def test_failed_criterion_exits_4(tmp_path, monkeypatch):
     assert code == 4
 
 
+def _march_runs_stub(profiles):
+    """A stand-in for roup.march_runs that gives profiles(run) for each run."""
+    return lambda runs, workers: [profiles(run) for run in runs]
+
+
 def test_run_context_marches_its_plan_when_built(monkeypatch):
     calls = []
 
-    def jobs(fn, runs, workers, costs):
-        calls.append((runs, workers, costs))
-        return [fn(*run) for run in runs]
+    def march_runs(runs, workers):
+        calls.append((list(runs), workers))
+        return [{t: run for t in run.times} for run in runs]
 
-    monkeypatch.setattr(verify, "run_jobs", jobs)
-    monkeypatch.setattr(roup, "march_run", lambda run: {t: run for t in run.times})
+    monkeypatch.setattr(roup, "march_runs", march_runs)
     ctx = verify.RunContext(threads=3, numbers=[7, 11])
     assert ctx.plan == [verify._PEAK_RUN, *verify._VALLEY_RUNS]
-    # steps times cells: 3000, 2000 and 2000 steps of 257 x 2048 cells
-    assert calls == [([(run,) for run in ctx.plan], 3,
-                      [n * 257 * 2048 for n in (3000, 2000, 2000)])]
+    assert calls == [(ctx.plan, 3)]
     assert ctx.plan_s >= 0.0
     assert ctx.profile(verify._VALLEY_RUNS[1]) == verify._VALLEY_RUNS[1]
     assert ctx.profile(verify._PEAK_RUN, 0.5) == verify._PEAK_RUN
@@ -680,7 +704,7 @@ def test_run_context_marches_its_plan_when_built(monkeypatch):
 
 
 def test_full_gate_plan_marches_each_run_once(monkeypatch):
-    monkeypatch.setattr(verify, "run_jobs", lambda fn, jobs, workers, costs: [{}] * len(jobs))
+    monkeypatch.setattr(roup, "march_runs", _march_runs_stub(lambda run: {}))
     plan = verify.RunContext(threads=1).plan
     assert len(plan) == 9
     # refine and output times only change what is read from a march
@@ -694,7 +718,7 @@ def test_run_context_workers_return_profiles(monkeypatch, fan_outs):
     ctx = verify.RunContext(threads=2)
     assert fan_outs == [(2, [[1], [0]])]
     for run in small:
-        for t, expected in roup.march_run(run).items():
+        for t, expected in roup.march_runs([run], 1)[0].items():
             profile = ctx.profile(run, t)
             # a profile, not a KineticState, came back from the forked part
             assert isinstance(profile, roup.DensityProfile)
@@ -714,8 +738,8 @@ def _front_profile(t, signs=(-1.0, 1.0), current=0.0):
 
 @pytest.mark.parametrize("plan_s, passed", [(1.0, True), (400.0, False)])
 def test_propagation_peak_budget_counts_the_plan(monkeypatch, plan_s, passed):
-    monkeypatch.setattr(roup, "march_run",
-                        lambda run: {t: _front_profile(t) for t in run.times})
+    monkeypatch.setattr(roup, "march_runs",
+                        _march_runs_stub(lambda run: {t: _front_profile(t) for t in run.times}))
     ctx = verify.RunContext(threads=1, numbers=[5])
     ctx.plan_s = plan_s  # as if marching the plan had taken that long
     result = verify.run_criterion(5, ctx)
@@ -730,8 +754,8 @@ def test_propagation_peak_budget_counts_the_plan(monkeypatch, plan_s, passed):
     ((-1.0, 1.0), 0.0, False),  # two maxima with zero current
 ])
 def test_simple_fick_rejection_verdict(monkeypatch, signs, current, passed):
-    monkeypatch.setattr(roup, "march_run",
-                        lambda run: {t: _front_profile(t, signs, current) for t in run.times})
+    monkeypatch.setattr(roup, "march_runs", _march_runs_stub(
+        lambda run: {t: _front_profile(t, signs, current) for t in run.times}))
     result = verify.run_criterion(11, verify.RunContext(threads=1, numbers=[11]))
     assert "error" not in result.details
     assert result.passed is passed
@@ -750,7 +774,7 @@ def _ring_profiles(run):
 @pytest.mark.parametrize("number", [n for n, _, _, _, runs in verify.CRITERIA if runs])
 def test_criterion_reads_only_the_runs_its_row_lists(monkeypatch, number):
     # a profile outside the plan would be a KeyError; each check runs to its end
-    monkeypatch.setattr(roup, "march_run", _ring_profiles)
+    monkeypatch.setattr(roup, "march_runs", _march_runs_stub(_ring_profiles))
     result = verify.run_criterion(number, verify.RunContext(threads=1, numbers=[number]))
     assert "error" not in result.details, result.details["error"]
 

@@ -202,7 +202,7 @@ def test_fick_residual_validation():
 
 
 def _roup_profile(t, n_x=128, n_p=1024, refine=4, dt=2e-3):
-    return roup.march_run(roup.Run(1.0, t, dt, (t,), n_x, n_p, refine))[t]
+    return roup.march_runs([roup.Run(1.0, t, dt, (t,), n_x, n_p, refine)], 2)[0][t]
 
 
 def test_metric_on_transport_profile():

@@ -1,7 +1,8 @@
 """The package and its kinetic, walk and Dirac runs load no scipy module.
 
 Nor does the package, importing or running, load a process-pool module:
-kernels.run_jobs fans its runs out through kernels.fork_each, on os.fork.
+roup.march_runs fans its runs' chunks out through kernels.fork_each, on
+os.fork.
 """
 
 import json
@@ -22,8 +23,7 @@ from relwalk import dirac, fick, kernels, qwalk, roup
 
 kernels._cores = lambda: 2
 runs = [roup.Run(1.0, t, 0.01, (t,), 32, 64) for t in (0.1, 0.2)]
-profiles = kernels.run_jobs(roup.march_run, [(run,) for run in runs], 2,
-                            [run.cost for run in runs])
+profiles = roup.march_runs(runs, 2)
 assert [sorted(found) for found in profiles] == [[0.1], [0.2]]
 pool = sorted(name for name in sys.modules
               if name.split(".")[0] in ("concurrent", "multiprocessing"))

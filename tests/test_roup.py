@@ -2,6 +2,7 @@ import ctypes
 import dataclasses
 import mmap
 import os
+import time
 import tracemalloc
 import weakref
 
@@ -37,12 +38,12 @@ def _initial_modes(run):
 
 def _march_row(run, f0, K, t, dt):
     """A P-even row f0 marched alone at wavenumber K to time t, guarded as march is."""
-    rows = np.asarray(f0, dtype=complex)[None, :].__getitem__
-    Ks = np.array([K])
+    row, Ks, n_steps = np.asarray(f0, dtype=complex)[None, :], np.array([K]), count_steps(t, dt)
     strang = roup._Strang(run.p_grid, run.Q, dt)
-    roup._check_step(rows, Ks, strang)
+    fine = roup._Strang(run.p_grid, run.Q, 0.5 * dt)
+    roup._check_step([roup._step_error(row.copy(), Ks, strang, fine)])
     out = np.empty((1, 1, run.n_p), dtype=complex)
-    roup._evolve_block(rows, Ks, strang, count_steps(t, dt), [count_steps(t, dt)], out)
+    strang.march(row, Ks, n_steps, [n_steps], out, strang.phase(Ks, 0.5), strang.phase(Ks, 1.0))
     return out[0, 0]
 
 
@@ -222,6 +223,39 @@ def test_mode_short_time_error_is_second_order():
     assert 3.0 < ratio < 5.0
 
 
+def _exact_modes(run, t):
+    """The initial modes of run carried to time t by exp(t (L + iKv)), one eig per mode.
+
+    L is the full-grid collision matrix; iKv streams with the marcher's sign
+    (see _Strang.v). The eigenbasis is not orthogonal, so the reference is
+    trusted only once a dt-halving march converges to it at order 2.
+    """
+    L = apply_collision(np.eye(run.n_p), run.p_grid, run.Q).T
+    v = roup.velocity(run.p_grid.points, run.Q)
+    initial = _initial_modes(run)
+    exact = np.empty_like(initial)
+    for row, K in enumerate(run.mode_wavenumbers):
+        lam, vectors = np.linalg.eig(L + 1j * K * np.diag(v))
+        exact[row] = vectors @ (np.exp(lam * t) * np.linalg.solve(vectors, initial[row]))
+    return exact
+
+
+@pytest.mark.parametrize("Q, C", [(1.0, 0.34), (8.0, 0.062)])
+def test_march_time_error_is_c_dt_squared_against_the_exact_propagator(Q, C):
+    # 5 modes (the Nyquist row empty) on 64 momenta to T = 0.5; the largest
+    # state error relative to the largest exact mode value, divided by dt^2,
+    # measured 0.3333 at Q = 1 and 0.0606 at Q = 8 for dt from 0.02 to
+    # 0.0025, with error ratios 4.000 to 4.004 at every halving
+    errors = []
+    for dt in (0.01, 0.005):
+        run = roup.Run(Q, 0.5, dt, (0.5,), n_x=8, n_p=64)
+        exact = _exact_modes(run, 0.5)
+        marched = roup.march(run)[0].modes
+        errors.append(np.max(np.abs(marched - exact)) / np.max(np.abs(exact)))
+    assert 3.9 < errors[0] / errors[1] < 4.1
+    assert errors[1] <= C * 0.005 ** 2
+
+
 def test_mode_guard_rejects_coarse_dt():
     run = _small_run()
     f0 = roup.juttner(run.p_grid.points, run.Q)
@@ -251,11 +285,12 @@ def test_evolve_all_skips_the_empty_nyquist_chunk_bitwise(monkeypatch):
     # Nyquist row alone, which is not marched and stays zero
     assert run.n_modes == 2 * (roup._CHUNK_CELLS // (run.n_p // 2)) + 1
     skipped = roup.march(run)
-    # a nonzero last row marches every chunk; rows never mix across
+    # a nonzero last row, with every chunk marched; rows never mix across
     # chunks, so the other rows come out bitwise the same
     initial = _initial_modes(run)
     initial[-1] = initial[0]
-    monkeypatch.setattr(roup, "_initial_rows", lambda _: initial.__getitem__)
+    monkeypatch.setattr(roup, "_initial_rows", lambda _: lambda block: initial[block].copy())
+    monkeypatch.setattr(roup, "_chunks", lambda run: roup._row_blocks(run.n_modes, run.n_p // 2))
     marched = roup.march(run)
     for a, b in zip(skipped, marched, strict=True):
         assert a.modes[:-1].tobytes() == b.modes[:-1].tobytes()
@@ -291,16 +326,20 @@ def test_streamed_march_matches_the_materialized_initial_state_bitwise(n_x, n_p)
     streamed = roup.march(run)
     F = _initial_modes(run)
     out = np.empty((3,) + F.shape, dtype=complex)
-    roup._evolve_block(F.__getitem__, run.mode_wavenumbers,
-                       roup._Strang(run.p_grid, run.Q, run.dt), 50, [0, 20, 50], out)
+    strang = roup._Strang(run.p_grid, run.Q, run.dt)
+    for block in roup._row_blocks(run.n_modes, run.n_p // 2):
+        K = run.mode_wavenumbers[block]
+        strang.march(F[block], K, 50, [0, 20, 50], out[:, block],
+                     strang.phase(K, 0.5), strang.phase(K, 1.0))
     for state, expected in zip(streamed, out, strict=True):
         assert np.array_equal(state.modes, expected)
         assert state.modes.tobytes() == expected.tobytes()
 
 
-def test_evolve_all_guard_checks_every_chunk_before_any_march(monkeypatch, one_core):
+def test_evolve_all_guard_checks_every_chunk_before_any_march(monkeypatch):
     # 33 modes on 1024 momenta are chunks of 16, 16 and the empty Nyquist
     # row; dt = 0.5 is far too coarse for the fastest modes
+    monkeypatch.setattr(kernels, "_cores", lambda: 1)
     run = _small_run(n_x=64, n_p=2048, t_final=10.0, dt=0.5)
     steps = []
     march = roup._Strang.march
@@ -317,9 +356,10 @@ def test_evolve_all_guard_checks_every_chunk_before_any_march(monkeypatch, one_c
     assert steps == [1, 2] * 2
 
 
-def test_evolve_all_builds_two_phase_tables_per_chunk_in_guard_and_march(monkeypatch, one_core):
+def test_evolve_all_builds_two_phase_tables_per_chunk_in_guard_and_march(monkeypatch):
     # 32 modes on 1024 momenta are two chunks of 16, the Nyquist row in the
     # second; the guard shares one table between its two marches
+    monkeypatch.setattr(kernels, "_cores", lambda: 1)
     run = _small_run(n_x=62, n_p=2048, t_final=0.05, dt=1e-3)
     built = []
     phase = roup._Strang.phase
@@ -333,10 +373,10 @@ def test_evolve_all_builds_two_phase_tables_per_chunk_in_guard_and_march(monkeyp
     assert len(built) == (2 + 2) * 2
 
 
-def test_guard_and_march_build_no_phase_table_for_the_empty_nyquist_chunk(
-        monkeypatch, one_core):
+def test_guard_and_march_build_no_phase_table_for_the_empty_nyquist_chunk(monkeypatch):
     # 33 modes on 1024 momenta are chunks of 16, 16 and the empty Nyquist
     # row, which neither the guard nor the march steps
+    monkeypatch.setattr(kernels, "_cores", lambda: 1)
     run = _small_run(n_x=64, n_p=2048, t_final=0.05, dt=1e-3)
     built = []
     phase = roup._Strang.phase
@@ -393,15 +433,20 @@ def _traced_peak(fn):
 _CHUNK_BYTES = 16 * roup._CHUNK_CELLS
 
 
-def test_evolve_all_holds_its_snapshots_plus_chunk_scratch(one_core):
-    # the initial rows, the guard's two results and the march's work arrays
-    # are each at most two chunks (about 9.3 chunks at the peak); one state
-    # here is 8 chunks, and a full-size initial state with full-size guard
-    # results peaked 24 chunks above the snapshots
+def test_evolve_all_holds_its_snapshots_plus_chunk_scratch(monkeypatch):
+    # the initial rows, the guard's one-step result (its half steps are
+    # written over the rows) and the march's work arrays are each at most
+    # two chunks (about 10.7 chunks above the snapshots at the peak, in the
+    # guard); one state here is 8 chunks, and a full-size initial state
+    # with full-size guard results peaked 24 chunks above the snapshots.
+    # tracemalloc does not see the shared memory the snapshots are in, so
+    # each shared array is traced by hand
+    monkeypatch.setattr(kernels, "_cores", lambda: 1)
+    monkeypatch.setattr(roup, "shared_zeros", _tracked_shared_zeros)
     run = _small_run(n_x=256, n_p=1024, t_final=0.02, dt=2e-3, times=[0.01, 0.02])
     states, peak = _traced_peak(lambda: roup.march(run))
     snapshots = sum(state.modes.nbytes for state in states)
-    assert peak <= snapshots + 12 * _CHUNK_BYTES
+    assert snapshots <= peak <= snapshots + 12 * _CHUNK_BYTES
 
 
 def _in_shared_memory(state):
@@ -428,9 +473,8 @@ def _tracked_shared_zeros(shape, dtype=float):
 
 def test_fanned_out_march_holds_its_snapshots_plus_chunk_scratch(monkeypatch):
     # two forked children march the 4 chunks of 32 rows, and this process
-    # holds the one-core bound above: tracemalloc does not see the shared
-    # memory the snapshots are in, so each shared array is traced by hand
-    monkeypatch.setattr(kernels, "_share", 2)
+    # holds the one-core bound above
+    monkeypatch.setattr(kernels, "_cores", lambda: 2)
     monkeypatch.setattr(roup, "shared_zeros", _tracked_shared_zeros)
     run = _small_run(n_x=256, n_p=1024, t_final=0.02, dt=2e-3, times=[0.01, 0.02])
     states, peak = _traced_peak(lambda: roup.march(run))
@@ -447,24 +491,24 @@ def _reaped(pid):
     return False
 
 
-@pytest.mark.parametrize("run, share, forked", [
+@pytest.mark.parametrize("run, cores, forked", [
     # 17 chunks (the empty Nyquist row alone last) in 3 processes
-    (roup.Run(1.0, 0.01, 1e-3, (0.005, 0.01)), 3, 3 + 3),
+    (roup.Run(1.0, 0.01, 1e-3, (0.005, 0.01)), 3, 3),
     # chunks of 16, 16 and 4 rows, the last one mixed, in 2 processes
-    (_small_run(n_x=70, n_p=2048, t_final=0.05, dt=1e-3, times=[0.0, 0.02, 0.05]), 2, 2 + 2),
+    (_small_run(n_x=70, n_p=2048, t_final=0.05, dt=1e-3, times=[0.0, 0.02, 0.05]), 2, 2),
     # a chunk of 16 rows and the empty Nyquist row alone, which takes no process
     (_small_run(n_x=32, n_p=2048, t_final=0.05, dt=1e-3, times=[0.02, 0.05]), 2, 0),
 ], ids=["standard", "70x2048", "one-chunk"])
-def test_fanned_out_march_is_the_one_core_march_bitwise(monkeypatch, forks, run, share, forked):
-    monkeypatch.setattr(kernels, "_share", 1)
+def test_fanned_out_march_is_the_one_core_march_bitwise(monkeypatch, forks, run, cores, forked):
+    monkeypatch.setattr(kernels, "_cores", lambda: 1)
     reference = roup.march(run)
     assert forks == []
-    monkeypatch.setattr(kernels, "_share", share)
+    monkeypatch.setattr(kernels, "_cores", lambda: cores)
     fanned = roup.march(run)
-    # the guard's pass and the march each fork a child per process
+    # one fan-out, a child per process, guards and marches the chunks
     assert len(forks) == forked
     for state, expected in zip(fanned, reference, strict=True):
-        assert _in_shared_memory(state) == (forked > 0) and not _in_shared_memory(expected)
+        assert _in_shared_memory(state) and _in_shared_memory(expected)
         assert state.modes.tobytes() == expected.modes.tobytes()
     assert all(_reaped(pid) for pid in forks)
 
@@ -490,42 +534,52 @@ def _logging_strang_march(monkeypatch, log, run):
     return steps
 
 
-def test_fanned_out_guard_raises_before_any_march(monkeypatch, forks, one_core, tmp_path):
+def test_fanned_out_guard_raises_before_any_march(monkeypatch, forks, tmp_path):
     # chunks of 16, 16 and the empty Nyquist row; only the second, which
-    # the second child checks, is too coarse at dt = 0.5 (the first's error
-    # is about 0.03), so this process raises on the error that child returns
-    # as soon as it comes, killing the first child if it is still checking
+    # part 1 holds, is too coarse at dt = 0.5 (the first's error is about
+    # 0.03), so part 1 raises on its guard and marches nothing, while part
+    # 0 passes its guard into a march that would take a minute; this
+    # process raises part 1's error as it comes and kills part 0
     run = _small_run(n_x=64, n_p=2048, t_final=10.0, dt=0.5)
+    monkeypatch.setattr(kernels, "_cores", lambda: 1)
     with pytest.raises(StepSizeError) as one:
         roup.march(run)
     steps = _logging_strang_march(monkeypatch, tmp_path / "steps", run)
-    monkeypatch.setattr(kernels, "_share", 2)
+    march = roup._Strang.march
+
+    def long(self, rows, Ks, n_steps, *args):
+        march(self, rows, Ks, n_steps, *args)
+        if n_steps > 2:
+            time.sleep(60)
+
+    monkeypatch.setattr(roup._Strang, "march", long)
+    monkeypatch.setattr(kernels, "_cores", lambda: 2)
+    started = time.perf_counter()
     with pytest.raises(StepSizeError) as fanned:
         roup.march(run)
+    assert time.perf_counter() - started < 5
     assert str(fanned.value) == str(one.value)
-    # one step and two half steps per chunk but the empty Nyquist row, and
-    # no 20-step march
+    # the guard's one step and two half steps on each chunk; part 0 may
+    # have begun its 20-step march before it was killed
     logged = steps()
-    first = logged.pop(forks[0], [])
-    assert first == [(1, 0), (2, 0)][:len(first)]
-    assert logged == {forks[1]: [(1, 16), (2, 16)]}
+    assert logged[forks[1]] == [(1, 16), (2, 16)]
+    assert logged[forks[0]] in ([(1, 0), (2, 0)], [(1, 0), (2, 0), (20, 0)])
     assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
 
 
 def test_a_fanned_out_march_steps_only_in_its_children(monkeypatch, forks, tmp_path):
-    # chunks of 16, 16 and 4 rows in 2 processes: this one marches nothing
+    # chunks of 16, 16 and 4 rows, dealt costliest first to 2 processes:
+    # each guards all its chunks, then marches them; this one marches nothing
     run = _small_run(n_x=70, n_p=2048, t_final=0.05, dt=1e-3, times=[0.02, 0.05])
     steps = _logging_strang_march(monkeypatch, tmp_path / "steps", run)
-    monkeypatch.setattr(kernels, "_share", 2)
+    monkeypatch.setattr(kernels, "_cores", lambda: 2)
     roup.march(run)
-    assert steps() == {forks[0]: [(1, 0), (2, 0), (1, 32), (2, 32)],
-                       forks[1]: [(1, 16), (2, 16)],
-                       forks[2]: [(50, 0), (50, 32)],
-                       forks[3]: [(50, 16)]}
+    assert steps() == {forks[0]: [(1, 0), (2, 0), (1, 32), (2, 32), (50, 0), (50, 32)],
+                       forks[1]: [(1, 16), (2, 16), (50, 16)]}
 
 
 def test_no_child_is_left_when_the_parent_part_fails(monkeypatch, forks):
-    # part 0's child fails in its march while the other parts still march;
+    # part 0 fails in its march while the other parts still march;
     # they are killed, and every child is reaped, before the error leaves march
     run = roup.Run(1.0, 0.05, 1e-3, (0.05,))
     march = roup._Strang.march
@@ -536,10 +590,10 @@ def test_no_child_is_left_when_the_parent_part_fails(monkeypatch, forks):
         march(self, rows, Ks, n_steps, *args)
 
     monkeypatch.setattr(roup._Strang, "march", failing)
-    monkeypatch.setattr(kernels, "_share", 3)
+    monkeypatch.setattr(kernels, "_cores", lambda: 3)
     with pytest.raises(MemoryError, match="no room"):
         roup.march(run)
-    assert len(forks) == 3 + 3
+    assert len(forks) == 3
     assert all(_reaped(pid) for pid in forks)
 
 
@@ -736,22 +790,49 @@ def test_profile_csv_roundtrip(tmp_path):
     assert np.allclose(data["xi"], profile.x_grid.points / (run.Q * 0.2))
 
 
-def test_march_run_is_evolve_all_then_reconstruct_bitwise():
-    run = roup.Run(2.0, 0.3, 1e-2, (0.1, 0.2, 0.3), n_x=32, n_p=128, refine=4)
-    profiles = roup.march_run(run)
-    assert list(profiles) == [0.1, 0.2, 0.3]
-    for state, (t, profile) in zip(roup.march(run), profiles.items(), strict=True):
-        expected = roup.reconstruct_density(state, refine=4)
-        assert profile.time == expected.time and profile.x_grid == expected.x_grid
-        assert profile.density.tobytes() == expected.density.tobytes()
-        assert profile.current.tobytes() == expected.current.tobytes()
-    assert run.cost == 30 * 17 * 128  # steps times cells
+@pytest.mark.parametrize("workers", [1, 3])
+def test_march_runs_is_march_then_reconstruct_bitwise(fan_outs, workers):
+    # three runs, four times and refines, one of them chunks of 16, 16
+    # and a mixed 4; at 3 workers their units are dealt to 3 parts
+    runs = [roup.Run(2.0, 0.3, 1e-2, (0.1, 0.2, 0.3), n_x=32, n_p=128, refine=4),
+            roup.Run(1.0, 0.05, 1e-3, (0.05, 0.02), n_x=70, n_p=2048, refine=2),
+            roup.Run(0.5, 0.2, 1e-2, (0.2,), n_x=64, n_p=256, refine=16)]
+    found = roup.march_runs(runs, workers)
+    assert [processes for processes, _ in fan_outs] == ([] if workers == 1 else [3])
+    for run, profiles in zip(runs, found, strict=True):
+        assert list(profiles) == sorted(run.times)
+        for state, (t, profile) in zip(roup.march(run), profiles.items(), strict=True):
+            expected = roup.reconstruct_density(state, refine=run.refine)
+            assert profile.time == expected.time and profile.x_grid == expected.x_grid
+            assert profile.density.tobytes() == expected.density.tobytes()
+            assert profile.current.tobytes() == expected.current.tobytes()
+
+
+def test_march_runs_deals_units_by_steps_times_cells(fan_outs):
+    # a 50-step run of chunks of 16, 16 and 4 rows, and a 100-step run of
+    # one chunk of 16 (and the empty Nyquist row alone, which is no unit),
+    # on one momentum grid: the 100-step chunk goes first, then the 50-step
+    # chunks to the least-loaded part, the 4-row chunk last
+    runs = [_small_run(n_x=70, n_p=2048, t_final=0.05, dt=1e-3),
+            _small_run(n_x=32, n_p=2048, t_final=0.1, dt=1e-3)]
+    roup.march_runs(runs, 2)
+    assert fan_outs == [(2, [[3, 2], [0, 1]])]
+
+
+def test_march_runs_holds_chunks_and_moments_not_states(monkeypatch):
+    # 257 modes on 1024 momenta are 16 chunks of 32 rows and the empty
+    # Nyquist row, marched here one after another; one full state would be
+    # 16 chunks, where a chunk's scratch and its moments are a few
+    monkeypatch.setattr(kernels, "_cores", lambda: 1)
+    run = _small_run(n_x=512, n_p=1024, t_final=0.02, dt=2e-3, times=[0.02])
+    _, peak = _traced_peak(lambda: roup.march_runs([run], 1))
+    assert peak <= 12 * _CHUNK_BYTES < run.n_modes * run.n_p * 16
 
 
 def test_march_run_keys_each_profile_by_its_own_time():
     # march returns its states in ascending time, whatever order the run lists
-    shuffled = roup.march_run(roup.Run(1.0, 0.2, 0.01, (0.2, 0.1), 64, 128, 2))
-    ascending = roup.march_run(roup.Run(1.0, 0.2, 0.01, (0.1, 0.2), 64, 128, 2))
+    shuffled, ascending = roup.march_runs([roup.Run(1.0, 0.2, 0.01, (0.2, 0.1), 64, 128, 2),
+                                           roup.Run(1.0, 0.2, 0.01, (0.1, 0.2), 64, 128, 2)], 1)
     assert list(shuffled) == [0.1, 0.2]
     for t, profile in shuffled.items():
         assert profile.time == pytest.approx(t)
