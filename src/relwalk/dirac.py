@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _io, qwalk
+from . import _io, kernels, qwalk
 from .kernels import Grid1D, count_steps
 
 __all__ = [
@@ -109,7 +109,17 @@ class DiracCoefficients:
         )
 
 
-def _coupling_matrix(coeffs, t_mid, x, s):
+def _coupling_factors(xi, theta, zeta0, s):
+    """The parts of exp(s*C) free of the potential a, which multiplies each entry by exp(i*a*s)."""
+    b = theta * np.exp(1j * zeta0)
+    omega = np.hypot(xi, theta)
+    cos = np.cos(omega * s)
+    # sin(omega*s)/omega with the omega -> 0 limit handled exactly
+    sinc = s * np.sinc(omega * s / np.pi)
+    return cos + 1j * xi * sinc, b, np.conj(b), sinc, cos - 1j * xi * sinc
+
+
+def _coupling_matrix(coeffs, t_mid, x, s, cache=None):
     """Entries (e11, e12, e21, e22) of exp(s*C(t_mid, x)) at every point.
 
     C is i*a*I plus an anti-Hermitian part, so the exponential is unitary.
@@ -117,22 +127,19 @@ def _coupling_matrix(coeffs, t_mid, x, s):
     then filled out to x.shape, so every complex product runs over whole
     arrays: numpy's vector loops fuse multiply-adds that its scalar
     products do not, and the entries must not depend on whether a
-    coefficient came as a scalar or as samples of a constant.
+    coefficient came as a scalar or as samples of a constant. ``cache``
+    keeps the factors free of a from call to call (see qwalk._reuse).
     """
     alpha = np.asarray(coeffs.a0(t_mid, x), dtype=float)
     xi = -np.asarray(coeffs.a1(t_mid, x), dtype=float)
     theta = np.asarray(coeffs.theta_bar(t_mid, x), dtype=float)
     zeta0 = coeffs.mu - np.pi / 2.0
-    b = theta * np.exp(1j * zeta0)
-    omega = np.hypot(xi, theta)
-    cos = np.cos(omega * s)
-    # sin(omega*s)/omega with the omega -> 0 limit handled exactly
-    sinc = s * np.sinc(omega * s / np.pi)
+    plus, b, b_conj, sinc, minus = qwalk._reuse(cache, _coupling_factors, xi, theta, zeta0, s)
     phase = np.full(x.shape, qwalk._cis(alpha * s))
-    e11 = phase * (cos + 1j * xi * sinc)
+    e11 = phase * plus
     e12 = phase * b * sinc
-    e21 = -phase * np.conj(b) * sinc
-    e22 = phase * (cos - 1j * xi * sinc)
+    e21 = -phase * b_conj * sinc
+    e22 = phase * minus
     return e11, e12, e21, e22
 
 
@@ -143,6 +150,10 @@ def solve_dirac(coeffs: DiracCoefficients, initial: SpinorField, t_final: float,
     Requires grid.spacing == dt (unit light-cone speed keeps the transport
     shifts exact) and t_final an integer number of steps. The result
     carries its time, so chained calls continue one march step by step.
+    The coupling's b, omega = hypot(xi, theta), cos(omega*s) and s*sinc
+    are rebuilt only when a step samples xi or theta with other bits than
+    the step before; the phase of a is made every step. The state is
+    bitwise that of one-step calls chained.
     """
     grid = initial.grid
     if abs(grid.spacing - dt) > 1e-9 * dt:
@@ -155,9 +166,10 @@ def solve_dirac(coeffs: DiracCoefficients, initial: SpinorField, t_final: float,
     psi_plus = np.array(initial.psi_plus, dtype=complex)
     t = initial.time
     half = 0.5 * dt
+    cache = {}
     for _ in range(n_steps):
         # both half couplings freeze the coefficients at the midpoint
-        coupling = _coupling_matrix(coeffs, t + half, x, half)
+        coupling = _coupling_matrix(coeffs, t + half, x, half, cache)
         psi_minus, psi_plus = qwalk._mix(coupling, psi_minus, psi_plus)
         # the left mover gathers from X + dt, the right mover from X - dt
         psi_minus, psi_plus = qwalk._mix(
@@ -207,6 +219,15 @@ class ConvergenceRow:
     order: float | None
 
 
+def _rails(solve, *args):
+    """(psi_minus, psi_plus) of solve(*args), or the exception it raised."""
+    try:
+        field = solve(*args)
+    except Exception as exc:
+        return exc
+    return field.psi_minus, field.psi_plus
+
+
 def convergence_study(jet: qwalk.JetSpec, packet: Callable, t_final: float,
                       eps_list: Sequence[float], length: float,
                       center: float = 0.0) -> list[ConvergenceRow]:
@@ -216,14 +237,37 @@ def convergence_study(jet: qwalk.JetSpec, packet: Callable, t_final: float,
     samples the same physical data. The reference is integrated on the
     walk's own lattice (dt = dx = epsilon), which makes the comparison a
     plain pointwise distance.
+
+    Every epsilon must be positive and distinct, length a whole number of
+    its steps and t_final a whole number of its time steps; this process
+    checks them and samples the packets. Then the walk and the Dirac
+    solve of every scale run as one job each, sites times steps its
+    cost, dealt by kernels.run_jobs to every usable core. Each job
+    returns its rails, and this process computes the errors and orders.
+    A job's error is raised here, the first in (epsilon, walk, Dirac)
+    order, so it does not depend on the number of cores.
     """
+    coeffs = DiracCoefficients.from_jet(jet)
+    initials, jobs, costs = [], [], []
+    for i, eps in enumerate(eps_list):
+        if not eps > 0.0:
+            raise ValueError(f"epsilon must be positive, got {eps}")
+        if eps in eps_list[:i]:
+            raise ValueError(f"epsilon {eps} is repeated")
+        initial = packet(lattice(length, eps, center))
+        initials.append(initial)
+        jobs += [(qwalk.run_walk, jet, eps, t_final, initial),
+                 (solve_dirac, coeffs, initial, t_final, eps)]
+        costs += [initial.grid.count * count_steps(t_final, eps)] * 2
+    rails = kernels.run_jobs(_rails, jobs, kernels._cores(), costs)
+    for result in rails:
+        if isinstance(result, Exception):
+            raise result
     rows = []
     prev = None
-    for eps in eps_list:
-        initial = packet(lattice(length, eps, center))
-        walked = qwalk.run_walk(jet, eps, t_final, initial)
-        reference = solve_dirac(DiracCoefficients.from_jet(jet), initial, t_final, eps)
-        err = l2_distance(walked, reference)
+    for eps, initial, walked, reference in zip(eps_list, initials, rails[::2], rails[1::2]):
+        err = l2_distance(SpinorField(*walked, initial.grid),
+                          SpinorField(*reference, initial.grid))
         order = None
         if prev is not None:
             e_prev, err_prev = prev

@@ -13,7 +13,8 @@ L D L^T recurrence; only the general tridiag_solve calls LAPACK, and it
 imports scipy on its first call, so importing the package loads no scipy.
 fork_each is the package's one process fan-out. run_parts deals it the
 (run, chunk) units of kinetic marches and, through run_jobs, a kinetic
-study's CSV files; no forked part forks again.
+study's CSV files and a convergence study's walk and Dirac solves; no
+forked part forks again.
 """
 
 from __future__ import annotations
@@ -477,5 +478,5 @@ def run_parts(fn, jobs, workers: int, costs) -> list:
 
 
 def run_jobs(fn, jobs, workers: int, costs) -> list:
-    """[fn(*job) for job in jobs], dealt to parts by run_parts: a kinetic study's CSV files."""
+    """[fn(*job) for job in jobs], dealt to parts by run_parts: CSV files, or a study's solves."""
     return run_parts(lambda part: [fn(*job) for job in part], jobs, workers, costs)

@@ -54,18 +54,40 @@ def _cis(angle):
     return out
 
 
-def _coin_entries(angles: CoinAngles):
-    # single source of truth for the coin parametrisation
-    theta = np.asarray(angles.theta, dtype=float)
+def _reuse(cache, build, *args):
+    """build(*args), or the value ``cache`` keeps from a call whose args had the same bits.
+
+    cache is a dict kept across calls (None builds every time). Keys are
+    the bits, not the values, of the args as float arrays: 0.0 and -0.0
+    are different keys, since their sines differ.
+    """
+    if cache is None:
+        return build(*args)
+    key = [(a.shape, a.tobytes()) for a in (np.asarray(a, dtype=float) for a in args)]
+    if cache.get("key") != key:
+        cache["key"], cache["value"] = key, build(*args)
+    return cache["value"]
+
+
+def _angle_factors(theta, xi, zeta):
+    """cos theta, sin theta and exp(+-i xi), exp(+-i zeta): the coin without its alpha phase."""
+    theta = np.asarray(theta, dtype=float)
+    e_xi = _cis(xi)
+    e_zeta = _cis(zeta)
+    return np.cos(theta), np.sin(theta), e_xi, e_xi.conj(), e_zeta, e_zeta.conj()
+
+
+def _coin_entries(angles: CoinAngles, cache=None):
+    # single source of truth for the coin parametrisation; cache as in _reuse
+    cos, sin, e_xi, e_xi_conj, e_zeta, e_zeta_conj = _reuse(
+        cache, _angle_factors, angles.theta, angles.xi, angles.zeta)
     phase = _cis(angles.alpha)
-    pc = phase * np.cos(theta)
-    ps = phase * np.sin(theta)
-    e_xi = _cis(angles.xi)
-    e_zeta = _cis(angles.zeta)
+    pc = phase * cos
+    ps = phase * sin
     a = pc * e_xi
     b = ps * e_zeta
-    c = -ps * e_zeta.conj()
-    d = pc * e_xi.conj()
+    c = -ps * e_zeta_conj
+    d = pc * e_xi_conj
     return a, b, c, d
 
 
@@ -160,11 +182,16 @@ def _mix(u, psi_minus, psi_plus):
     return a * psi_minus + b * psi_plus, c * psi_minus + d * psi_plus
 
 
-def step_walk(state: WalkState, angle_field: Callable) -> WalkState:
-    """Advance one step: gather from neighbours, then apply the local coin."""
-    coin = _coin_entries(angle_field(state.step_index, state.site_indices()))
+def _step(state: WalkState, angle_field: Callable, cache=None) -> WalkState:
+    """step_walk, with the coin's factors kept in ``cache`` from step to step (see _reuse)."""
+    coin = _coin_entries(angle_field(state.step_index, state.site_indices()), cache)
     psi_minus, psi_plus = _mix(coin, _next_site(state.psi_minus), _prev_site(state.psi_plus))
     return WalkState(psi_minus, psi_plus, state.step_index + 1, state.dt, state.dx, state.grid)
+
+
+def step_walk(state: WalkState, angle_field: Callable) -> WalkState:
+    """Advance one step: gather from neighbours, then apply the local coin."""
+    return _step(state, angle_field)
 
 
 def run_walk(jet: JetSpec, epsilon: float, t_final: float, initial) -> WalkState:
@@ -172,7 +199,10 @@ def run_walk(jet: JetSpec, epsilon: float, t_final: float, initial) -> WalkState
 
     ``initial`` is any object with psi_minus, psi_plus and grid attributes
     (a SpinorField fits); its grid spacing must equal epsilon and its lower
-    edge must sit on the lattice.
+    edge must sit on the lattice. The coin's cos theta, sin theta,
+    exp(i xi) and exp(i zeta) are rebuilt only when a step samples theta,
+    xi or zeta with other bits than the step before; the alpha phase is
+    made every step. The state is bitwise that of step_walk step by step.
     """
     if epsilon <= 0.0:
         raise ValueError("stepping requires epsilon > 0")
@@ -194,8 +224,9 @@ def run_walk(jet: JetSpec, epsilon: float, t_final: float, initial) -> WalkState
         dx=epsilon,
         grid=grid,
     )
+    cache = {}
     for _ in range(n_steps):
-        state = step_walk(state, field)
+        state = _step(state, field, cache)
     return state
 
 

@@ -182,6 +182,8 @@ class Run:
             raise ValueError("n_x must be even and at least 8")
         if self.t_final <= 0.0:
             raise ValueError("t_final must be positive")
+        if self.refine < 1:
+            raise ValueError("refine must be a positive integer")
         n_steps, steps = count_steps(self.t_final, self.dt), self.snap_steps
         if steps and steps[-1] > n_steps:
             raise ValueError(f"output time {max(self.times)} lies beyond t_final = {self.t_final}")

@@ -304,6 +304,27 @@ def test_walk_and_converge_report_one_lattice_error(tmp_path, capsys):
         "error": "ConfigError", "message": "length 16.0 is not a multiple of epsilon 0.3"}
 
 
+def test_converge_error_in_a_forked_job_is_the_one_core_error(tmp_path, capsys, monkeypatch,
+                                                             forks):
+    # the product overflows from T = 4.14: every walk and Dirac job fails,
+    # each at its own T (the finest walk, dealt first, at T = 4.15), and the
+    # first job's error is raised whatever the core count
+    (tmp_path / "jet.ini").write_text("[converge]\ntheta_bar = T**250 * T**250\n")
+    errors = []
+    for cores in (1, 2):
+        monkeypatch.setattr(kernels, "_cores", lambda: cores)
+        code = cli.main(["converge", "--config", str(tmp_path / "jet.ini"), "--T", "5",
+                         "--out", str(tmp_path / "o")])
+        errors.append((code, capsys.readouterr().err))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 2
+    assert json.loads(errors[0][1]) == {
+        "error": "ConfigError",
+        "message": "expression 'T**250 * T**250' is not finite at T=4.2"}
+    assert len(forks) == 2  # and no_child_left checks that both were reaped
+    assert not (tmp_path / "o").exists()
+
+
 def test_converge_mismatched_step_is_config_error(tmp_path):
     code = cli.main(["walk", "--eps", "0.1", "--T", "0.25",
                      "--out", str(tmp_path / "o")])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relwalk import dirac, qwalk
+from relwalk import dirac, kernels, qwalk
 from relwalk.kernels import Grid1D
 
 
@@ -199,6 +199,30 @@ def test_scalar_coefficients_match_sampled_constants_bitwise(scalar):
     assert all(e.shape == grid.points.shape for e in entries)
 
 
+def _switching_coeffs():
+    # theta_bar and xi_bar take other values from T = 0.6 on, a0 changes every step
+    return dirac.DiracCoefficients(
+        a0=lambda T, X: 0.1 * np.sin(T) + 0.05 * X,
+        a1=lambda T, X: -0.2 if T < 0.6 else -0.35,
+        theta_bar=lambda T, X: 0.3 * np.cos(X) if T < 0.6 else 0.5 * np.sin(X),
+        mu=0.4,
+    )
+
+
+def test_one_solve_is_chained_one_step_solves_bitwise():
+    # one solve rebuilds its cached coupling factors where theta_bar and
+    # xi_bar change; each one-step solve builds them afresh
+    grid = Grid1D.periodic(8.0, 80)
+    field = dirac.gaussian_packet(grid, momentum=1.5)
+    coeffs = _switching_coeffs()
+    out = dirac.solve_dirac(coeffs, field, 1.2, grid.spacing)
+    for _ in range(12):
+        field = dirac.solve_dirac(coeffs, field, grid.spacing, grid.spacing)
+    assert field.time == out.time
+    assert np.array_equal(out.psi_minus, field.psi_minus)
+    assert np.array_equal(out.psi_plus, field.psi_plus)
+
+
 def test_step_matches_rolled_matrix_exponential():
     # reference: per-site expm of the half-step coupling, np.roll transport
     from scipy.linalg import expm
@@ -259,6 +283,36 @@ def test_convergence_study_rejects_bad_length():
         dirac.convergence_study(
             qwalk.JetSpec(), dirac.gaussian_packet, 1.0, [0.3], 16.0
         )
+
+
+@pytest.mark.parametrize("eps_list, length, t_final, match", [
+    ([0.1, -0.1], 16.0, 1.0, "epsilon must be positive, got -0.1"),
+    ([0.1, 0.0], 16.0, 1.0, "epsilon must be positive, got 0.0"),
+    ([0.1, float("nan")], 16.0, 1.0, "epsilon must be positive, got nan"),
+    ([0.1, 0.05, 0.1], 16.0, 1.0, "epsilon 0.1 is repeated"),
+    ([0.1, 0.3], 16.0, 1.0, "length 16.0 is not a multiple of epsilon 0.3"),
+    ([0.1, 0.05], 16.0, 0.125, "not an integer number of steps"),
+])
+def test_convergence_study_checks_every_epsilon_before_any_fork(
+        monkeypatch, forks, eps_list, length, t_final, match):
+    monkeypatch.setattr(kernels, "_cores", lambda: 4)
+    with pytest.raises(ValueError, match=match):
+        dirac.convergence_study(_benchmark_jet(), dirac.gaussian_packet, t_final,
+                                eps_list, length)
+    assert forks == []
+
+
+def test_convergence_rows_bitwise_equal_on_1_2_4_cores(monkeypatch, fan_outs):
+    # one walk and one Dirac solve per epsilon, each costing sites x steps
+    # (80, 320, 1280), dealt costliest first in one fan-out
+    rows = []
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(kernels, "_cores", lambda: cores)
+        rows.append(dirac.convergence_study(_benchmark_jet(), dirac.gaussian_packet, 0.4,
+                                            [0.2, 0.1, 0.05], 8.0))
+    assert rows[0] == rows[1] == rows[2]
+    assert [row.epsilon for row in rows[0]] == [0.2, 0.1, 0.05]
+    assert fan_outs == [(2, [[4, 2, 0], [5, 3, 1]]), (4, [[4], [5], [2, 0], [3, 1]])]
 
 
 def test_density_csv_roundtrip(tmp_path):

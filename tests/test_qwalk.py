@@ -273,6 +273,29 @@ def test_long_run_probability_drift_small():
     assert abs(total_probability(out) - p0) < 1e-10
 
 
+def test_run_walk_is_step_walk_in_a_loop_bitwise():
+    # theta_bar, xi_bar and zeta_bar switch at T = 0.6, so run_walk rebuilds
+    # its cached coin factors there; step_walk builds them every step
+    jet = JetSpec(
+        p=1,
+        zeta0=0.3,
+        theta_bar=lambda T, X: 0.3 * np.cos(X) if T < 0.6 else 0.5 * np.sin(X),
+        xi_bar=lambda T, X: 0.2 if T < 0.6 else -0.1 * X,
+        alpha_bar=lambda T, X: 0.1 * np.sin(T) + 0.05 * X,
+        zeta_bar=lambda T, X: 0.0 if T < 0.6 else 0.4,
+    )
+    eps = 0.1
+    initial = _gaussian_packet(Grid1D.periodic(8.0, 80), k0=1.5)
+    out = run_walk(jet, eps, 1.2, initial)
+    state = WalkState(initial.psi_minus, initial.psi_plus, 0, eps, eps, initial.grid)
+    field = realize_jet(jet, eps)
+    for _ in range(12):
+        state = step_walk(state, field)
+    assert out.step_index == state.step_index == 12
+    assert np.array_equal(out.psi_minus, state.psi_minus)
+    assert np.array_equal(out.psi_plus, state.psi_plus)
+
+
 def test_run_walk_validates_grid_and_steps():
     grid = Grid1D.periodic(16.0, 160)
     packet = _gaussian_packet(grid)

@@ -113,6 +113,15 @@ def test_run_rejects_invalid_inputs(Q, t_final, dt, times, match):
         roup.Run(Q, t_final, dt, times, 16, 64)
 
 
+@pytest.mark.parametrize("refine", [0, -2])
+def test_run_rejects_a_refine_below_one_before_any_fork(monkeypatch, forks, refine):
+    # march_runs would otherwise march every chunk before reading refine
+    monkeypatch.setattr(kernels, "_cores", lambda: 4)
+    with pytest.raises(ValueError, match="refine must be a positive integer"):
+        roup.march_runs([roup.Run(1.0, 0.1, 0.01, (0.1,), 16, 64, refine=refine)], 4)
+    assert forks == []
+
+
 def test_run_is_a_frozen_hashable_key():
     run = roup.Run(1.0, 0.5, 0.01, (0.25, 0.5), 16, 64, 2)
     assert {run: 1}[roup.Run(1.0, 0.5, 0.01, (0.25, 0.5), 16, 64, 2)] == 1
