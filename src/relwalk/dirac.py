@@ -238,10 +238,10 @@ def convergence_study(jet: qwalk.JetSpec, packet: Callable, t_final: float,
     walk's own lattice (dt = dx = epsilon), which makes the comparison a
     plain pointwise distance.
 
-    Every epsilon must be positive and distinct, length a whole number of
-    its steps and t_final a whole number of its time steps; this process
-    checks them and samples the packets. Then the walk and the Dirac
-    solve of every scale run as one job each, sites times steps its
+    Every epsilon must be positive and distinct, and length, the lower
+    edge center - length/2 and t_final whole numbers of its steps; this
+    process checks them and samples the packets. Then the walk and the
+    Dirac solve of every scale run as one job each, sites times steps its
     cost, dealt by kernels.run_jobs to every usable core. Each job
     returns its rails, and this process computes the errors and orders.
     A job's error is raised here, the first in (epsilon, walk, Dirac)
@@ -254,7 +254,9 @@ def convergence_study(jet: qwalk.JetSpec, packet: Callable, t_final: float,
             raise ValueError(f"epsilon must be positive, got {eps}")
         if eps in eps_list[:i]:
             raise ValueError(f"epsilon {eps} is repeated")
-        initial = packet(lattice(length, eps, center))
+        grid = lattice(length, eps, center)
+        qwalk._check_lower_edge(grid, eps)
+        initial = packet(grid)
         initials.append(initial)
         jobs += [(qwalk.run_walk, jet, eps, t_final, initial),
                  (solve_dirac, coeffs, initial, t_final, eps)]

@@ -11,19 +11,21 @@ Conventions used throughout the package:
 Everything here needs numpy alone. BlockedLDL factors with an in-package
 L D L^T recurrence; only the general tridiag_solve calls LAPACK, and it
 imports scipy on its first call, so importing the package loads no scipy.
-fork_each is the package's one process fan-out. run_parts deals it the
-(run, chunk) units of kinetic marches and, through run_jobs, a kinetic
-study's CSV files and a convergence study's walk and Dirac solves; no
-forked part forks again.
+run_parts is the package's one process fan-out, one forked child per
+dealt part: it runs the (run, chunk) units of kinetic marches and,
+through run_jobs, a kinetic study's CSV files and a convergence study's
+walk and Dirac solves; no forked part forks again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 import pickle
 import select
 import signal
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -366,117 +368,91 @@ def shared_zeros(shape, dtype=float) -> np.ndarray:
                          dtype).reshape(shape)
 
 
-# seconds fork_each still waits, after a part's error, for lower-numbered parts
-_GRACE = 0.1
-
-# bytes fork_each asks of a pipe at a time, a Linux pipe's default capacity
-_PIPE_READ = 65536
-
-
-def _whole(reply):
-    """The unpickled (ok, results or exception) of a reply's pieces, or None if it is cut short."""
-    try:
-        return pickle.loads(b"".join(reply))
-    except (EOFError, pickle.UnpicklingError):
-        return None
+def _deal(costs, size: int) -> list[list[int]]:
+    """Job indices of size parts: costliest first, each to the least-loaded part."""
+    parts, loads = [[] for _ in range(size)], [0] * size
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        least = loads.index(min(loads))
+        parts[least].append(i)
+        loads[least] += costs[i]
+    return parts
 
 
-def fork_each(fn, items, processes: int) -> list:
-    """[fn(item) for item in items], dealt round-robin to ``processes`` forked children.
+def _reply(file):
+    """The (ok, results or exception) a part pickled to file, or None if it is cut short."""
+    with file, contextlib.suppress(EOFError, pickle.UnpicklingError):
+        file.seek(0)
+        return pickle.load(file)
 
-    With more than one process, min(processes, len(items)) children each
-    pipe back the pickled results of their share, or its exception, and
-    this process only waits, on every pipe at once, reading each reply as
-    it comes until its pipe ends. After the first error it waits at most
-    _GRACE seconds for the parts numbered below it, then SIGKILLs and
-    reaps the children whose pipes have not ended, reads what they wrote,
-    takes any whole reply, and raises the error of the lowest-numbered
-    failed part with its type. Every child is reaped. Children may also
-    write to shared_zeros arrays; they fork nothing, so a killed child's
-    pipe ends with it. Here, in order, with one process or without os.fork.
+
+def run_parts(fn, jobs: list, workers: int, costs) -> list:
+    """The results of jobs, in job order, where fn(part) gives those of one part's jobs.
+
+    The jobs are dealt costliest first by costs, each to the least-loaded
+    of min(workers, len(jobs), usable cores) parts; fn gets a part's jobs
+    in dealing order. With one part, or without os.fork, fn(jobs) runs
+    here. Otherwise each part is a forked child that pickles its results,
+    or its exception, to its own unlinked temporary file: a reply is one
+    whole pickle or none. A child forks nothing, so its pipe ends when it
+    does. After the first error this process waits at most 0.1 s for the
+    parts numbered below it, SIGKILLs and reaps the rest, takes any whole
+    reply they wrote, and raises the lowest-numbered failed part's error
+    with its type. Children may also write to shared_zeros arrays.
     """
-    processes = min(processes, len(items)) if hasattr(os, "fork") else 1
-    if processes <= 1:
-        return [fn(item) for item in items]
-    pids, replies, parts, done, failed = {}, {}, {}, {}, {}
+    size = min(workers, _cores(), len(jobs)) if hasattr(os, "fork") else 1
+    if size <= 1:
+        return fn(jobs)
+    parts = _deal(costs, size)
+    ends, done, failed = {}, {}, {}
     poller = select.poll()
     try:
-        for part in range(processes):
+        for part, indices in enumerate(parts):
+            file = tempfile.TemporaryFile()
             read, write = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
                     try:
-                        reply = pickle.dumps((True, [fn(item) for item in items[part::processes]]))
+                        reply = pickle.dumps((True, fn([jobs[i] for i in indices])))
                     except BaseException as exc:
                         reply = pickle.dumps((False, exc))
-                    with os.fdopen(write, "wb") as pipe:
-                        pipe.write(reply)
+                    file.write(reply)
+                    file.flush()
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(write)
-            pids[part], replies[part], parts[read] = pid, [], part
+            ends[read] = part, pid, file
             poller.register(read, select.POLLIN)
         # after the first error, parts below the lowest failed one get
-        # _GRACE seconds to end, so parts that fail together raise in order
+        # 0.1 s to end, so parts that fail together raise in order
         deadline = wait = None
-        while any(part < min(failed, default=processes) for part in pids):
+        while any(part < min(failed, default=size) for part, _, _ in ends.values()):
             if failed:
-                deadline = deadline or time.monotonic() + _GRACE
+                deadline = deadline or time.monotonic() + 0.1
                 if (wait := deadline - time.monotonic()) <= 0.0:
                     break
             for fd, _ in poller.poll(None if wait is None else 1000.0 * wait):
-                part = parts[fd]
-                if piece := os.read(fd, _PIPE_READ):
-                    replies[part].append(piece)
-                    continue
                 poller.unregister(fd)
                 os.close(fd)
-                del parts[fd]
-                status = os.waitpid(pids.pop(part), 0)[1]
-                ok, value = _whole(replies.pop(part)) or (False, ChildProcessError(
+                part, pid, file = ends.pop(fd)
+                status = os.waitpid(pid, 0)[1]
+                ok, value = _reply(file) or (False, ChildProcessError(
                     f"a forked part ended with wait status {status}"))
                 (done if ok else failed)[part] = value
     finally:
         # a part killed after its whole reply was written may have failed first
-        for fd, part in parts.items():
-            os.kill(pids[part], signal.SIGKILL)
-            os.waitpid(pids[part], 0)
-            while piece := os.read(fd, _PIPE_READ):
-                replies[part].append(piece)
+        for fd, (part, pid, file) in ends.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
             os.close(fd)
-            if (whole := _whole(replies[part])) and not whole[0]:
+            if (whole := _reply(file)) and not whole[0]:
                 failed[part] = whole[1]
     if failed:
         raise failed[min(failed)]
-    return [done[i % processes][i // processes] for i in range(len(items))]
-
-
-def run_parts(fn, jobs, workers: int, costs) -> list:
-    """The results of jobs, in job order, where fn(part) gives those of one part's jobs.
-
-    The jobs are dealt costliest first (costs[i] estimates job i, say
-    steps times cells, or a file's rows), each to the least-loaded of
-    min(workers, len(jobs), usable cores) parts, and fork_each runs the
-    parts at once: fn gets a part's jobs in dealing order and returns
-    their results in that order. Results are the same however the jobs are
-    dealt. With one part, fn(jobs) runs here. An exception in a part is
-    raised here.
-    """
-    jobs = list(jobs)
-    size = min(workers, _cores(), len(jobs))
-    if size <= 1:
-        return fn(jobs)
-    parts, loads = [[] for _ in range(size)], [0] * size
-    for i in sorted(range(len(jobs)), key=lambda i: -costs[i]):
-        least = loads.index(min(loads))
-        parts[least].append(i)
-        loads[least] += costs[i]
-    done = fork_each(lambda part: fn([jobs[i] for i in part]), parts, size)
-    results = {i: result for part, out in zip(parts, done) for i, result in zip(part, out)}
+    results = {i: result for part, out in done.items() for i, result in zip(parts[part], out)}
     return [results[i] for i in range(len(jobs))]
 
 
-def run_jobs(fn, jobs, workers: int, costs) -> list:
+def run_jobs(fn, jobs: list, workers: int, costs) -> list:
     """[fn(*job) for job in jobs], dealt to parts by run_parts: CSV files, or a study's solves."""
     return run_parts(lambda part: [fn(*job) for job in part], jobs, workers, costs)

@@ -194,6 +194,13 @@ def step_walk(state: WalkState, angle_field: Callable) -> WalkState:
     return _step(state, angle_field)
 
 
+def _check_lower_edge(grid: Grid1D, epsilon: float) -> None:
+    """ValueError unless grid's lower edge is a whole number of epsilon steps."""
+    m0 = grid.lower / epsilon
+    if abs(m0 - round(m0)) > 1e-6:
+        raise ValueError(f"grid lower edge must be an integer multiple of epsilon {epsilon}")
+
+
 def run_walk(jet: JetSpec, epsilon: float, t_final: float, initial) -> WalkState:
     """Walk the sampled initial spinor to t_final with dt = dx = epsilon.
 
@@ -211,9 +218,7 @@ def run_walk(jet: JetSpec, epsilon: float, t_final: float, initial) -> WalkState
         raise ValueError(
             f"grid spacing {grid.spacing} does not match epsilon {epsilon}"
         )
-    m0 = grid.lower / epsilon
-    if abs(m0 - round(m0)) > 1e-6:
-        raise ValueError("grid lower edge must be an integer multiple of epsilon")
+    _check_lower_edge(grid, epsilon)
     n_steps = count_steps(t_final, epsilon)
     field = realize_jet(jet, epsilon)
     state = WalkState(

@@ -19,19 +19,21 @@ def no_child_left():
 
 @pytest.fixture
 def fan_outs(monkeypatch):
-    """The (processes, parts) of each kernels.fork_each call, with 4 usable cores.
+    """The (parts, dealt job indices) of each fan-out that forks, with 4 usable cores.
 
-    kernels.run_parts hands fork_each its parts, each a list of job
-    indices: of runs' (run, chunk) units, or of a study's CSV files.
+    kernels.run_parts deals its jobs to parts through kernels._deal, each
+    part a list of job indices: of runs' (run, chunk) units, or of a
+    study's CSV files or solves.
     """
     calls = []
-    fork_each = kernels.fork_each
+    deal = kernels._deal
 
-    def recording(fn, items, processes):
-        calls.append((processes, list(items)))
-        return fork_each(fn, items, processes)
+    def recording(costs, size):
+        parts = deal(costs, size)
+        calls.append((size, parts))
+        return parts
 
-    monkeypatch.setattr(kernels, "fork_each", recording)
+    monkeypatch.setattr(kernels, "_deal", recording)
     monkeypatch.setattr(kernels, "_cores", lambda: 4)
     return calls
 

@@ -285,20 +285,23 @@ def test_convergence_study_rejects_bad_length():
         )
 
 
-@pytest.mark.parametrize("eps_list, length, t_final, match", [
-    ([0.1, -0.1], 16.0, 1.0, "epsilon must be positive, got -0.1"),
-    ([0.1, 0.0], 16.0, 1.0, "epsilon must be positive, got 0.0"),
-    ([0.1, float("nan")], 16.0, 1.0, "epsilon must be positive, got nan"),
-    ([0.1, 0.05, 0.1], 16.0, 1.0, "epsilon 0.1 is repeated"),
-    ([0.1, 0.3], 16.0, 1.0, "length 16.0 is not a multiple of epsilon 0.3"),
-    ([0.1, 0.05], 16.0, 0.125, "not an integer number of steps"),
+@pytest.mark.parametrize("eps_list, length, t_final, match, center", [
+    ([0.1, -0.1], 16.0, 1.0, "epsilon must be positive, got -0.1", 0.0),
+    ([0.1, 0.0], 16.0, 1.0, "epsilon must be positive, got 0.0", 0.0),
+    ([0.1, float("nan")], 16.0, 1.0, "epsilon must be positive, got nan", 0.0),
+    ([0.1, 0.05, 0.1], 16.0, 1.0, "epsilon 0.1 is repeated", 0.0),
+    ([0.1, 0.3], 16.0, 1.0, "length 16.0 is not a multiple of epsilon 0.3", 0.0),
+    ([0.1, 0.05], 16.0, 0.125, "not an integer number of steps", 0.0),
+    # the walk's lower edge center - length/2 must sit on every lattice
+    ([0.1, 0.05, 0.025, 0.0125, 0.00625], 16.0, 2.0,
+     "lower edge must be an integer multiple of epsilon 0.1", 0.01),
 ])
 def test_convergence_study_checks_every_epsilon_before_any_fork(
-        monkeypatch, forks, eps_list, length, t_final, match):
+        monkeypatch, forks, eps_list, length, t_final, match, center):
     monkeypatch.setattr(kernels, "_cores", lambda: 4)
     with pytest.raises(ValueError, match=match):
         dirac.convergence_study(_benchmark_jet(), dirac.gaussian_packet, t_final,
-                                eps_list, length)
+                                eps_list, length, center)
     assert forks == []
 
 

@@ -1,7 +1,7 @@
 """The package and its kinetic, walk and Dirac runs load no scipy module.
 
 Nor does the package, importing or running, load a process-pool module:
-roup.march_runs fans its runs' chunks out through kernels.fork_each, on
+roup.march_runs fans its runs' chunks out through kernels.run_parts, on
 os.fork.
 """
 

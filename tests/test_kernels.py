@@ -16,7 +16,6 @@ from relwalk.kernels import (
     _ldl_factor,
     count_steps,
     cumquad,
-    fork_each,
     quad,
     run_jobs,
     shared_zeros,
@@ -472,48 +471,62 @@ def test_run_jobs_raises_a_job_error_here(fan_outs):
     assert len(fan_outs) == 1
 
 
-def test_fork_each_deals_the_items_round_robin_into_shared_memory():
+def test_run_jobs_parts_write_into_shared_memory(fan_outs):
     out = shared_zeros((7, 2))
 
-    def fn(item):
-        out[item] = item, os.getpid()
-        return -item
+    def fn(job):
+        out[job] = job, os.getpid()
+        return -job
 
-    assert fork_each(fn, range(7), 3) == [-item for item in range(7)]
+    assert run_jobs(fn, [(job,) for job in range(7)], 3, [1] * 7) == [-job for job in range(7)]
     assert out[:, 0].tolist() == list(range(7))
-    # a child each takes items 0, 3 and 6, 1 and 4, and 2 and 5; this process none
+    # each part's jobs run in one child of its own; this process runs none
+    assert fan_outs == [(3, [[0, 3, 6], [1, 4], [2, 5]])]
     pids = out[:, 1].astype(int).tolist()
-    assert all(len({*pids[part::3]}) == 1 for part in range(3))
+    assert all(len({pids[job] for job in part}) == 1 for part in fan_outs[0][1])
     assert len(set(pids)) == 3 and os.getpid() not in pids
 
 
-def test_fork_each_forks_no_more_children_than_items(forks):
-    assert fork_each(lambda item: item * item, [3, 4], 8) == [9, 16]
+def test_run_jobs_forks_one_child_per_part(fan_outs, forks):
+    assert run_jobs(lambda job: job * job, [(3,), (4,)], 8, [1, 1]) == [9, 16]
     assert len(forks) == 2
-    # one process, or one item, runs here
-    assert fork_each(lambda item: os.getpid(), range(3), 1) == [os.getpid()] * 3
-    assert fork_each(lambda item: os.getpid(), [0], 4) == [os.getpid()]
+    # one worker, or one job, runs here
+    assert run_jobs(os.getpid, [()] * 3, 1, [1] * 3) == [os.getpid()] * 3
+    assert run_jobs(os.getpid, [()], 4, [1]) == [os.getpid()]
     assert len(forks) == 2
 
 
 def _raising(errors):
-    def fn(item):
-        if item in errors:
-            raise errors[item]
+    def fn(job):
+        if job in errors:
+            raise errors[job]
     return fn
 
 
-def test_fork_each_raises_a_child_error_here_with_its_type():
+def test_run_jobs_raises_a_parts_error_here_with_its_type(fan_outs):
+    jobs, costs = [(job,) for job in range(3)], [1] * 3
     with pytest.raises(StepSizeError, match="too coarse"):
-        fork_each(_raising({2: StepSizeError("too coarse")}), range(3), 3)
-    # the error of the first failed part read, in part order
+        run_jobs(_raising({2: StepSizeError("too coarse")}), jobs, 3, costs)
+    # the error of the lowest-numbered failed part
     with pytest.raises(KeyError, match="first"):
-        fork_each(_raising({1: KeyError("first"), 2: ValueError("second")}), range(3), 3)
+        run_jobs(_raising({1: KeyError("first"), 2: ValueError("second")}), jobs, 3, costs)
     with pytest.raises(ChildProcessError, match="wait status"):
-        fork_each(lambda item: item and os.kill(os.getpid(), signal.SIGKILL), range(2), 2)
-    # a result that cannot be pickled is its part's error
+        run_jobs(lambda job: job and os.kill(os.getpid(), signal.SIGKILL), jobs, 3, costs)
+    # a result that cannot be pickled is its part's error, also when its
+    # pickle fails after a megabyte of it
     with pytest.raises((AttributeError, pickle.PicklingError), match="(?i)pickle"):
-        fork_each(lambda item: lambda: item, range(2), 2)
+        run_jobs(lambda job: lambda: job, jobs, 3, costs)
+    with pytest.raises((AttributeError, pickle.PicklingError), match="(?i)pickle"):
+        run_jobs(lambda job: (np.zeros(1 << 17), lambda: job), jobs, 3, costs)
+
+
+def test_run_jobs_takes_replies_many_times_a_pipes_size_bitwise(fan_outs):
+    # each part sends back 1 MiB, 16 times a Linux pipe's 64 KiB
+    def draw(seed):
+        return np.random.default_rng(seed).standard_normal(1 << 16)
+
+    done = run_jobs(draw, [(seed,) for seed in range(4)], 2, [1] * 4)
+    assert [array.tobytes() for array in done] == [draw(seed).tobytes() for seed in range(4)]
 
 
 def _reaped(pid):
@@ -524,7 +537,7 @@ def _reaped(pid):
     return False
 
 
-def test_fork_each_kills_and_reaps_its_children_when_this_part_fails(forks):
+def test_run_jobs_kills_and_reaps_its_children_when_this_process_fails(fan_outs, forks):
     # this process fails while it waits, as on an interrupt: every child,
     # each sleeping 60 s, is killed and reaped before the error leaves
     def interrupt(signum, frame):
@@ -535,7 +548,7 @@ def test_fork_each_kills_and_reaps_its_children_when_this_part_fails(forks):
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.5)
         with pytest.raises(OSError, match="this process failed"):
-            fork_each(lambda item: time.sleep(60), range(3), 3)
+            run_jobs(lambda job: time.sleep(60), [(job,) for job in range(3)], 3, [1] * 3)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, kept)
@@ -543,51 +556,65 @@ def test_fork_each_kills_and_reaps_its_children_when_this_part_fails(forks):
     assert len(forks) == 3 and all(_reaped(pid) for pid in forks)
 
 
-def test_fork_each_raises_part_0s_error_while_the_other_parts_sleep(forks):
+def test_run_jobs_raises_part_0s_error_while_the_other_parts_sleep(fan_outs, forks):
     caller = os.getpid()
 
-    def fn(item):
+    def fn(job):
         if os.getpid() == caller:
             raise AssertionError("a part ran in the caller")
-        if item:
+        if job:
             time.sleep(60)
         raise OSError("part 0 failed")
 
     started = time.perf_counter()
     with pytest.raises(OSError, match="part 0 failed"):
-        fork_each(fn, range(3), 3)
+        run_jobs(fn, [(job,) for job in range(3)], 3, [1] * 3)
     assert time.perf_counter() - started < 30
     assert len(forks) == 3 and all(_reaped(pid) for pid in forks)
 
 
-def test_fork_each_raises_a_later_parts_error_while_part_0_sleeps(forks):
+def test_run_jobs_raises_a_later_parts_error_while_part_0_sleeps(fan_outs, forks):
     # part 0 would run 60 s, but part 1's error is raised as it arrives
-    def fn(item):
-        if item == 0:
+    def fn(job):
+        if job == 0:
             time.sleep(60)
         raise StepSizeError("part 1 failed")
 
     started = time.perf_counter()
     with pytest.raises(StepSizeError, match="part 1 failed"):
-        fork_each(fn, range(2), 2)
+        run_jobs(fn, [(0,), (1,)], 2, [1, 1])
     assert time.perf_counter() - started < 5
     assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
 
 
-def test_fork_each_takes_a_killed_parts_whole_reply():
+def test_run_jobs_waits_briefly_for_a_lower_parts_error(fan_outs):
+    # part 1 fails at once and part 0 10 ms later, inside the 0.1 s that
+    # this process still waits for lower-numbered parts: errors that come
+    # together raise in part order
+    def fn(job):
+        if job == 0:
+            time.sleep(0.01)
+            raise KeyError("part 0 failed")
+        raise ValueError("part 1 failed")
+
+    with pytest.raises(KeyError, match="part 0 failed"):
+        run_jobs(fn, [(0,), (1,)], 2, [1, 1])
+
+
+def test_run_jobs_takes_a_killed_parts_whole_reply(fan_outs):
     # part 1 fails first, but a child it forked holds its pipe open for a
     # second, so its pipe ends only once part 2's error has made this
     # process kill it, and its whole reply is read after the kill
     holder = shared_zeros(1)
 
-    def fn(item):
-        if item == 1:
+    def fn(job):
+        if job == 1:
             if (pid := os.fork()) == 0:
                 time.sleep(1.0)
                 os._exit(0)
             holder[0] = pid
             raise KeyError("first")
-        if item == 2:
+        if job == 2:
             while not holder[0]:
                 time.sleep(0.01)
             raise ValueError("second")
@@ -595,7 +622,7 @@ def test_fork_each_takes_a_killed_parts_whole_reply():
     started = time.perf_counter()
     try:
         with pytest.raises(KeyError, match="first"):
-            fork_each(fn, range(3), 3)
+            run_jobs(fn, [(job,) for job in range(3)], 3, [1] * 3)
         assert time.perf_counter() - started < 5
     finally:
         if holder[0]:
@@ -603,23 +630,20 @@ def test_fork_each_takes_a_killed_parts_whole_reply():
                 os.kill(int(holder[0]), signal.SIGKILL)
 
 
-def test_fork_each_keeps_item_order_whatever_part_ends_first():
-    def fn(item):
-        time.sleep(0.1 * (item % 3 == 0))
-        return item, os.getpid()
+def test_run_jobs_keeps_job_order_whatever_part_ends_first(fan_outs):
+    def fn(job):
+        time.sleep(0.1 * (job % 3 == 0))
+        return job, os.getpid()
 
-    results = fork_each(fn, list(range(7)), 3)
-    assert [item for item, _ in results] == list(range(7))
+    results = run_jobs(fn, [(job,) for job in range(7)], 3, [1] * 7)
+    assert [job for job, _ in results] == list(range(7))
     assert len({pid for _, pid in results}) == 3
 
 
-def test_fork_each_runs_every_part_here_without_os_fork(monkeypatch):
+def test_run_jobs_runs_every_job_here_without_os_fork(monkeypatch, fan_outs):
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(kernels, "_cores", lambda: 4)
-    items = []
-    assert fork_each(items.append, range(5), 2) == [None] * 5
-    assert items == [0, 1, 2, 3, 4]
-    # so run_jobs marches its parts one after another here, in dealing order
-    assert run_jobs(lambda k: items.append(k) or 2 ** k, [(k,) for k in range(4)], 2,
+    jobs = []
+    assert run_jobs(lambda k: jobs.append(k) or 2 ** k, [(k,) for k in range(4)], 2,
                     [1, 4, 2, 3]) == [1, 2, 4, 8]
-    assert items[5:] == [1, 0, 3, 2]
+    # as one part, in job order
+    assert jobs == [0, 1, 2, 3] and fan_outs == []

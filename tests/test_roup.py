@@ -838,6 +838,30 @@ def test_march_runs_holds_chunks_and_moments_not_states(monkeypatch):
     assert peak <= 12 * _CHUNK_BYTES < run.n_modes * run.n_p * 16
 
 
+def test_march_runs_parts_each_hold_chunks_and_moments_not_states(monkeypatch):
+    # the run above on two forked parts of 8 chunks each; each part traces
+    # its own allocations and writes its pid and peak to shared memory,
+    # in the row of its first chunk
+    monkeypatch.setattr(kernels, "_cores", lambda: 2)
+    run = _small_run(n_x=512, n_p=1024, t_final=0.02, dt=2e-3, times=[0.02])
+    units = [(0, block) for block in roup._chunks(run)]
+    peaks = kernels.shared_zeros((len(units), 2))
+    run_parts = kernels.run_parts
+
+    def traced(fn, jobs, workers, costs):
+        def part(jobs):
+            out, peak = _traced_peak(lambda: fn(jobs))
+            peaks[units.index(jobs[0])] = os.getpid(), peak
+            return out
+        return run_parts(part, jobs, workers, costs)
+
+    monkeypatch.setattr(kernels, "run_parts", traced)
+    roup.march_runs([run], 2)
+    pids, part_peaks = peaks[peaks[:, 0] > 0].T
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    assert max(part_peaks) <= 12 * _CHUNK_BYTES < run.n_modes * run.n_p * 16
+
+
 def test_march_run_keys_each_profile_by_its_own_time():
     # march returns its states in ascending time, whatever order the run lists
     shuffled, ascending = roup.march_runs([roup.Run(1.0, 0.2, 0.01, (0.2, 0.1), 64, 128, 2),
