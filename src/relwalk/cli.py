@@ -8,9 +8,15 @@ table come the subcommand's flags and their ``--help``, its INI section
 its manifest records. A flag wins over the INI value, which wins over the
 default. An out-of-range value, and an input the run would not read, is a
 configuration error. Jet angle fields are restricted to a safe expression
-subset: polynomials and sin/cos in T and X. Every run directory gets a
-manifest naming the resolved parameters and the sha256 of the resolved
-inputs, and identical configurations reproduce output files byte for byte.
+subset: polynomials and sin/cos in T and X.
+
+A study computes every result and writes nothing: it returns its files
+(each output name with a writer of one path and a cost), its manifest
+results and its exit code. ``main`` alone makes the output directory,
+writes the files through one kernels.run_jobs fan-out on the study's
+``threads``, and the manifest last, so a study that fails writes nothing.
+The manifest names the resolved parameters and the sha256 of the resolved
+inputs; identical configurations reproduce output files byte for byte.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure,
 4 verification failure. Errors are emitted as one-line JSON on stderr.
@@ -20,6 +26,7 @@ import argparse
 import ast
 import configparser
 from dataclasses import asdict
+from functools import partial
 import hashlib
 import json
 import math
@@ -30,7 +37,7 @@ import numpy as np
 
 from . import __version__, dirac, fick, qwalk, roup
 from . import verify as verify_mod
-from ._io import ensure_dir, write_json
+from ._io import ensure_dir, write_csv, write_json
 from .errors import ConfigError, NumericalError
 from .kernels import run_jobs
 
@@ -153,7 +160,7 @@ _PACKET = (Opt("t_final", "T", _NONNEGATIVE, 1.0),
 _KINETIC = (Opt("n_x", None, _EVEN, 512),
             Opt("n_p", None, _EVEN, 2048),
             Opt("refine", None, _COUNT, 4),
-            Opt("threads", "threads", _COUNT, 4),  # processes for runs' chunks and CSV files
+            Opt("threads", "threads", _COUNT, 4),  # processes for runs' chunks and output files
             Opt("dt", None, _POSITIVE, None),
             Opt("Q", "Q", _POSITIVE, 1.0))
 _GROUP = _parser(f"one of {', '.join(verify_mod.GROUPS)}", str,
@@ -239,13 +246,13 @@ def _config_hash(command, inputs):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _write_manifest(out_dir, command, inputs, outputs, results=None):
-    """Manifest whose parameters are the inputs plus any results; only the inputs are hashed."""
+def _write_manifest(out_dir, command, inputs, outputs, results):
+    """Manifest whose parameters are the inputs plus the results; only the inputs are hashed."""
     payload = {
         "command": command,
         "version": __version__,
         "config_sha256": _config_hash(command, inputs),
-        "parameters": {**inputs, **(results or {})},
+        "parameters": {**inputs, **results},
         "outputs": sorted(outputs),
     }
     write_json(f"{out_dir}/manifest.json", payload)
@@ -266,43 +273,37 @@ def _packet(params):
         momentum=params["packet_momentum"])
 
 
-def _cmd_walk(params, out):
+def _lattice_packet(params):
+    """The packet on the ring of spacing epsilon, where walk and dirac start."""
+    return _packet(params)(dirac.lattice(params["length"], params["epsilon"],
+                                         params["packet_center"]))
+
+
+def _cmd_walk(params):
     """Walk density after evolving a Gaussian packet."""
-    eps = params["epsilon"]
-    initial = _packet(params)(dirac.lattice(params["length"], eps, params["packet_center"]))
-    state = qwalk.run_walk(_jet(params["jet"]), eps, params["t_final"], initial)
-    ensure_dir(out)
-    qwalk.write_walk_csv(state, f"{out}/walk_density.csv")
-    _write_manifest(out, "walk", params, ["walk_density.csv"])
-    return 0
+    state = qwalk.run_walk(_jet(params["jet"]), params["epsilon"], params["t_final"],
+                           _lattice_packet(params))
+    return {"walk_density.csv": (partial(qwalk.write_walk_csv, state), state.grid.count)}, {}, 0
 
 
-def _cmd_dirac(params, out):
+def _cmd_dirac(params):
     """Dirac density, the walk's continuum limit, from the same packet."""
-    eps = params["epsilon"]
-    initial = _packet(params)(dirac.lattice(params["length"], eps, params["packet_center"]))
+    initial = _lattice_packet(params)
     coeffs = dirac.DiracCoefficients.from_jet(_jet(params["jet"]))
-    final = dirac.solve_dirac(coeffs, initial, params["t_final"], eps)
-    ensure_dir(out)
-    dirac.write_density_csv(final, f"{out}/dirac_density.csv")
-    _write_manifest(out, "dirac", params, ["dirac_density.csv"])
-    return 0
+    final = dirac.solve_dirac(coeffs, initial, params["t_final"], params["epsilon"])
+    write = partial(dirac.write_density_csv, final)
+    return {"dirac_density.csv": (write, final.grid.count)}, {}, 0
 
 
-def _cmd_converge(params, out):
+def _cmd_converge(params):
     """Walk-versus-Dirac L2 error and order over the lattice scales."""
     rows = dirac.convergence_study(_jet(params["jet"]), _packet(params),
                                    params["t_final"], params["epsilon"],
                                    params["length"], params["packet_center"])
-    ensure_dir(out)
-    from ._io import write_csv
-    write_csv(f"{out}/convergence.csv",
-              ["epsilon", "l2_error", "order"],
-              [[r.epsilon for r in rows],
-               [r.l2_error for r in rows],
-               [np.nan if r.order is None else r.order for r in rows]])
-    _write_manifest(out, "converge", params, ["convergence.csv"])
-    return 0
+    columns = [[r.epsilon for r in rows], [r.l2_error for r in rows],
+               [np.nan if r.order is None else r.order for r in rows]]
+    write = partial(write_csv, header=["epsilon", "l2_error", "order"], columns=columns)
+    return {"convergence.csv": (write, len(rows))}, {}, 0
 
 
 def _profiles(runs, opts):
@@ -313,87 +314,63 @@ def _profiles(runs, opts):
     return [(found[run.t_final], run.dt) for found, run in zip(profiles, keys)]
 
 
-def _cmd_roup(params, out):
-    """Kinetic density profiles: times at fixed Q, or a Q sweep (Qs) at fixed T.
-
-    The runs march on up to ``threads`` processes (roup.march_runs), and
-    as many then format the CSV files (run_jobs), each file's rows its
-    cost; this process writes the manifest.
-    """
+def _cmd_roup(params):
+    """Kinetic density profiles: times at fixed Q, or a Q sweep (Qs) at fixed T."""
     if "Qs" in params:
         runs = [("Q", q, q, params["T"]) for q in params["Qs"]]
     else:
         runs = [("T", t, params["Q"], t) for t in params["times"]]
     profiles = _profiles([(q, t) for _, _, q, t in runs], params)
-    ensure_dir(out)
-    outputs = [f"nu_profile_{axis}{value:g}.csv" for axis, value, _, _ in runs]
-    dts = {f"{axis}={value:g}": dt for (axis, value, _, _), (_, dt) in zip(runs, profiles)}
-    pairs = [(profile, f"{out}/{name}") for (profile, _), name in zip(profiles, outputs)]
-    run_jobs(roup.write_profile_csv, pairs, params["threads"],
-             [profile.x_grid.count for profile, _ in pairs])
-    _write_manifest(out, "roup", params, outputs, {"dt_used": dts})
-    return 0
+    files, dts = {}, {}
+    for (axis, value, _, _), (profile, dt) in zip(runs, profiles):
+        files[f"nu_profile_{axis}{value:g}.csv"] = (
+            partial(roup.write_profile_csv, profile), profile.x_grid.count)
+        dts[f"{axis}={value:g}"] = dt
+    return files, {"dt_used": dts}, 0
 
 
-def _cmd_metric(params, out):
-    """Diffusion metric, generalized Fick residual and simple-Fick rejection.
-
-    The runs march on up to ``threads`` processes (roup.march_runs), and
-    as many then format the metric CSV files (run_jobs), each file's rows
-    its cost; this process writes the rejection reports and the manifest.
-    """
+def _cmd_metric(params):
+    """Diffusion metric, generalized Fick residual and simple-Fick rejection."""
     profiles = _profiles([(params["Q"], t) for t in params["times"]], params)
-    # every result before the directory, so a failure writes nothing
     metrics = [fick.metric_from_density(profile) for profile, _ in profiles]
     reports = [fick.simple_fick_rejection(profile) for profile, _ in profiles]
     residuals = {f"T={t:g}": fick.generalized_fick_residual(profile, metric)
                  for t, (profile, _), metric in zip(params["times"], profiles, metrics)}
-    ensure_dir(out)
-    outputs = []
-    dts = {}
-    for t, (_, dt), report in zip(params["times"], profiles, reports):
+    files, dts = {}, {}
+    for t, (_, dt), metric, report in zip(params["times"], profiles, metrics, reports):
         dts[f"T={t:g}"] = dt
-        name, rname = f"metric_T{t:g}.csv", f"fick_rejection_T{t:g}.json"
-        write_json(f"{out}/{rname}", report)
-        outputs += [name, rname]
-    pairs = [(metric, f"{out}/{name}") for metric, name in zip(metrics, outputs[::2])]
-    run_jobs(fick.write_metric_csv, pairs, params["threads"],
-             [metric.x_grid.count for metric, _ in pairs])
-    _write_manifest(out, "metric", params, outputs,
-                    {"dt_used": dts, "fick_residuals": residuals})
-    return 0
+        files[f"metric_T{t:g}.csv"] = (partial(fick.write_metric_csv, metric),
+                                       metric.x_grid.count)
+        files[f"fick_rejection_T{t:g}.json"] = (partial(write_json, payload=report), 1)
+    return files, {"dt_used": dts, "fick_residuals": residuals}, 0
 
 
-def _cmd_heuristic(params, out):
+def _cmd_heuristic(params):
     """Closed-form short-time heuristic profile."""
     q, t = params["Q"], params["T"]
     xi = np.linspace(-params["xi_max"], params["xi_max"], params["n_xi"])
-    ensure_dir(out)
-    fick.write_heuristic_csv(t, q, xi, f"{out}/heuristic.csv")
     try:
         peak = fick.heuristic_peak(q)
     except ConfigError:
         peak = None  # monotone regime, no interior maximum
-    _write_manifest(out, "heuristic", params, ["heuristic.csv"], {"peak": peak})
-    return 0
+    write = partial(fick.write_heuristic_csv, t, q, xi)
+    return {"heuristic.csv": (write, xi.size)}, {"peak": peak}, 0
 
 
-def _cmd_verify(params, out):
+def _cmd_verify(params):
     """Acceptance criteria, all or one group (only); exit 4 if any fails."""
     results, plan_s, plan_runs = verify_mod.run_all(params["only"], params["threads"])
     print(f"{f'kinetic run plan: {plan_runs} runs':<43s}{plan_s:.1f}s")
     for result in results:
         print(result.line())
-    ensure_dir(out)
     payload = {
         "all_passed": all(r.passed for r in results),
         "plan_s": plan_s,
         "plan_runs": plan_runs,
         "criteria": [asdict(result) for result in results],
     }
-    write_json(f"{out}/verify_report.json", payload)
-    _write_manifest(out, "verify", params, ["verify_report.json"])
-    return 0 if payload["all_passed"] else 4
+    return ({"verify_report.json": (partial(write_json, payload=payload), 1)}, {},
+            0 if payload["all_passed"] else 4)
 
 
 _COMMANDS = {"walk": _cmd_walk, "dirac": _cmd_dirac, "converge": _cmd_converge,
@@ -431,7 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](_resolve(args, args.command), args.out)
+        params = _resolve(args, args.command)
+        files, results, code = _COMMANDS[args.command](params)
+        ensure_dir(args.out)
+        run_jobs(lambda write, path: write(path),
+                 [(write, f"{args.out}/{name}") for name, (write, _) in files.items()],
+                 params.get("threads", 1), [cost for _, cost in files.values()])
+        _write_manifest(args.out, args.command, params, files, results)
+        return code
     except (ConfigError, NumericalError, ValueError) as exc:
         # every library ValueError the CLI reaches is bad input (ring, steps, grid, times)
         known = isinstance(exc, (ConfigError, NumericalError))

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _io, kernels, qwalk
-from .kernels import Grid1D, count_steps
+from .kernels import Grid1D, _cis, _reuse, count_steps
 
 __all__ = [
     "ConvergenceRow",
@@ -128,14 +128,14 @@ def _coupling_matrix(coeffs, t_mid, x, s, cache=None):
     arrays: numpy's vector loops fuse multiply-adds that its scalar
     products do not, and the entries must not depend on whether a
     coefficient came as a scalar or as samples of a constant. ``cache``
-    keeps the factors free of a from call to call (see qwalk._reuse).
+    keeps the factors free of a from call to call (see kernels._reuse).
     """
     alpha = np.asarray(coeffs.a0(t_mid, x), dtype=float)
     xi = -np.asarray(coeffs.a1(t_mid, x), dtype=float)
     theta = np.asarray(coeffs.theta_bar(t_mid, x), dtype=float)
     zeta0 = coeffs.mu - np.pi / 2.0
-    plus, b, b_conj, sinc, minus = qwalk._reuse(cache, _coupling_factors, xi, theta, zeta0, s)
-    phase = np.full(x.shape, qwalk._cis(alpha * s))
+    plus, b, b_conj, sinc, minus = _reuse(cache, _coupling_factors, xi, theta, zeta0, s)
+    phase = np.full(x.shape, _cis(alpha * s))
     e11 = phase * plus
     e12 = phase * b * sinc
     e21 = -phase * b_conj * sinc

@@ -1,4 +1,4 @@
-"""Shared kernels: 1D grids, quadrature, tridiagonal solves, step counts, process fan-out.
+"""Shared kernels: 1D grids, quadrature, tridiagonal solves, step counts, phases, fan-out.
 
 Conventions used throughout the package:
 
@@ -11,9 +11,10 @@ Conventions used throughout the package:
 Everything here needs numpy alone. BlockedLDL factors with an in-package
 L D L^T recurrence; only the general tridiag_solve calls LAPACK, and it
 imports scipy on its first call, so importing the package loads no scipy.
+_cis (exp(i angle)) and _reuse serve the walk, Dirac and kinetic steps.
 run_parts is the package's one process fan-out, one forked child per
 dealt part: it runs the (run, chunk) units of kinetic marches and,
-through run_jobs, a kinetic study's CSV files and a convergence study's
+through run_jobs, every study's output files and a convergence study's
 walk and Dirac solves; no forked part forks again.
 """
 
@@ -76,11 +77,6 @@ class Grid1D:
     def period(self) -> float:
         # wrap length when the grid is read as one period of a periodic set
         return self.count * self.spacing
-
-    @classmethod
-    def symmetric(cls, half_width: float, count: int) -> "Grid1D":
-        """Grid on [-half_width, half_width] inclusive."""
-        return cls(-half_width, half_width, count)
 
     @classmethod
     def periodic(cls, length: float, count: int, center: float = 0.0) -> "Grid1D":
@@ -357,6 +353,30 @@ def count_steps(t_final: float, dt: float) -> int:
     return int(round(n))
 
 
+def _cis(angle):
+    """exp(i*angle) as one complex array: cos into .real, sin into .imag."""
+    angle = np.asarray(angle, dtype=float)
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
+def _reuse(cache, build, *args):
+    """build(*args), or the value ``cache`` keeps from a call whose args had the same bits.
+
+    cache is a dict kept across calls (None builds every time). Keys are
+    the bits, not the values, of the args as float arrays: 0.0 and -0.0
+    are different keys, since their sines differ.
+    """
+    if cache is None:
+        return build(*args)
+    key = [(a.shape, a.tobytes()) for a in (np.asarray(a, dtype=float) for a in args)]
+    if cache.get("key") != key:
+        cache["key"], cache["value"] = key, build(*args)
+    return cache["value"]
+
+
 def _cores() -> int:
     """Cores this process may run on: its CPU affinity, where the platform has one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -454,5 +474,5 @@ def run_parts(fn, jobs: list, workers: int, costs) -> list:
 
 
 def run_jobs(fn, jobs: list, workers: int, costs) -> list:
-    """[fn(*job) for job in jobs], dealt to parts by run_parts: CSV files, or a study's solves."""
+    """[fn(*job) for job in jobs], dealt to parts by run_parts: a study's files, or its solves."""
     return run_parts(lambda part: [fn(*job) for job in part], jobs, workers, costs)

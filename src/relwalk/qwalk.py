@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import _io
-from .kernels import Grid1D, count_steps
+from .kernels import Grid1D, _cis, _reuse, count_steps
 
 __all__ = [
     "CoinAngles",
@@ -43,30 +43,6 @@ class CoinAngles:
     xi: object
     zeta: object
     alpha: object
-
-
-def _cis(angle):
-    """exp(i*angle) as one complex array: cos into .real, sin into .imag."""
-    angle = np.asarray(angle, dtype=float)
-    out = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
-    return out
-
-
-def _reuse(cache, build, *args):
-    """build(*args), or the value ``cache`` keeps from a call whose args had the same bits.
-
-    cache is a dict kept across calls (None builds every time). Keys are
-    the bits, not the values, of the args as float arrays: 0.0 and -0.0
-    are different keys, since their sines differ.
-    """
-    if cache is None:
-        return build(*args)
-    key = [(a.shape, a.tobytes()) for a in (np.asarray(a, dtype=float) for a in args)]
-    if cache.get("key") != key:
-        cache["key"], cache["value"] = key, build(*args)
-    return cache["value"]
 
 
 def _angle_factors(theta, xi, zeta):
@@ -249,9 +225,9 @@ def random_smooth_angle_field(seed: int, n_sites: int) -> Callable:
     The sum is evaluated by angle addition,
     sin(s m + phi + tau j) = sin(s m + phi) cos(tau j) + cos(s m + phi) sin(tau j),
     so a step costs a few scalar trig calls and one matmul against the
-    (4, 6, n_sites) sin/cos basis in m. The basis is cached for the
-    last m seen and rebuilt when m changes; scalar m works too. Values agree
-    with the direct sum to rounding, not bitwise.
+    (4, 6, n_sites) sin/cos basis in m. The basis is kept for the last m
+    seen and rebuilt when m changes (kernels._reuse); scalar m works too.
+    Values agree with the direct sum to rounding, not bitwise.
     """
     rng = np.random.default_rng(seed)
     n_modes = 3
@@ -260,16 +236,15 @@ def random_smooth_angle_field(seed: int, n_sites: int) -> Callable:
     coeff = 0.4 * rng.normal(size=(4, n_modes)) / np.sqrt(n_modes)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(4, n_modes))
     coeff2 = np.concatenate((coeff, coeff), axis=1)  # weights of the sin and the cos half
-    cache = (None, None)  # (m, basis) for the last m seen
+    cache = {}  # the basis of the last m seen, as in _reuse
+
+    def sin_cos_basis(m):
+        arg = spatial[:, :, None] * m.reshape(1, 1, -1) + phase[:, :, None]
+        return np.concatenate((np.sin(arg), np.cos(arg)), axis=1)
 
     def field(j, m):
-        nonlocal cache
         m = np.asarray(m)
-        cached_m, basis = cache
-        if cached_m is None or not np.array_equal(cached_m, m):
-            arg = spatial[:, :, None] * m.reshape(1, 1, -1) + phase[:, :, None]
-            basis = np.concatenate((np.sin(arg), np.cos(arg)), axis=1)
-            cache = (m.copy(), basis)
+        basis = _reuse(cache, sin_cos_basis, m)
         tj = temporal * j
         weights = coeff2 * np.concatenate((np.cos(tj), np.sin(tj)), axis=1)
         vals = np.matmul(weights[:, None, :], basis)[:, 0, :].reshape((4,) + m.shape)

@@ -65,14 +65,13 @@ and current come back from the K >= 0 modes through one np.fft.hfft.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _io, kernels
 from .errors import StepSizeError, SymmetryError, TailTruncationError
-from .kernels import _BLOCK, BlockedLDL, Grid1D, count_steps, quad, shared_zeros
+from .kernels import _BLOCK, BlockedLDL, Grid1D, _cis, count_steps, quad, shared_zeros
 # not called here: perfbench/tracing.py swaps this binding to time the solve,
 # so it stays until the tracer counts steps inside the marcher
 from .kernels import tridiag_solve  # noqa: F401
@@ -212,7 +211,7 @@ class Run:
 
     @property
     def p_grid(self) -> Grid1D:
-        return Grid1D.symmetric(self.p_max, self.n_p)
+        return Grid1D(-self.p_max, self.p_max, self.n_p)
 
     @property
     def n_modes(self) -> int:
@@ -234,7 +233,6 @@ def _sinhc_inv(y: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
 def _collision_bands(p_grid: Grid1D, Q: float):
     """Tridiagonal bands (lower, diag, upper) of the discrete collision operator.
 
@@ -263,8 +261,6 @@ def _collision_bands(p_grid: Grid1D, Q: float):
     diag[0] = -beta[0] / vol[0]
     diag[-1] = -alpha[-1] / vol[-1]
     diag[1:-1] = -(beta[1:] + alpha[:-1]) / vol[1:-1]
-    for arr in (lower, diag, upper):
-        arr.setflags(write=False)
     return lower, diag, upper
 
 
@@ -338,19 +334,12 @@ class _Strang:
     def phase(self, Ks, fraction):
         """exp(i fraction dt v K) for wavenumbers Ks, in the padded layout (1 in the slots).
 
-        cos and sin into the real and imaginary parts give
-        np.exp(1j * fraction * dt * np.outer(v, Ks)) (bit for bit with
-        numpy 2.4 on x86-64 Linux) without its complex temporaries. A chunk's
-        tables are built for it alone and never cached: a cache would hold
-        tables for every chunk.
+        _cis gives np.exp(1j * fraction * dt * np.outer(v, Ks)) (bit for
+        bit with numpy 2.4 on x86-64 Linux) without its complex temporaries.
+        A chunk's tables are built for it alone and never cached: a cache
+        would hold tables for every chunk.
         """
-        table = np.empty(self.v.shape[:2] + Ks.shape, dtype=complex)
-        theta = table.real
-        np.multiply(self.v, Ks, out=theta)
-        theta *= fraction * self.dt
-        np.sin(theta, out=table.imag)
-        np.cos(theta, out=theta)
-        return table
+        return _cis(self.v * Ks * (fraction * self.dt))
 
     def march(self, rows, Ks, n_steps, snap_steps, out, half, full):
         """March mode rows (k, n_p) at wavenumbers Ks n_steps, snapshot i into out[i].

@@ -23,7 +23,7 @@ def fan_outs(monkeypatch):
 
     kernels.run_parts deals its jobs to parts through kernels._deal, each
     part a list of job indices: of runs' (run, chunk) units, or of a
-    study's CSV files or solves.
+    study's output files or solves.
     """
     calls = []
     deal = kernels._deal

@@ -8,8 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from relwalk import _io, cli, kernels, roup, verify
-from relwalk.errors import ConfigError
+from relwalk import _io, cli, dirac, fick, kernels, qwalk, roup, verify
+from relwalk.errors import ConfigError, NumericalError
 from relwalk.kernels import Grid1D
 
 
@@ -494,9 +494,13 @@ def test_forked_csv_writers_write_the_one_thread_directory(tmp_path, fan_outs, c
         written[threads] = files
     assert written[2] == written[1]
     assert written[4] == written[1]
-    # two runs, then two CSVs of equal rows, in two parts at 2 and at 4 threads
+    # two runs, then the files: roup's two CSVs of equal rows in two parts at
+    # 2 and at 4 threads; metric's two CSVs, each followed by its one-row
+    # report, a CSV and its report to each of 2 parts, or one file to each of 4
     assert len(fan_outs) == 4
-    assert [parts for _, parts in fan_outs[1::2]] == [[[0], [1]]] * 2
+    assert [parts for _, parts in fan_outs[1::2]] == {
+        "roup": [[[0], [1]]] * 2,
+        "metric": [[[0, 1], [2, 3]], [[0], [2], [1], [3]]]}[command]
 
 
 @pytest.mark.parametrize("command", _WRITTEN)
@@ -529,8 +533,9 @@ def test_a_forked_csv_writers_error_is_raised_here_with_its_type(tmp_path, fan_o
 
 def test_no_forked_march_part_forks_again(tmp_path, monkeypatch, fan_outs):
     # two runs of two chunks each at 4 threads on 4 cores: one fan-out of 4
-    # march parts, then 2 CSV writers; each march records in shared memory
-    # whether its process is a child of this one (slot 0) or not (slot 1)
+    # march parts, then 4 writers of two CSVs and two reports; each march
+    # records in shared memory whether its process is a child of this one
+    # (slot 0) or not (slot 1)
     caller, parents = os.getpid(), kernels.shared_zeros(2)
     march = roup._Strang.march
 
@@ -543,7 +548,7 @@ def test_no_forked_march_part_forks_again(tmp_path, monkeypatch, fan_outs):
     cfg.write_text("[metric]\nn_x = 64\nn_p = 2048\nrefine = 2\ndt = 0.01\n")
     assert cli.main(["metric", "--config", str(cfg), "--times", "0.5,1", "--threads", "4",
                      "--out", str(tmp_path / "o")]) == 0
-    assert [processes for processes, _ in fan_outs] == [4, 2]
+    assert [processes for processes, _ in fan_outs] == [4, 4]
     assert parents.tolist() == [1.0, 0.0]
 
 
@@ -652,6 +657,33 @@ def test_off_grid_output_time_writes_no_file(tmp_path, capsys, monkeypatch, comm
                      "--out", str(tmp_path / "o")])
     assert code == 2
     assert _error_name(capsys) == "ConfigError"
+    assert not (tmp_path / "o").exists()
+
+
+# each study's arguments and the last library call it makes
+_LAST_CALL = {"walk": ([], qwalk, "run_walk"),
+              "dirac": ([], dirac, "solve_dirac"),
+              "converge": ([], dirac, "convergence_study"),
+              "roup": (["--times", "0.5,1"], roup, "march_runs"),
+              "metric": (["--times", "0.5,1"], fick, "generalized_fick_residual"),
+              "heuristic": ([], fick, "heuristic_peak"),
+              "verify": (["--only", "walk"], verify, "run_all")}
+
+
+@pytest.mark.parametrize("command", cli.OPTIONS)
+def test_a_study_makes_no_directory_before_its_last_result(tmp_path, capsys, monkeypatch,
+                                                           command):
+    argv, module, name = _LAST_CALL[command]
+
+    def fails(*args):
+        raise NumericalError(f"{name} failed")
+
+    monkeypatch.setattr(module, name, fails)
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text(f"[{command}]\n{_POOL_GRID if command in ('roup', 'metric') else ''}")
+    code = cli.main([command, *argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert _error_name(capsys) == "NumericalError"
     assert not (tmp_path / "o").exists()
 
 

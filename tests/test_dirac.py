@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,37 @@ def test_time_gauge_leaves_densities_invariant():
     out_b = dirac.solve_dirac(gauged, f, 1.5, 0.05)
     assert np.allclose(np.abs(out_a.psi_minus), np.abs(out_b.psi_minus), atol=1e-12)
     assert np.allclose(np.abs(out_a.psi_plus), np.abs(out_b.psi_plus), atol=1e-12)
+
+
+def test_gauge_transformed_benchmark_jet_converges_at_second_order():
+    # psi -> exp(i phi) psi solves the continuum equations of the jet with
+    # alpha_bar + d_T phi and xi_bar - d_X phi; through from_jet the scheme
+    # keeps that to O(eps^2)
+    jet = qwalk.JetSpec.benchmark()
+
+    def phi(T, X):
+        return 0.5 * np.sin(np.pi * X / 8.0 + T)
+
+    def phi_dot(T, X):  # d_T phi; d_X phi is pi/8 of it
+        return phi(T + 0.5 * np.pi, X)
+
+    gauged = dataclasses.replace(
+        jet, alpha_bar=lambda T, X: jet.alpha_bar(T, X) + phi_dot(T, X),
+        xi_bar=lambda T, X: jet.xi_bar(T, X) - np.pi / 8.0 * phi_dot(T, X))
+    errors = []
+    for eps in (0.1, 0.05, 0.025, 0.0125):
+        grid = dirac.lattice(16.0, eps)
+        f = dirac.gaussian_packet(grid, width=1.0, momentum=0.5)
+        start = np.exp(1j * phi(0.0, grid.points))
+        out = dirac.solve_dirac(dirac.DiracCoefficients.from_jet(jet), f, 1.0, eps)
+        twin = dirac.solve_dirac(
+            dirac.DiracCoefficients.from_jet(gauged),
+            dirac.SpinorField(start * f.psi_minus, start * f.psi_plus, grid), 1.0, eps)
+        end = np.exp(1j * phi(1.0, grid.points))
+        errors.append(dirac.l2_distance(
+            twin, dirac.SpinorField(end * out.psi_minus, end * out.psi_plus, grid)))
+    assert errors[0] < 1e-3
+    assert np.all(np.log2(np.divide(errors[:-1], errors[1:])) >= 1.9)
 
 
 def test_norm_conserved_under_rough_coefficients():

@@ -317,3 +317,32 @@ def test_walk_csv_round_trip(tmp_path):
     assert rows.shape[0] == 16
     re_minus = rows["re_psi_minus"]
     assert np.allclose(re_minus, out.psi_minus.real, atol=1e-16)
+
+
+def test_gauge_covariance_of_the_coin_angles():
+    # psi -> exp(i phi(j, m)) psi for a random phi is again a walk, whose coin
+    # angles are shifted by D+- = phi(j+1, m) - phi(j, m+-1): alpha by
+    # (D+ + D-)/2, xi by (D+ - D-)/2 and zeta by -(D+ - D-)/2
+    rng = np.random.default_rng(13)
+    n_sites, n_steps = 256, 200
+    theta, xi, zeta, alpha = rng.uniform(-np.pi, np.pi, size=(4, n_steps, n_sites))
+    phi = rng.uniform(-np.pi, np.pi, size=(n_steps + 1, n_sites))
+    d_plus = phi[1:] - np.roll(phi[:-1], -1, axis=1)
+    d_minus = phi[1:] - np.roll(phi[:-1], 1, axis=1)
+    shift = 0.5 * (d_plus - d_minus)
+
+    def base(j, m):
+        return CoinAngles(theta[j], xi[j], zeta[j], alpha[j])
+
+    def gauged(j, m):
+        return CoinAngles(theta[j], xi[j] + shift[j], zeta[j] - shift[j],
+                          alpha[j] + 0.5 * (d_plus[j] + d_minus[j]))
+
+    psi = rng.normal(size=(2, n_sites)) + 1j * rng.normal(size=(2, n_sites))
+    state = _state_from(*psi)
+    twin = _state_from(*(np.exp(1j * phi[0]) * psi))
+    for _ in range(n_steps):
+        state, twin = step_walk(state, base), step_walk(twin, gauged)
+    phase = np.exp(1j * phi[-1])
+    assert np.max(np.abs(twin.psi_minus - phase * state.psi_minus)) <= 1e-13
+    assert np.max(np.abs(twin.psi_plus - phase * state.psi_plus)) <= 1e-13
