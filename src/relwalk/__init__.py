@@ -22,7 +22,6 @@ from .errors import (
     StepSizeError,
     SymmetryError,
     SignConventionError,
-    NoInteriorPeakError,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "StepSizeError",
     "SymmetryError",
     "SignConventionError",
-    "NoInteriorPeakError",
 ]

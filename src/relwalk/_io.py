@@ -8,7 +8,6 @@ Line endings are forced to "\\n" on every platform.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
@@ -37,7 +36,3 @@ def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def ensure_dir(path) -> None:
-    os.makedirs(path, exist_ok=True)

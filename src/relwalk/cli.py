@@ -18,8 +18,8 @@ writes the files through one kernels.run_jobs fan-out on the study's
 The manifest names the resolved parameters and the sha256 of the resolved
 inputs; identical configurations reproduce output files byte for byte.
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical failure,
-4 verification failure. Errors are emitted as one-line JSON on stderr.
+Exit codes: 0 ok, 2 bad configuration or unwritable output, 3 numerical
+failure, 4 verification failure; errors are one-line JSON on stderr.
 """
 
 import argparse
@@ -30,6 +30,7 @@ from functools import partial
 import hashlib
 import json
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import __version__, dirac, fick, qwalk, roup
 from . import verify as verify_mod
-from ._io import ensure_dir, write_csv, write_json
+from ._io import write_csv, write_json
 from .errors import ConfigError, NumericalError
 from .kernels import run_jobs
 
@@ -349,12 +350,8 @@ def _cmd_heuristic(params):
     """Closed-form short-time heuristic profile."""
     q, t = params["Q"], params["T"]
     xi = np.linspace(-params["xi_max"], params["xi_max"], params["n_xi"])
-    try:
-        peak = fick.heuristic_peak(q)
-    except ConfigError:
-        peak = None  # monotone regime, no interior maximum
     write = partial(fick.write_heuristic_csv, t, q, xi)
-    return {"heuristic.csv": (write, xi.size)}, {"peak": peak}, 0
+    return {"heuristic.csv": (write, xi.size)}, {"peak": fick.heuristic_peak(q)}, 0
 
 
 def _cmd_verify(params):
@@ -410,15 +407,16 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         params = _resolve(args, args.command)
         files, results, code = _COMMANDS[args.command](params)
-        ensure_dir(args.out)
+        os.makedirs(args.out, exist_ok=True)
         run_jobs(lambda write, path: write(path),
                  [(write, f"{args.out}/{name}") for name, (write, _) in files.items()],
                  params.get("threads", 1), [cost for _, cost in files.values()])
         _write_manifest(args.out, args.command, params, files, results)
         return code
-    except (ConfigError, NumericalError, ValueError) as exc:
-        # every library ValueError the CLI reaches is bad input (ring, steps, grid, times)
-        known = isinstance(exc, (ConfigError, NumericalError))
+    except (ConfigError, NumericalError, OSError, ValueError) as exc:
+        # every library ValueError the CLI reaches is bad input (ring, steps, grid, times);
+        # an OSError is an output that cannot be written
+        known = isinstance(exc, (ConfigError, NumericalError, OSError))
         json.dump({"error": type(exc).__name__ if known else "ConfigError",
                    "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -35,7 +35,3 @@ class SignConventionError(NumericalError):
 
 class DegenerateMetricError(NumericalError):
     """A profile leaves no region where the diffusion metric is defined."""
-
-
-class NoInteriorPeakError(ConfigError):
-    """Requested a density peak in a regime where the profile is monotone."""

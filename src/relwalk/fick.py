@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _io, kernels
-from .errors import DegenerateMetricError, NoInteriorPeakError, SignConventionError
+from .errors import DegenerateMetricError, SignConventionError
 from .roup import DensityProfile
 
 # fraction of max N below which h = I/N^2 is not trusted
@@ -49,28 +49,20 @@ def heuristic_density(t, x, Q):
 
 def heuristic_rescaled(xi, Q):
     """Time-free form of the heuristic: nu(xi) = Q T N(T, xi Q T)."""
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros(xi.shape)
-    inside = np.abs(xi) < 1.0
-    gamma = 1.0 / np.sqrt(1.0 - xi[inside] ** 2)
-    out[inside] = Q * gamma ** 3 * np.exp(-Q * Q * gamma) / (2.0 * np.pi)
-    return out
+    return Q * heuristic_density(1.0, np.asarray(xi, dtype=float) * Q, Q)
 
 
-def heuristic_peak(Q) -> float:
+def heuristic_peak(Q) -> float | None:
     """Predicted velocity |X/T| of the twin density maxima, 2 sqrt(2) Q / 3.
 
     The stationarity condition puts the maxima at gamma = 3/Q^2, which is
     reachable only for Q <= sqrt(3); beyond that the profile is monotone
-    between center and cone and there is no interior peak.
+    between center and cone, there is no interior peak, and the result is
+    None.
     """
     if Q <= 0.0:
         raise ValueError("Q must be positive")
-    if Q > np.sqrt(3.0):
-        raise NoInteriorPeakError(
-            f"no interior maximum for Q = {Q:g} > sqrt(3); profile is monotone"
-        )
-    return 2.0 * np.sqrt(2.0) * Q / 3.0
+    return 2.0 * np.sqrt(2.0) * Q / 3.0 if Q <= np.sqrt(3.0) else None
 
 
 @dataclass(frozen=True)

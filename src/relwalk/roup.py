@@ -607,7 +607,6 @@ def march_runs(runs, workers: int) -> list[dict]:
     reconstruct_density(state, run.refine) of march(run). The keys of each
     dict are run.times in ascending order.
     """
-    runs = list(runs)
     halves = [np.zeros((len(run.times), 2, run.n_modes), dtype=complex) for run in runs]
     for (i, block), moments in _march_units(runs, workers):
         halves[i][:, :, block] = moments

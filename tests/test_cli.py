@@ -521,14 +521,23 @@ def test_no_csv_is_formatted_in_the_calling_process(tmp_path, monkeypatch, fan_o
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_forked_csv_writers_error_is_raised_here_with_its_type(tmp_path, fan_outs, forks,
-                                                                 threads):
+def test_a_forked_csv_writers_error_is_raised_here_with_its_type(tmp_path, capsys, fan_outs,
+                                                                 forks, threads):
     # no_child_left checks that every child (two march parts, two writers) is reaped
     out = tmp_path / "o"
     (out / "metric_T1.csv").mkdir(parents=True)
-    with pytest.raises(IsADirectoryError):
-        _study(tmp_path, "metric", threads, out)
+    assert _study(tmp_path, "metric", threads, out) == 2
+    assert _error_name(capsys) == "IsADirectoryError"
+    assert not (out / "manifest.json").exists()
     assert len(forks) == (0 if threads == 1 else 4)
+
+
+def test_an_out_that_names_a_file_exits_2_and_leaves_the_file(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("kept\n")
+    assert cli.main(["heuristic", "--out", str(out)]) == 2
+    assert _error_name(capsys) == "FileExistsError"
+    assert out.read_text() == "kept\n"
 
 
 def test_no_forked_march_part_forks_again(tmp_path, monkeypatch, fan_outs):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relwalk import _io, fick, kernels, roup
-from relwalk.errors import DegenerateMetricError, NoInteriorPeakError, SignConventionError
+from relwalk.errors import DegenerateMetricError, SignConventionError
 
 
 def test_heuristic_center_value():
@@ -41,8 +41,8 @@ def test_heuristic_peak_matches_grid_argmax():
 
 
 def test_heuristic_no_interior_peak_raises():
-    with pytest.raises(NoInteriorPeakError):
-        fick.heuristic_peak(2.0)
+    # the monotone regime has no peak; a non-positive Q is an error
+    assert fick.heuristic_peak(2.0) is None
     with pytest.raises(ValueError):
         fick.heuristic_peak(-1.0)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from relwalk import roup  # noqa: E402
 from relwalk.kernels import Grid1D, _ldl_factor, quad  # noqa: E402
 from relwalk.qwalk import CoinAngles, WalkState, step_walk, total_probability  # noqa: E402
-from test_qwalk import build_coin  # noqa: E402
+from test_qwalk import build_coin, gauge_error  # noqa: E402
 
 # derandomized so the suite stays deterministic; few examples keep it fast
 _settings = settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -83,3 +83,13 @@ def test_ldl_factor_matches_dpttrf_bitwise(seed, n, margin, log_scale):
     assert info == 0
     d, e = _ldl_factor(diag, off)
     assert np.array_equal(d, d_ref) and np.array_equal(e, e_ref)
+
+
+@settings(derandomize=True, database=None, max_examples=10, deadline=1000)
+@given(st.integers(8, 64), st.integers(1, 40), _seed, _seed)
+def test_walk_is_gauge_covariant(n, steps, field_seed, phi_seed):
+    rng = np.random.default_rng(field_seed)
+    angles = rng.uniform(-np.pi, np.pi, size=(4, steps, n))
+    psi = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    phi = np.random.default_rng(phi_seed).uniform(-np.pi, np.pi, size=(steps + 1, n))
+    assert gauge_error(angles, phi, psi) <= 1e-13

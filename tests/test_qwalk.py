@@ -319,14 +319,16 @@ def test_walk_csv_round_trip(tmp_path):
     assert np.allclose(re_minus, out.psi_minus.real, atol=1e-16)
 
 
-def test_gauge_covariance_of_the_coin_angles():
-    # psi -> exp(i phi(j, m)) psi for a random phi is again a walk, whose coin
-    # angles are shifted by D+- = phi(j+1, m) - phi(j, m+-1): alpha by
-    # (D+ + D-)/2, xi by (D+ - D-)/2 and zeta by -(D+ - D-)/2
-    rng = np.random.default_rng(13)
-    n_sites, n_steps = 256, 200
-    theta, xi, zeta, alpha = rng.uniform(-np.pi, np.pi, size=(4, n_steps, n_sites))
-    phi = rng.uniform(-np.pi, np.pi, size=(n_steps + 1, n_sites))
+def gauge_error(angles, phi, psi):
+    """Largest |psi' - exp(i phi) psi| after len(phi) - 1 steps on a ring.
+
+    psi -> exp(i phi(j, m)) psi is again a walk, whose coin angles are
+    shifted by D+- = phi(j+1, m) - phi(j, m+-1): alpha by (D+ + D-)/2, xi
+    by (D+ - D-)/2 and zeta by -(D+ - D-)/2. angles holds theta, xi, zeta
+    and alpha per (step, site), phi the gauge per (step, site) from step 0,
+    psi the initial (psi_minus, psi_plus); psi' is the gauged walk's state.
+    """
+    theta, xi, zeta, alpha = angles
     d_plus = phi[1:] - np.roll(phi[:-1], -1, axis=1)
     d_minus = phi[1:] - np.roll(phi[:-1], 1, axis=1)
     shift = 0.5 * (d_plus - d_minus)
@@ -338,11 +340,20 @@ def test_gauge_covariance_of_the_coin_angles():
         return CoinAngles(theta[j], xi[j] + shift[j], zeta[j] - shift[j],
                           alpha[j] + 0.5 * (d_plus[j] + d_minus[j]))
 
-    psi = rng.normal(size=(2, n_sites)) + 1j * rng.normal(size=(2, n_sites))
     state = _state_from(*psi)
     twin = _state_from(*(np.exp(1j * phi[0]) * psi))
-    for _ in range(n_steps):
+    for _ in range(len(phi) - 1):
         state, twin = step_walk(state, base), step_walk(twin, gauged)
     phase = np.exp(1j * phi[-1])
-    assert np.max(np.abs(twin.psi_minus - phase * state.psi_minus)) <= 1e-13
-    assert np.max(np.abs(twin.psi_plus - phase * state.psi_plus)) <= 1e-13
+    return max(np.max(np.abs(twin.psi_minus - phase * state.psi_minus)),
+               np.max(np.abs(twin.psi_plus - phase * state.psi_plus)))
+
+
+def test_gauge_covariance_of_the_coin_angles():
+    # a random phi on 256 sites over 200 steps
+    rng = np.random.default_rng(13)
+    n_sites, n_steps = 256, 200
+    angles = rng.uniform(-np.pi, np.pi, size=(4, n_steps, n_sites))
+    phi = rng.uniform(-np.pi, np.pi, size=(n_steps + 1, n_sites))
+    psi = rng.normal(size=(2, n_sites)) + 1j * rng.normal(size=(2, n_sites))
+    assert gauge_error(angles, phi, psi) <= 1e-13
