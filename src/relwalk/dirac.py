@@ -184,7 +184,10 @@ def measure_dispersion(k: float, mass: float, dt_target: float = 1e-3,
 
     Launches the positive-frequency eigen-spinor exp(ikX) on a 2*pi ring
     (zeta0 = -pi/2) and accumulates the per-step Rayleigh phase of the
-    evolving state. The period constraint fixes dt to (2*pi)/round(2*pi/dt_target).
+    evolving state. The period constraint fixes dt to (2*pi)/round(2*pi/dt_target),
+    and the march takes round(t_final / dt) steps of that dt: the one stepper
+    that does not count its steps with kernels.count_steps, since its dt
+    need not divide t_final.
     """
     length = 2.0 * np.pi
     count = int(round(length / dt_target))

@@ -171,9 +171,9 @@ def step_walk(state: WalkState, angle_field: Callable) -> WalkState:
 
 
 def _check_lower_edge(grid: Grid1D, epsilon: float) -> None:
-    """ValueError unless grid's lower edge is a whole number of epsilon steps."""
+    """ValueError unless grid's lower edge is a whole number of epsilon steps, to 1e-9 of one."""
     m0 = grid.lower / epsilon
-    if abs(m0 - round(m0)) > 1e-6:
+    if abs(m0 - round(m0)) > 1e-9:
         raise ValueError(f"grid lower edge must be an integer multiple of epsilon {epsilon}")
 
 

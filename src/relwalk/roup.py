@@ -222,17 +222,6 @@ class Run:
         return 2.0 * np.pi * np.arange(self.n_modes) / self.length
 
 
-def _sinhc_inv(y: np.ndarray) -> np.ndarray:
-    # y / sinh(y), series below 1e-6 where cancellation would bite
-    out = np.empty_like(y)
-    small = np.abs(y) < 1e-6
-    ys = y[small]
-    out[small] = 1.0 - ys * ys / 6.0
-    yb = y[~small]
-    out[~small] = yb / np.sinh(yb)
-    return out
-
-
 def _collision_bands(p_grid: Grid1D, Q: float):
     """Tridiagonal bands (lower, diag, upper) of the discrete collision operator.
 
@@ -246,22 +235,15 @@ def _collision_bands(p_grid: Grid1D, Q: float):
     dp = p_grid.spacing
     n = p_grid.count
     u = Q * Q * (gamma_factor(p, Q) - 1.0)
-    w = np.diff(u)
-    s = _sinhc_inv(w / 2.0)
-    alpha = s * np.exp(w / 2.0) / dp  # flux weight on the upper node
-    beta = s * np.exp(-w / 2.0) / dp  # flux weight on the lower node
+    y = np.diff(u) / 2.0  # half the potential increment across each face
+    s = np.divide(y, np.sinh(y), out=np.ones_like(y), where=y != 0.0)
+    alpha = s * np.exp(y) / dp  # flux weight on the upper node
+    beta = s * np.exp(-y) / dp  # flux weight on the lower node
     vol = np.full(n, dp)
     vol[0] = vol[-1] = dp / 2.0
-
-    lower = np.empty(n - 1)
-    diag = np.empty(n)
-    upper = np.empty(n - 1)
-    lower[:] = beta / vol[1:]
-    upper[:] = alpha / vol[:-1]
-    diag[0] = -beta[0] / vol[0]
-    diag[-1] = -alpha[-1] / vol[-1]
-    diag[1:-1] = -(beta[1:] + alpha[:-1]) / vol[1:-1]
-    return lower, diag, upper
+    # each cell's outflow; the two outer faces carry none
+    outflow = np.concatenate((beta, [0.0])) + np.concatenate(([0.0], alpha))
+    return beta / vol[1:], -outflow / vol, alpha / vol[:-1]
 
 
 def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from relwalk.dirac import gaussian_packet, lattice
 from relwalk.kernels import Grid1D
 from relwalk.qwalk import (
     CoinAngles,
@@ -305,6 +308,10 @@ def test_run_walk_validates_grid_and_steps():
         run_walk(JetSpec(), 0.1, 1.05, packet)  # fractional steps
     with pytest.raises(ValueError):
         run_walk(JetSpec(), 0.0, 1.0, packet)  # cannot step at zero scale
+    # a lower edge 1e-7 of a cell off the lattice: the walk would sample its
+    # jet at X = m*eps while a Dirac solve samples the grid's own points
+    with pytest.raises(ValueError, match="integer multiple of epsilon"):
+        run_walk(JetSpec(), 0.1, 1.0, _gaussian_packet(Grid1D.periodic(16.0, 160, center=1e-8)))
 
 
 def test_walk_csv_round_trip(tmp_path):
@@ -357,3 +364,27 @@ def test_gauge_covariance_of_the_coin_angles():
     phi = rng.uniform(-np.pi, np.pi, size=(n_steps + 1, n_sites))
     psi = rng.normal(size=(2, n_sites)) + 1j * rng.normal(size=(2, n_sites))
     assert gauge_error(angles, phi, psi) <= 1e-13
+
+
+def test_zeta_bar_drops_out_of_the_extrapolated_limit():
+    # DiracCoefficients.from_jet drops zeta_bar. The walks with and without
+    # it differ at order 1 in eps, but their Richardson extrapolations
+    # 2 psi_{eps/2} - psi_eps, read on the eps lattice, agree at order 2
+    jet = JetSpec(p=0, zeta0=-np.pi / 2.0,
+                  theta_bar=lambda T, X: 0.3 * np.cos(X - 0.5 * T),
+                  xi_bar=lambda T, X: 0.2 + 0.1 * np.sin(X + T),
+                  alpha_bar=lambda T, X: 0.1 * np.sin(T) * np.cos(0.5 * X))
+    twin = replace(jet, zeta_bar=lambda T, X: 0.7 * np.sin(X + T))
+    eps = [0.1 / 2**k for k in range(5)]
+
+    def walks(j):
+        outs = [run_walk(j, e, 1.0, gaussian_packet(lattice(16.0, e), width=1.0, momentum=0.5))
+                for e in eps]
+        return [np.stack((o.psi_minus, o.psi_plus)) for o in outs]
+
+    def extrapolated(psi):
+        return [2.0 * fine[:, ::2] - coarse for coarse, fine in zip(psi, psi[1:])]
+
+    plain, zeta = extrapolated(walks(jet)), extrapolated(walks(twin))
+    errors = np.array([np.linalg.norm(a - b) * np.sqrt(e) for a, b, e in zip(zeta, plain, eps)])
+    assert np.all(np.log2(errors[:-1] / errors[1:]) >= 1.9), errors

@@ -4,6 +4,7 @@ import mmap
 import os
 import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -186,6 +187,19 @@ def test_collision_batched_rows():
     lf = apply_collision(stack, run.p_grid, run.Q)
     for row_in, row_out in zip(stack, lf):
         assert np.allclose(row_out, apply_collision(row_in, run.p_grid, run.Q))
+
+
+def test_collision_face_with_no_potential_increment_has_weight_one():
+    # points -1.5, -0.5, 0.5, 1.5: the central face sees y = 0 exactly, where
+    # y / sinh(y) is 0/0 unless guarded; its weight must be the limit 1
+    p_grid = Grid1D(-1.5, 1.5, 4)
+    assert p_grid.spacing == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bands = roup._collision_bands(p_grid, 1.0)
+    assert all(np.all(np.isfinite(band)) for band in bands)
+    lower, _, upper = bands
+    assert lower[1] == upper[1] == 1.0  # weight 1 / (dp * vol), with dp = vol = 1
 
 
 def test_zero_mode_freezes_equilibrium():
