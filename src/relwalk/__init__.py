@@ -13,7 +13,7 @@ Two subsystems share the numerical kernels in :mod:`relwalk.kernels`:
 
 __version__ = "0.1.0"
 
-from .kernels import Grid1D, quad, cumquad, tridiag_solve
+from .kernels import Grid1D, quad, cumquad
 from .errors import (
     ConfigError,
     NumericalError,
@@ -29,7 +29,6 @@ __all__ = [
     "Grid1D",
     "quad",
     "cumquad",
-    "tridiag_solve",
     "ConfigError",
     "NumericalError",
     "SingularSystemError",

@@ -14,7 +14,7 @@ class NumericalError(Exception):
 
 
 class SingularSystemError(NumericalError):
-    """Tridiagonal solve hit a singular (or numerically singular) matrix."""
+    """A tridiagonal factorization met a pivot that is not positive."""
 
 
 class TailTruncationError(NumericalError):

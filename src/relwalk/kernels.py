@@ -1,4 +1,4 @@
-"""Shared kernels: 1D grids, quadrature, tridiagonal solves, step counts, phases, fan-out.
+"""Shared kernels: 1D grids, quadrature, the BlockedLDL solver, step counts, phases, fan-out.
 
 Conventions used throughout the package:
 
@@ -8,9 +8,8 @@ Conventions used throughout the package:
 * reductions use numpy's pairwise summation, which is deterministic and
   independent of how work is dealt to processes higher up.
 
-Everything here needs numpy alone. BlockedLDL factors with an in-package
-L D L^T recurrence; only the general tridiag_solve calls LAPACK, and it
-imports scipy on its first call, so importing the package loads no scipy.
+Everything here needs numpy alone: BlockedLDL, the package's one linear
+solver, factors with an in-package L D L^T recurrence.
 _cis (exp(i angle)) and _reuse serve the walk, Dirac and kinetic steps.
 run_parts is the package's one process fan-out, one forked child per
 dealt part: it runs the (run, chunk) units of kinetic marches and,
@@ -38,7 +37,6 @@ __all__ = [
     "Grid1D",
     "quad",
     "cumquad",
-    "tridiag_solve",
     "BlockedLDL",
     "count_steps",
     "run_parts",
@@ -297,46 +295,6 @@ class BlockedLDL:
             np.matmul(self._step, b, out=out[:, :_BLOCK])
 
         return step
-
-
-def tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
-    """Solve a tridiagonal system A x = rhs.
-
-    sub and sup have length n-1; rhs may be (n,) or (n, k) for many
-    right-hand sides sharing one matrix, and is never overwritten.
-    A is factored with partial pivoting by LAPACK ?gttrf and solved by
-    ?gttrs on a copy of rhs; scipy.linalg.lapack is imported on the first
-    call, so only callers of this function load it. A Fortran-ordered rhs
-    (the transpose of a C-ordered (k, n) stack) is copied without a
-    transpose. Each column is solved independently, so the result does not
-    depend on how the columns are blocked. Raises SingularSystemError on a
-    zero pivot. Many Crank-Nicolson steps with one symmetric
-    positive-definite A are cheaper through BlockedLDL.
-    """
-    sub, diag, sup, rhs = map(np.asarray, (sub, diag, sup, rhs))
-    n = diag.shape[0]
-    if sub.shape[0] != n - 1 or sup.shape[0] != n - 1:
-        raise ValueError("off-diagonals must have length n - 1")
-    if rhs.shape[0] != n:
-        raise ValueError("right-hand side length does not match the matrix")
-    import scipy.linalg.lapack
-
-    dtype = np.result_type(diag, sub, sup, rhs, float)
-    if n < 3:
-        # scipy's ?gttrf wrapper rejects n < 3, so these go through a dense solve
-        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        try:
-            return np.linalg.solve(dense.astype(dtype), rhs.astype(dtype))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-    gttrf, gttrs = scipy.linalg.lapack.get_lapack_funcs(("gttrf", "gttrs"), dtype=dtype)
-    *factors, info = gttrf(sub, diag, sup)
-    if info > 0:
-        raise SingularSystemError(f"zero pivot in row {info}: the matrix is singular")
-    x, info = gttrs(*factors, rhs)
-    if info < 0:
-        raise ValueError(f"LAPACK gttrs rejected argument {-info}")
-    return x
 
 
 def count_steps(t_final: float, dt: float) -> int:

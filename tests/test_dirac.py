@@ -128,6 +128,26 @@ def test_gauge_transformed_benchmark_jet_converges_at_second_order():
     assert np.all(np.log2(np.divide(errors[:-1], errors[1:])) >= 1.9)
 
 
+def test_extrapolated_walk_meets_dirac_at_second_order():
+    # the walk's O(eps) error cancels in 2 psi_{eps/2} - psi_eps, read on the
+    # eps lattice, which every eps/2 lattice contains; what is left is O(eps^2)
+    jet = qwalk.JetSpec.benchmark()
+    coeffs = dirac.DiracCoefficients.from_jet(jet)
+    eps = [0.1 / 2**k for k in range(5)]
+    packets = [dirac.gaussian_packet(dirac.lattice(16.0, e), width=1.0, momentum=0.5)
+               for e in eps]
+    walks = [qwalk.run_walk(jet, e, 1.0, f) for e, f in zip(eps, packets)]
+    psi = [np.stack((w.psi_minus, w.psi_plus)) for w in walks]
+    errors = []
+    for e, coarse, fine, packet in zip(eps, psi, psi[1:], packets[1:]):
+        ref = dirac.solve_dirac(coeffs, packet, 1.0, 0.5 * e)
+        extrapolated = 2.0 * fine[:, ::2] - coarse
+        exact = np.stack((ref.psi_minus, ref.psi_plus))[:, ::2]
+        errors.append(np.linalg.norm(extrapolated - exact) * np.sqrt(e))
+    errors = np.array(errors)
+    assert np.all(np.log2(errors[:-1] / errors[1:]) >= 1.9), errors
+
+
 def test_norm_conserved_under_rough_coefficients():
     grid = Grid1D.periodic(8.0, 160)
     f = dirac.gaussian_packet(grid, width=0.6)

@@ -2,11 +2,13 @@
 
 Nor does the package, importing or running, load a process-pool module:
 roup.march_runs fans its runs' chunks out through kernels.run_parts, on
-os.fork.
+os.fork. Every name the package and its modules export is defined.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +46,12 @@ def test_package_and_runs_load_no_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_every_exported_name_is_defined():
+    # a dangling __all__ entry breaks `from relwalk import *` only when it runs
+    modules = [relwalk] + [importlib.import_module("relwalk." + info.name)
+                           for info in pkgutil.iter_modules(relwalk.__path__)]
+    for module in modules:
+        exported = getattr(module, "__all__", [])
+        assert [name for name in exported if not hasattr(module, name)] == [], module.__name__

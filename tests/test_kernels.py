@@ -19,7 +19,6 @@ from relwalk.kernels import (
     quad,
     run_jobs,
     shared_zeros,
-    tridiag_solve,
 )
 
 
@@ -142,82 +141,17 @@ def test_cumquad_zeros():
     assert np.all(cumquad(np.zeros(11), g) == 0.0)
 
 
-# ---------------------------------------------------------------- tridiag
-
-
-def test_tridiag_identity():
-    rhs = np.array([1.0, 2.0, 3.0])
-    x = tridiag_solve(np.zeros(2), np.ones(3), np.zeros(2), rhs)
-    assert np.allclose(x, rhs, atol=1e-15)
-
-
-def test_tridiag_forward_multiply_oracle():
-    # b is produced by explicit multiplication with tridiag(-1, 2, -1),
-    # so the solve must reproduce the generating vector
-    rng = np.random.default_rng(42)
-    n = 200
-    x0 = rng.normal(size=n)
-    sub = -np.ones(n - 1)
-    sup = -np.ones(n - 1)
-    diag = 2.0 * np.ones(n)
-    b = diag * x0
-    b[:-1] += sup * x0[1:]
-    b[1:] += sub * x0[:-1]
-    x = tridiag_solve(sub, diag, sup, b)
-    assert np.max(np.abs(x - x0)) < 1e-10
-
-
-def test_tridiag_complex_and_multi_rhs():
-    rng = np.random.default_rng(9)
-    n = 64
-    sub = rng.normal(size=n - 1) * 0.1
-    sup = rng.normal(size=n - 1) * 0.1
-    diag = 2.0 + rng.normal(size=n) * 0.1
-    x0 = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    b = diag[:, None] * x0
-    b[:-1] += sup[:, None] * x0[1:]
-    b[1:] += sub[:, None] * x0[:-1]
-    x = tridiag_solve(sub, diag, sup, b)
-    assert x.shape == (n, 3)
-    assert np.max(np.abs(x - x0)) < 1e-11
+# ------------------------------------------------------------- BlockedLDL
 
 
 def _bands(kind, rng, n):
     # strictly diagonally dominant, so every kind is well conditioned
     diag = rng.uniform(2.5, 3.5, size=n)
     sub = rng.uniform(-1.0, 1.0, size=n - 1)
-    if kind == "general":
-        return sub, diag, rng.uniform(-1.0, 1.0, size=n - 1)
     if kind == "indefinite":
         # symmetric, but with negative pivots
         diag[::2] *= -1.0
-    return sub, diag, sub.copy()
-
-
-def test_tridiag_keeps_rhs_and_ignores_its_layout():
-    # a C-ordered (n, k) rhs and the transpose of a C-ordered (k, n) stack
-    # must give the same bits and stay untouched, for each kind of matrix
-    rng = np.random.default_rng(4)
-    n, k = 50, 6
-    for kind in ("general", "spd", "indefinite"):
-        sub, diag, sup = _bands(kind, rng, n)
-        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        for dtype in (float, complex):
-            stack = rng.normal(size=(k, n)).astype(dtype)
-            if dtype is complex:
-                stack += 1j * rng.normal(size=(k, n))
-            c_rhs = np.ascontiguousarray(stack.T)
-            saved = stack.copy()
-            x_f = tridiag_solve(sub, diag, sup, stack.T)
-            x_c = tridiag_solve(sub, diag, sup, c_rhs)
-            assert np.array_equal(stack, saved)
-            assert np.array_equal(c_rhs, saved.T)
-            assert np.array_equal(x_f, x_c)
-            assert x_f.dtype == np.dtype(dtype)
-            reference = np.linalg.solve(dense, c_rhs)
-            assert np.max(np.abs(x_f - reference)) <= 1e-13 * np.max(np.abs(reference))
-            column = tridiag_solve(sub, diag, sup, c_rhs[:, 0])
-            assert np.array_equal(column, x_f[:, 0])
+    return sub, diag
 
 
 def _scratch(step):
@@ -260,7 +194,7 @@ def _barely_dominant(sub):
 @pytest.mark.parametrize("n", [3, 15, 16, 17, 1024])
 def test_blocked_ldl_matches_dense_solve(n):
     rng = np.random.default_rng(n)
-    sub, diag, _ = _bands("spd", rng, n)
+    sub, diag = _bands("spd", rng, n)
     _check_blocked_ldl(diag, sub, rng)
     _check_blocked_ldl(*_barely_dominant(sub), rng)
 
@@ -293,7 +227,7 @@ def _unpacked(ldl):
 
 
 def _spd(n):
-    sub, diag, _ = _bands("spd", np.random.default_rng(n), n)
+    sub, diag = _bands("spd", np.random.default_rng(n), n)
     return diag, sub
 
 
@@ -353,7 +287,7 @@ def test_blocked_ldl_carries_grow_linearly_with_the_grid():
 
 
 def test_blocked_ldl_rejects_indefinite_matrices():
-    sub, diag, _ = _bands("indefinite", np.random.default_rng(5), 40)
+    sub, diag = _bands("indefinite", np.random.default_rng(5), 40)
     with pytest.raises(SingularSystemError):
         BlockedLDL(diag, sub)
 
@@ -371,7 +305,7 @@ def test_ldl_factor_matches_dpttrf_bitwise_on_the_front_matrix():
 def test_ldl_factor_names_the_first_bad_pivot_like_dpttrf(row):
     # a zero diagonal entry makes that pivot zero (row 0) or negative
     dpttrf = pytest.importorskip("scipy.linalg.lapack").dpttrf
-    sub, diag, _ = _bands("spd", np.random.default_rng(row), 40)
+    sub, diag = _bands("spd", np.random.default_rng(row), 40)
     diag[row] = 0.0
     info = dpttrf(diag, sub)[2]
     assert info == row + 1
@@ -379,28 +313,6 @@ def test_ldl_factor_names_the_first_bad_pivot_like_dpttrf(row):
         _ldl_factor(diag, sub)
     with pytest.raises(SingularSystemError, match=f"pivot {info} "):
         BlockedLDL(diag, sub)
-
-
-def test_tridiag_tiny_systems():
-    x = tridiag_solve(np.array([1.0]), np.array([2.0, 3.0]), np.array([0.5]),
-                      np.array([2.5, 4.0]))
-    assert np.allclose(x, [1.0, 1.0], atol=1e-15)
-    x = tridiag_solve(np.zeros(0), np.array([4.0]), np.zeros(0), np.array([2.0]))
-    assert np.array_equal(x, [0.5])
-    with pytest.raises(SingularSystemError):
-        tridiag_solve(np.zeros(1), np.zeros(2), np.zeros(1), np.ones(2))
-
-
-def test_tridiag_singular_raises():
-    with pytest.raises(SingularSystemError):
-        tridiag_solve(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
-
-
-def test_tridiag_shape_checks():
-    with pytest.raises(ValueError):
-        tridiag_solve(np.zeros(3), np.ones(3), np.zeros(2), np.ones(3))
-    with pytest.raises(ValueError):
-        tridiag_solve(np.zeros(2), np.ones(3), np.zeros(2), np.ones(4))
 
 
 # ------------------------------------------------------------- step counts

@@ -108,6 +108,7 @@ def test_params_reject_odd_counts():
     (1.0, 1.0, 0.0, (1.0,), "need dt > 0"),
     (1.0, 1.0, 0.01, (0.5, 1.01), "beyond t_final"),
     (1.0, 1.0, 0.01, (0.5, 0.5 + 1e-12), "collide"),
+    (1.0, 1.0, 0.01, (), "at least one output time"),
 ])
 def test_run_rejects_invalid_inputs(Q, t_final, dt, times, match):
     with pytest.raises(ValueError, match=match):
@@ -200,6 +201,30 @@ def test_collision_face_with_no_potential_increment_has_weight_one():
     assert all(np.all(np.isfinite(band)) for band in bands)
     lower, _, upper = bands
     assert lower[1] == upper[1] == 1.0  # weight 1 / (dp * vol), with dp = vol = 1
+
+
+def _diffusion_coefficient(run):
+    # Green-Kubo: D = -sum vol v phi with L phi = v f_eq; the rank-1 term
+    # f_eq vol^T fixes phi's mass at 0, the one freedom L leaves it
+    lower, diag, upper = roup._collision_bands(run.p_grid, run.Q)
+    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    p = run.p_grid.points
+    vol = np.full(run.n_p, run.p_grid.spacing)
+    vol[[0, -1]] /= 2.0
+    f_eq, v = roup.juttner(p, run.Q), roup.velocity(p, run.Q)
+    phi = np.linalg.solve(dense + np.outer(f_eq, vol), v * f_eq)
+    return -np.sum(vol * v * phi)
+
+
+@pytest.mark.parametrize("Q", [0.5, 1.0, 8.0])
+def test_green_kubo_diffusion_coefficient_tends_to_one_at_second_order(Q):
+    # in the continuum L(-P f_eq) = v f_eq, so D = integral of v P f_eq = 1
+    # for every Q; the fitted fluxes approach it from above as dp^2
+    errors = np.array([_diffusion_coefficient(roup.Run(Q, 1, 0.01, (1,), 8, n_p)) - 1.0
+                       for n_p in (256, 512, 1024)])
+    assert np.all(errors > 0.0), errors
+    assert np.all(np.log2(errors[:-1] / errors[1:]) >= 1.9), errors
+    assert errors[-1] < 6e-4
 
 
 def test_zero_mode_freezes_equilibrium():
@@ -800,6 +825,21 @@ def test_continuity_residual_small_and_validated():
     mixed = [roup.reconstruct_density(coarse[0], refine=8)] + profiles[1:]
     with pytest.raises(ValueError):
         roup.continuity_residual(mixed)
+
+
+def test_continuity_residual_falls_at_second_order_in_dt():
+    # dJ/dX taken spectrally leaves only the centered time difference of N,
+    # an O(dt^2) error; criterion 8's centered X difference hides it
+    residuals = []
+    for dt in (2e-3, 1e-3, 5e-4, 2.5e-4):
+        run = roup.Run(1, 0.5 + dt, dt, (0.5 - dt, 0.5, 0.5 + dt), 64, 256, 4)
+        before, now, after = roup.march_runs([run], 1)[0].values()
+        k = 2.0 * np.pi * np.fft.rfftfreq(now.current.size, now.x_grid.spacing)
+        flux = np.fft.irfft(1j * k * np.fft.rfft(now.current), now.current.size)
+        rate = (after.density - before.density) / (2.0 * dt)
+        residuals.append(np.linalg.norm(rate + flux) / np.linalg.norm(flux))
+    residuals = np.array(residuals)
+    assert np.all(np.log2(residuals[:-1] / residuals[1:]) >= 1.9), residuals
 
 
 def test_profile_csv_roundtrip(tmp_path):
