@@ -10,7 +10,10 @@ Conventions used throughout the package:
 
 Everything here needs numpy alone: BlockedLDL, the package's one linear
 solver, factors with an in-package L D L^T recurrence.
-_cis (exp(i angle)) and _reuse serve the walk, Dirac and kinetic steps.
+_cis (exp(i angle) from libm cos and sin) serves the Dirac step and the
+kinetic phase tables, which tests pin within 2e-16 of np.exp; the walk's
+coin takes a tan route instead (qwalk._cis_rows, within 4.0e-16).
+_reuse serves the walk and Dirac steps.
 run_parts is the package's one process fan-out, one forked child per
 dealt part: it runs the (run, chunk) units of kinetic marches and,
 through run_jobs, every study's output files and a convergence study's

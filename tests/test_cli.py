@@ -841,6 +841,27 @@ def test_criterion_reads_only_the_runs_its_row_lists(monkeypatch, number):
     assert "error" not in result.details, result.details["error"]
 
 
+@pytest.mark.parametrize("flux_speed", [1.0, 1.01])
+def test_continuity_details_carry_each_levels_spectral_residual(monkeypatch, flux_speed):
+    # N = 2 + sin(k (X - T)) moves at speed 1 and J = flux_speed * N: with
+    # dJ/dX taken spectrally, only the centered time difference's error of
+    # order (k dt)^2 / 6 is left, or |flux_speed - 1| / flux_speed at the
+    # wrong speed
+    def advected(run):
+        x_grid = Grid1D.periodic(8.0, run.n_x * run.refine)
+        k = 2.0 * np.pi / 8.0
+        waves = {t: 2.0 + np.sin(k * (x_grid.points - t)) for t in run.times}
+        return {t: roup.DensityProfile(x_grid, t, run.Q, n, flux_speed * n)
+                for t, n in waves.items()}
+
+    monkeypatch.setattr(roup, "march_runs", _march_runs_stub(advected))
+    result = verify.run_criterion(8, verify.RunContext(threads=1, numbers=[8]))
+    spectral = result.details["spectral_residual"]
+    assert list(spectral) == ["n_x=256", "n_x=512"]
+    expected = abs(flux_speed - 1.0) / flux_speed
+    assert all(abs(value - expected) < 1e-7 for value in spectral.values()), spectral
+
+
 def test_verify_group_report(tmp_path, capsys):
     out = tmp_path / "v"
     code = cli.main(["verify", "--only", "walk", "--out", str(out)])

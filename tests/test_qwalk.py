@@ -9,6 +9,7 @@ from relwalk.qwalk import (
     CoinAngles,
     JetSpec,
     WalkState,
+    _cis_rows,
     _coin_entries,
     random_smooth_angle_field,
     realize_jet,
@@ -82,6 +83,28 @@ def test_coin_determinant_is_pure_phase():
         assert abs(abs(np.linalg.det(build_coin(angles))) - 1.0) < 1e-14
 
 
+def test_cis_rows_is_the_complex_exponential():
+    # a dense grid, every multiple of pi/2 up to 20 pi, and far angles
+    x = np.concatenate((np.linspace(-20.0 * np.pi, 20.0 * np.pi, 400_001),
+                        np.arange(-40, 41) * np.pi / 2.0, [1e4, -1e4]))
+    (e,) = _cis_rows(x)
+    assert np.max(np.abs(e - np.exp(1j * x))) <= 1e-15
+    assert np.max(np.abs(np.abs(e) - 1.0)) <= 1e-15
+
+
+def test_cis_rows_broadcasts_and_keeps_scalar_shapes():
+    assert _cis_rows(0.3).shape == (1,)
+    assert _cis_rows(np.array(0.3), -1.2).shape == (2,)
+    rows = _cis_rows(np.linspace(0.0, 1.0, 5), 0.7, np.zeros((1, 5)))
+    assert rows.shape == (3, 1, 5)
+    assert np.allclose(rows[1], np.exp(0.7j), atol=1e-15, rtol=0.0)
+
+
+def test_cis_rows_of_zero_is_exactly_one():
+    e = _cis_rows(0.0, np.zeros(4), -0.0)
+    assert np.all(e.real == 1.0) and np.all(e.imag == 0.0)
+
+
 # ---------------------------------------------------------------- stepping
 
 
@@ -121,6 +144,22 @@ def test_probability_conserved_under_random_smooth_field():
     for _ in range(100):
         state = step_walk(state, field)
     assert abs(total_probability(state) - p0) < 1e-12 * p0
+
+
+def test_norm_drift_over_2000_steps_of_the_benchmark_field():
+    # criterion 1's hot path (bound 1e-10 over 10,000 steps), in 0.2 s: a
+    # _cis_rows whose cos is biased by -2e-16 drifts past 1e-12
+    n = 1024
+    field = random_smooth_angle_field(seed=20240811, n_sites=n)
+    rng = np.random.default_rng(7)
+    psi = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    state = _state_from(*psi)
+    p0 = total_probability(state)
+    drift = 0.0
+    for _ in range(2000):
+        state = step_walk(state, field)
+        drift = max(drift, abs(total_probability(state) - p0) / p0)
+    assert drift <= 1e-12
 
 
 def test_single_site_spreads_at_most_one_cell_per_step():
